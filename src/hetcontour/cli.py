@@ -165,11 +165,7 @@ def _system_from_arg(name):
     return vf.load(name)            # treat as a path to a JSON system file
 
 
-def _add_common(p):
-    p.add_argument("--params", nargs="*", metavar="K=V", default=[],
-                   help="parameter overrides (values may be fractions)")
-    p.add_argument("--tol-abs", type=float, default=1e-10)
-    p.add_argument("--tol-rel", type=float, default=1e-10)
+def _add_output(p):
     p.add_argument("--out", default=None, help="artifact output directory")
     p.add_argument("--format", choices=("csv", "json", "svg", "all"),
                    default="all")
@@ -376,7 +372,11 @@ def build_parser():
     sp.add_argument("--time", type=float, default=40.0)
     sp.add_argument("--seed", type=int, default=0,
                     help="random seed for the equilibrium-search grid jitter")
-    _add_common(sp)
+    sp.add_argument("--params", nargs="*", metavar="K=V", default=[],
+                    help="parameter overrides (values may be fractions)")
+    sp.add_argument("--tol-abs", type=float, default=1e-10)
+    sp.add_argument("--tol-rel", type=float, default=1e-10)
+    _add_output(sp)
     sp.set_defaults(func=cmd_portrait)
 
     sp = sub.add_parser("diagram", help="two-parameter bifurcation diagram")
@@ -387,7 +387,7 @@ def build_parser():
     sp.add_argument("--kmax", type=int, default=2)
     sp.add_argument("--step", type=float, default=5e-4)
     sp.add_argument("--max-points", type=int, default=40)
-    _add_common(sp)
+    _add_output(sp)
     sp.set_defaults(func=cmd_diagram)
 
     sp = sub.add_parser("melnikov", help="first-order splitting integral")
@@ -395,7 +395,9 @@ def build_parser():
     sp.add_argument("--c", default="3/2", help="value or fraction, e.g. 1/2")
     sp.add_argument("--a", type=float, default=1.0)
     sp.add_argument("--b", type=float, default=-3.0)
-    _add_common(sp)
+    sp.add_argument("--tol-abs", type=float, default=1e-10,
+                    help="quadrature tolerance")
+    _add_output(sp)
     sp.set_defaults(func=cmd_melnikov)
 
     sp = sub.add_parser("synthesize",
@@ -407,7 +409,7 @@ def build_parser():
                     help="comma list of ansatz coefficients kept free")
     sp.add_argument("--names", default="",
                     help="comma list of parameter names for the family")
-    _add_common(sp)
+    _add_output(sp)
     sp.set_defaults(func=cmd_synthesize)
 
     sp = sub.add_parser("modelmap", help="model-map bifurcation set")
@@ -419,7 +421,7 @@ def build_parser():
     sp.add_argument("--box", type=float, nargs=2, default=(0.3, 0.3),
                     metavar=("B1", "B2"))
     sp.add_argument("--n", type=int, default=101)
-    _add_common(sp)
+    _add_output(sp)
     sp.set_defaults(func=cmd_modelmap)
     return p
 

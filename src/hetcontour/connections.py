@@ -13,7 +13,8 @@ import numpy as np
 
 from . import integrate as hi
 from . import manifolds as mf
-from .errors import InsufficientWinding, NoContour, NoIntersection
+from .errors import (HetContourError, InsufficientWinding, NoContour,
+                     NoIntersection)
 
 GAP_TOLERANCE = 1e-6
 
@@ -64,13 +65,13 @@ def _winding_at(traj, center, times, refine=4):
 
 
 def _branch_hits(sys, params, saddle, kind, side, section, direction,
-                 tol, arclength_cap, time_cap, avoid=()):
-    branch = mf.grow_branch(
+                 tol, arclength_cap, time_cap, first_hit):
+    """Branch with its section hits; ``first_hit`` stops it at the first."""
+    return mf.grow_branch(
         sys, params, saddle, kind, side,
         arclength_cap=arclength_cap, events=[section],
-        directions=[direction], terminal=[], tol=tol, time_cap=time_cap,
-        equilibria=avoid, equilibrium_radius=1e-9)
-    return branch
+        directions=[direction], terminal=[0] if first_hit else [], tol=tol,
+        time_cap=time_cap)
 
 
 def splitting(sys, params, spec, tol=(1e-9, 1e-9), arclength_cap=200.0,
@@ -80,9 +81,10 @@ def splitting(sys, params, spec, tol=(1e-9, 1e-9), arclength_cap=200.0,
     center = spec.winding_center or spec.source.location
     p = sys.full_params(params)
 
+    # k = 0 needs only the first hit; a k-turn gap needs the hits after it
     ub = _branch_hits(sys, p, spec.source, mf.Kind.UNSTABLE, spec.source_side,
                       spec.section, spec.crossing_direction, tol,
-                      arclength_cap, time_cap)
+                      arclength_cap, time_cap, first_hit=k == 0)
     hits = ub.curve.event_hits
     if not hits:
         raise NoIntersection("unstable branch never met the section")
@@ -97,7 +99,7 @@ def splitting(sys, params, spec, tol=(1e-9, 1e-9), arclength_cap=200.0,
 
     sb = _branch_hits(sys, p, spec.target, mf.Kind.STABLE, spec.target_side,
                       spec.section, spec.crossing_direction, tol,
-                      arclength_cap, time_cap)
+                      arclength_cap, time_cap, first_hit=True)
     shits = sb.curve.event_hits
     if not shits:
         raise NoIntersection("stable branch never met the section")
@@ -197,7 +199,7 @@ def _probe_accumulates(sys, params, seed, contour, tol, t_max=200.0,
             try:
                 traj = hi.integrate(sys, params, z_now,
                                     (t_now, t_now + sign * chunk), tol=tol)
-            except Exception:
+            except HetContourError:
                 break
             d = np.min(
                 np.linalg.norm(traj.xy[:, None, :] - contour[None, :, :],

@@ -39,7 +39,9 @@ class Saddle:
         return -self.lambda_s / self.lambda_u
 
     def __post_init__(self):
-        assert self.lambda_s < 0 < self.lambda_u
+        if not self.lambda_s < 0 < self.lambda_u:
+            raise NotASaddle(f"eigenvalues ({self.lambda_s}, {self.lambda_u})"
+                             " are not of opposite sign")
 
 
 @dataclass(frozen=True)

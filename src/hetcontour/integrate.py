@@ -20,11 +20,19 @@ BLOWUP_RADIUS = 1e6
 
 
 class Termination(enum.Enum):
+    """Why an integration ended.
+
+    ``integrate`` ends on TIME_LIMIT, EVENT, BLOWUP or EQUILIBRIUM_APPROACH.
+    ``manifolds.grow_branch`` adds ARCLENGTH_CAP, and SETTLED for a branch
+    whose latest chunk added next to no arclength.
+    """
+
     TIME_LIMIT = "time_limit"
     EVENT = "event"
     BLOWUP = "blowup"
     EQUILIBRIUM_APPROACH = "equilibrium_approach"
     ARCLENGTH_CAP = "arclength_cap"
+    SETTLED = "settled"
 
 
 @dataclass(frozen=True)

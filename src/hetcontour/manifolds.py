@@ -15,6 +15,9 @@ from . import integrate as hi
 from .errors import BlowupAtSeed
 
 DEFAULT_SEED_OFFSET = 1e-7
+# a chunk adding less arclength than this many absolute tolerances (scaled by
+# 1 + |z|) has settled; the integrator's own noise is 20-30 atol per chunk
+SETTLED_ATOLS = 100.0
 
 
 class Kind(enum.Enum):
@@ -49,8 +52,12 @@ def grow_branch(sys, params, saddle, kind, side, arclength_cap=20.0,
                 equilibria=(), equilibrium_radius=1e-8, chunk=5.0):
     """Grow one of the four branches of ``saddle`` up to ``arclength_cap``.
 
-    Integration also stops at a terminal event hit, blowup, or on approach
-    to any of the registered ``equilibria``.
+    The branch is integrated in ``chunk``-long pieces.  Its ``termination``
+    says why it ended: ARCLENGTH_CAP, TIME_LIMIT at ``time_cap``, EVENT at a
+    terminal event hit, BLOWUP, EQUILIBRIUM_APPROACH to any of the
+    registered ``equilibria``, or SETTLED when a full chunk adds next to no
+    arclength, and no more than the chunk before it (the branch has come to
+    rest on an attractor).
     """
     x0, delta = seed_point(saddle, kind, side, delta)
     sign = 1.0 if kind is Kind.UNSTABLE else -1.0
@@ -64,6 +71,7 @@ def grow_branch(sys, params, saddle, kind, side, arclength_cap=20.0,
     z_now = x0
     termination = hi.Termination.TIME_LIMIT
     terminal_index = None
+    prev_seg = np.inf
     # first chunk covers the slow escape from the linear zone
     t_chunk = max(chunk, 3.0 / max(rate, 1e-6))
     while True:
@@ -85,9 +93,16 @@ def grow_branch(sys, params, saddle, kind, side, arclength_cap=20.0,
         if length >= arclength_cap:
             termination = hi.Termination.ARCLENGTH_CAP
             break
+        # a branch still escaping a slow saddle gains arclength from chunk
+        # to chunk, so only a chunk adding no more than the one before counts
+        if len(pieces) > 2 and seg <= min(
+                prev_seg, SETTLED_ATOLS * tol[0] * (1.0 + np.linalg.norm(z_now))):
+            termination = hi.Termination.SETTLED
+            break
         if abs(t_now) >= time_cap:
             break
         t_chunk = chunk
+        prev_seg = seg
 
     if termination is hi.Termination.BLOWUP and len(pieces) == 1 \
             and pieces[0].arclength() < 10 * delta:

@@ -55,6 +55,23 @@ def test_synthesize_prints_family(capsys):
     assert {p["name"] for p in doc["parameters"]} == {"a", "b", "c"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["diagram", "--scenario", "heart", "--tol-abs", "1e-6"],
+    ["diagram", "--scenario", "heart", "--tol-rel", "1e-6"],
+    ["diagram", "--scenario", "heart", "--params", "gamma=13/5"],
+    ["melnikov", "--case", "axis", "--tol-rel", "1e-6"],
+    ["synthesize", "--variety", "y", "--tol-abs", "1e-6"],
+    ["modelmap", "--orientation", "monodromic", "--lambda", "2",
+     "--mu", "2", "--params", "a=1"],
+])
+def test_flags_a_command_ignores_are_rejected(argv, capsys):
+    # a flag is accepted only by the commands that read it
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_unknown_scenario_is_hard_error(tmp_path, capsys):
     code = run(["diagram", "--scenario", "nope", "--out", str(tmp_path)])
     assert code == cli.EXIT_HARD

@@ -4,7 +4,9 @@ import pytest
 
 from hetcontour import connections as cn
 from hetcontour import diagrams as dg
-from hetcontour.errors import InsufficientWinding, NoIntersection
+from hetcontour import manifolds as mf
+from hetcontour.errors import (HetContourError, InsufficientWinding,
+                               NoIntersection, StiffnessError)
 
 
 @pytest.fixture(scope="module")
@@ -71,3 +73,100 @@ def test_splitting_result_fields(mono_first):
     assert res.transversal
     assert res.winding_count == 0
     assert abs(res.gap - (res.unstable_coord - res.stable_coord)) < 1e-14
+
+
+def _splitting_from_all_hits(sys, params, spec, tol, arclength_cap,
+                             time_cap, transversality_min=1e-8):
+    """``splitting`` computed the long way: both branches run to their caps
+    with no terminal event, and the hits are picked afterwards."""
+    p = sys.full_params(params)
+    center = spec.winding_center or spec.source.location
+
+    def hits(saddle, kind, side):
+        br = mf.grow_branch(sys, p, saddle, kind, side,
+                            arclength_cap=arclength_cap,
+                            events=[spec.section],
+                            directions=[spec.crossing_direction],
+                            terminal=[], tol=tol, time_cap=time_cap)
+        return br.curve, br.curve.event_hits
+
+    curve, uhits = hits(spec.source, mf.Kind.UNSTABLE, spec.source_side)
+    if not uhits:
+        raise NoIntersection("unstable branch never met the section")
+    winds = cn._winding_at(curve, center, [h[1] for h in uhits])
+    chosen = [(z, w) for (_, _, z), w in zip(uhits, winds)
+              if w == spec.winding_count]
+    if not chosen:
+        if spec.winding_count == 0:
+            raise NoIntersection("no section hit at winding 0")
+        raise InsufficientWinding(spec.winding_count, max(winds))
+    z_u, w_u = chosen[0]
+    _, shits = hits(spec.target, mf.Kind.STABLE, spec.target_side)
+    if not shits:
+        raise NoIntersection("stable branch never met the section")
+    z_s = shits[0][2]
+    n = spec.section.normal
+    fu, fs = sys.rhs(*z_u, p), sys.rhs(*z_s, p)
+    u, s = spec.section.coord(z_u), spec.section.coord(z_s)
+    return cn.SplittingResult(
+        float(spec.orientation_sign * (u - s)), w_u,
+        abs(fu[0] * n[0] + fu[1] * n[1]) > transversality_min
+        and abs(fs[0] * n[0] + fs[1] * n[1]) > transversality_min,
+        float(u), float(s))
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except HetContourError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name,recipe_name,point", [
+    ("heart", "LM_low", (0.422438, -0.452011)),
+    ("heart", "LM_low", (0.410402, -0.436038)),
+    ("heart", "ML_low", (0.422438, -0.452011)),
+    ("heart", "ML_low", (0.435, -0.47)),
+    ("mono_first", "axis", (1e-4, 5e-5)),
+    ("mono_first", "parabola", (1e-4, 5e-5)),
+])
+def test_first_hit_gaps_match_all_hits(name, recipe_name, point):
+    # stopping a branch at its first section hit must not change the gap
+    scn = dg.scenario(name)
+    params = dg._params_at(scn, point)
+    recipe = scn.recipes[recipe_name]
+    src, tgt, sec, center = dg._build_spec(scn, scn.system, params, recipe)
+    tol = (1e-10, 1e-10)
+    for k in (0, 1):
+        spec = cn.ConnectionSpec(src, tgt, sec, recipe.source_side,
+                                 recipe.target_side, winding_center=center,
+                                 winding_count=k,
+                                 crossing_direction=recipe.crossing_direction)
+        caps = dict(tol=tol, arclength_cap=recipe.arclength_cap,
+                    time_cap=recipe.time_cap)
+        got = _outcome(lambda: cn.splitting(scn.system, params, spec,
+                                            **caps))
+        want = _outcome(lambda: _splitting_from_all_hits(
+            scn.system, params, spec, **caps))
+        assert got == want, (k, got, want)
+
+
+def test_probe_stops_on_toolkit_errors_only(monkeypatch):
+    # a failed probe integration means "no accumulation"; any other
+    # exception is a bug and must surface
+    contour = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.25]])
+    scn = dg.scenario("mono_first")
+    params = scn.system.full_params(scn.base_params)
+
+    def stiff(*args, **kwargs):
+        raise StiffnessError("step size underflow")
+    monkeypatch.setattr(cn.hi, "integrate", stiff)
+    assert cn._probe_accumulates(scn.system, params, (0.5, 0.1), contour,
+                                 (1e-9, 1e-9)) is False
+
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError
+    monkeypatch.setattr(cn.hi, "integrate", broken)
+    with pytest.raises(ZeroDivisionError):
+        cn._probe_accumulates(scn.system, params, (0.5, 0.1), contour,
+                              (1e-9, 1e-9))

@@ -1,4 +1,9 @@
 """Saddle data, symbolic eigenvalue checks, subcase classification."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -55,6 +60,29 @@ def test_classify_types(mono):
 def test_saddle_data_rejects_focus(mono):
     with pytest.raises(NotASaddle):
         eq.saddle_data(mono, mono.full_params(), (2 / 3, 1 / 9))
+
+
+@pytest.mark.parametrize("lambda_s,lambda_u", [
+    (0.5, 1.0), (-0.5, -1.0), (0.0, 1.0), (-1.0, 0.0)])
+def test_saddle_rejects_eigenvalues_of_one_sign(lambda_s, lambda_u):
+    with pytest.raises(NotASaddle):
+        eq.Saddle((0.0, 0.0), lambda_s, lambda_u, (1.0, 0.0), (0.0, 1.0))
+
+
+def test_saddle_check_survives_optimized_mode():
+    # the check must not be an assert, which ``python -O`` strips
+    code = ("from hetcontour import equilibria as eq\n"
+            "from hetcontour.errors import NotASaddle\n"
+            "try:\n"
+            "    eq.Saddle((0.0, 0.0), 0.5, 1.0, (1.0, 0.0), (0.0, 1.0))\n"
+            "except NotASaddle:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(3)\n")
+    src = str(Path(eq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          timeout=120)
+    assert done.returncode == 0
 
 
 def test_newton_no_convergence_far_from_roots(mono):

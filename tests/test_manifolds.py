@@ -15,6 +15,17 @@ def mono_saddle():
     return sys_, params, eq.saddle_data(sys_, params, (0.0, 0.0))
 
 
+def _count_chunks(monkeypatch):
+    calls = []
+    integrate = hi.integrate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return integrate(*args, **kwargs)
+    monkeypatch.setattr(hi, "integrate", counted)
+    return calls
+
+
 def _arclengths(points):
     seg = np.linalg.norm(np.diff(points, axis=0), axis=1)
     return np.concatenate([[0.0], np.cumsum(seg)])
@@ -86,10 +97,45 @@ def test_equilibrium_approach_termination(mono_saddle):
     assert br.curve.termination is hi.Termination.EQUILIBRIUM_APPROACH
 
 
-def test_chained_interpolant_matches_samples(mono_saddle):
+def test_chained_interpolant_matches_samples(mono_saddle, monkeypatch):
     sys_, params, sad = mono_saddle
+    chunks = _count_chunks(monkeypatch)
     br = mf.grow_branch(sys_, params, sad, mf.Kind.UNSTABLE, 1,
                         arclength_cap=5.0, chunk=0.5)
+    # the check means something only if the branch ran through a chain
+    assert len(chunks) > 1
     ts = br.curve.t
     zs = br.curve.interpolant(ts)
     assert np.max(np.abs(zs.T - br.points)) < 1e-9
+
+
+def test_branch_into_focus_ends_settled(monkeypatch):
+    # one unstable branch of the origin of the reversible family spirals into
+    # the stable focus at (-1, 0); it must stop there, not crawl to time_cap
+    sys_ = vf.builtin("revers_gamma")
+    params = sys_.full_params({"gamma": 2.5315})
+    sad = eq.saddle_data(sys_, params, (0.0, 0.0))
+    chunks = _count_chunks(monkeypatch)
+    br = mf.grow_branch(sys_, params, sad, mf.Kind.UNSTABLE, -1,
+                        arclength_cap=30.0)
+    assert br.curve.termination is hi.Termination.SETTLED
+    assert np.linalg.norm(br.points[-1] - np.array([-1.0, 0.0])) < 1e-6
+    assert len(chunks) <= 15
+
+
+def test_branch_escaping_slow_saddle_is_not_settled(monkeypatch):
+    # x' = x / 20, y' = -y: after the first chunk the branch is still
+    # within 1e-5 of the saddle and a 5-unit chunk adds less arclength than
+    # the settling threshold at this tolerance, but more than the chunk
+    # before it
+    sys_ = vf.from_dict({
+        "name": "slow_saddle", "parameters": [{"name": "r", "default": "1/20"}],
+        "x_dot": [{"coeff": "r", "px": 1, "py": 0}],
+        "y_dot": [{"coeff": "-1", "px": 0, "py": 1}]})
+    params = sys_.full_params()
+    sad = eq.saddle_data(sys_, params, (0.0, 0.0))
+    chunks = _count_chunks(monkeypatch)
+    br = mf.grow_branch(sys_, params, sad, mf.Kind.UNSTABLE, 1,
+                        arclength_cap=1.0, tol=(1e-8, 1e-8))
+    assert br.curve.termination is hi.Termination.ARCLENGTH_CAP
+    assert len(chunks) > 2
