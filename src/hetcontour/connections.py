@@ -7,7 +7,7 @@ reference saddle, which is robust near tangencies.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,8 +15,6 @@ from . import integrate as hi
 from . import manifolds as mf
 from .errors import (HetContourError, InsufficientWinding, NoContour,
                      NoIntersection)
-
-GAP_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -110,16 +108,12 @@ def splitting(sys, params, spec, tol=(1e-9, 1e-9), arclength_cap=200.0,
     n = spec.section.normal
     fu = sys.rhs(z_u[0], z_u[1], p)
     fs = sys.rhs(z_s[0], z_s[1], p)
-    transversal = (abs(fu[0] * n[0] + fu[1] * n[1]) > transversality_min
-                   and abs(fs[0] * n[0] + fs[1] * n[1]) > transversality_min)
+    transversal = bool(
+        abs(fu[0] * n[0] + fu[1] * n[1]) > transversality_min
+        and abs(fs[0] * n[0] + fs[1] * n[1]) > transversality_min)
     gap = spec.orientation_sign * (u_coord - s_coord)
     return SplittingResult(float(gap), w_u, transversal,
                            float(u_coord), float(s_coord))
-
-
-def winding_connection_gap(sys, params, spec, **kw):
-    """Gap of the k-turn connection; k = 0 reduces to plain splitting."""
-    return splitting(sys, params, spec, **kw)
 
 
 def find_connection_side(sys, params, source, target, tol=(1e-9, 1e-9),
@@ -171,7 +165,7 @@ def classify_contour(sys, params, saddle_L, saddle_M, probe=True,
 
     s_M = cross_sign(br_LM, saddle_M, side_ML * np.asarray(saddle_M.v_u))
     s_L = cross_sign(br_ML, saddle_L, side_LM * np.asarray(saddle_L.v_u))
-    monodromic = s_M == s_L
+    monodromic = bool(s_M == s_L)
 
     agrees = None
     if probe:
@@ -179,7 +173,7 @@ def classify_contour(sys, params, saddle_L, saddle_M, probe=True,
         seed = contour.mean(axis=0)
         approach = _probe_accumulates(sys, p, seed, contour, tol)
         agrees = approach == monodromic
-    return ContourClass(bool(monodromic), (side_LM, side_ML),
+    return ContourClass(monodromic, (side_LM, side_ML),
                         (float(s_L), float(s_M)), agrees)
 
 
@@ -210,11 +204,3 @@ def _probe_accumulates(sys, params, seed, contour, tol, t_max=200.0,
                 break
             t_now, z_now = float(traj.t[-1]), traj.end
     return False
-
-
-def contour_exists(res_LM, res_ML, tol=GAP_TOLERANCE):
-    return abs(res_LM.gap) <= tol and abs(res_ML.gap) <= tol
-
-
-def with_winding(spec, k):
-    return replace(spec, winding_count=k)

@@ -18,7 +18,7 @@ from . import equilibria as eq
 from . import integrate as hi
 from . import manifolds as mf
 from .errors import (BracketError, CurveStall, Degenerate, HetContourError,
-                     InsufficientWinding, NoConvergence)
+                     NoConvergence)
 
 RESIDUAL_TOL = 1e-6
 STEP_MIN = 1e-6
@@ -137,19 +137,17 @@ def continue_curve(sys, zero_function, start, tag=CurveTag.H_L, k=0,
         tangent = direction * t0
         h = step
         reason = "max_points"
-        stalled = None
         while len(pts) < max_points:
             z = pts[-1]
             zp = z + h * tangent
             n = np.array([-tangent[1], tangent[0]])
             try:
                 z_new, f_new = _refine_on_normal(f, zp, n, f(zp), residual_tol)
-            except (NoConvergence, HetContourError) as exc:
+            except HetContourError:
                 if h > step_min * 1.001:
                     h = max(step_min, h / 2)
                     continue
                 reason = "stall"
-                stalled = exc
                 break
             if not in_bounds(z_new):
                 reason = "bounds"
@@ -164,8 +162,6 @@ def continue_curve(sys, zero_function, start, tag=CurveTag.H_L, k=0,
             h = min(step_max, 1.3 * h)
         halves.append((pts, res))
         reasons.append(reason)
-        if stalled is not None and not both_directions:
-            pass
     if both_directions:
         back_pts, back_res = halves[1]
         pts = back_pts[::-1] + halves[0][0][1:]
@@ -245,6 +241,23 @@ def _point_params(sys, z, names=("alpha", "epsilon")):
 # -- reversible one-parameter family ---------------------------------------
 
 
+def _crossing(sys, params, seed_loc, section, pick, tol, arclength_cap):
+    """``pick`` of the x at which the unstable branches of the saddle near
+    ``seed_loc`` first cross ``section``; BracketError if neither does."""
+    loc, _ = eq.find_equilibrium(sys, params, seed_loc)
+    sad = eq.saddle_data(sys, params, loc)
+    xs = []
+    for side in (1, -1):
+        br = mf.grow_branch(sys, params, sad, mf.Kind.UNSTABLE, side,
+                            arclength_cap=arclength_cap, events=[section],
+                            directions=[0], terminal=[0], tol=tol)
+        xs.extend(z[0] for _, _, z in br.curve.event_hits)
+    if not xs:
+        raise BracketError(
+            f"no unstable branch of {seed_loc} reached y = {section.base[1]}")
+    return pick(xs)
+
+
 def _reversible_splitting(sys, gamma, tol=(1e-10, 1e-10), arclength_cap=30.0):
     """Scalar contour condition for the x -> -x reversible family.
 
@@ -255,24 +268,10 @@ def _reversible_splitting(sys, gamma, tol=(1e-10, 1e-10), arclength_cap=30.0):
     """
     params = sys.full_params({"gamma": gamma})
     section = hi.CrossSection.at((0.0, -gamma / 2.0), (0.0, 1.0))
-
-    def crossing(seed_loc, pick):
-        loc, _ = eq.find_equilibrium(sys, params, seed_loc)
-        sad = eq.saddle_data(sys, params, loc)
-        xs = []
-        for side in (1, -1):
-            br = mf.grow_branch(sys, params, sad, mf.Kind.UNSTABLE, side,
-                                arclength_cap=arclength_cap, events=[section],
-                                directions=[0], terminal=[0], tol=tol)
-            for _, _, z in br.curve.event_hits:
-                xs.append(z[0])
-        if not xs:
-            raise BracketError(
-                f"no unstable branch of {seed_loc} reached the mid-line")
-        return pick(xs)
-
-    x_L = crossing((0.0, 0.0), max)          # branch on the x > 0 side
-    x_M = crossing((0.0, -gamma), min)       # branch whose mirror matches it
+    # the branch on the x > 0 side, and the one whose mirror matches it
+    x_L = _crossing(sys, params, (0.0, 0.0), section, max, tol, arclength_cap)
+    x_M = _crossing(sys, params, (0.0, -gamma), section, min, tol,
+                    arclength_cap)
     return x_L + x_M
 
 
@@ -322,26 +321,17 @@ def find_reversible_contour(sys, bracket, xtol=1e-6, tol=(1e-10, 1e-10)):
 def reversible_contour_asymmetry(sys, gamma, fractions=(0.25, 0.5, 0.75),
                                  tol=(1e-10, 1e-10)):
     """Largest |x_L + x_M| over several horizontal sections of the contour."""
+    params = sys.full_params({"gamma": gamma})
     worst = 0.0
     for frac in fractions:
-        params = sys.full_params({"gamma": gamma})
         section = hi.CrossSection.at((0.0, -gamma * frac), (0.0, 1.0))
-
-        def crossing(seed_loc, pick):
-            loc, _ = eq.find_equilibrium(sys, params, seed_loc)
-            sad = eq.saddle_data(sys, params, loc)
-            xs = []
-            for side in (1, -1):
-                br = mf.grow_branch(sys, params, sad, mf.Kind.UNSTABLE, side,
-                                    arclength_cap=30.0, events=[section],
-                                    directions=[0], terminal=[0], tol=tol)
-                xs.extend(z[0] for _, _, z in br.curve.event_hits)
-            return pick(xs) if xs else None
-
-        x_L = crossing((0.0, 0.0), max)
-        x_M = crossing((0.0, -gamma), min)
-        if x_L is not None and x_M is not None:
-            worst = max(worst, abs(x_L + x_M))
+        try:
+            x_L = _crossing(sys, params, (0.0, 0.0), section, max, tol, 30.0)
+            x_M = _crossing(sys, params, (0.0, -gamma), section, min, tol,
+                            30.0)
+        except BracketError:
+            continue                  # a section no branch reaches
+        worst = max(worst, abs(x_L + x_M))
     return worst
 
 
@@ -355,7 +345,9 @@ def flashing_series(sys, gap_fn, segment, k_max=K_MAX_DEFAULT, samples=25,
     ``gap_fn(sys, point, k)`` is the winding gap (may raise
     InsufficientWinding when the branch leaves before k turns);
     ``segment = (p0, p1)`` are the endpoints in the parameter plane.
-    Returns a FlashingSeries with one zero per reachable k.
+    Returns a FlashingSeries with one zero per reachable k; the series
+    ends, with the reason, at the first k whose gap keeps its sign along
+    the segment or fails inside the bracket of its zero.
     """
     p0 = np.asarray(segment[0], float)
     p1 = np.asarray(segment[1], float)
@@ -369,9 +361,7 @@ def flashing_series(sys, gap_fn, segment, k_max=K_MAX_DEFAULT, samples=25,
         for t in ts:
             try:
                 vals.append((t, float(gap_fn(sys, point_at(t), k))))
-            except InsufficientWinding:
-                vals.append((t, None))
-            except HetContourError:
+            except HetContourError:     # InsufficientWinding among others
                 vals.append((t, None))
         bracket = None
         for (t0, v0), (t1, v1) in zip(vals[:-1], vals[1:]):
@@ -381,27 +371,25 @@ def flashing_series(sys, gap_fn, segment, k_max=K_MAX_DEFAULT, samples=25,
         if bracket is None:
             reason = f"no sign change of the {k}-turn gap along the segment"
             break
-        a, fa_, b, fb_ = bracket
-        while b - a > xtol:
-            m = 0.5 * (a + b)
-            try:
-                fm = float(gap_fn(sys, point_at(m), k))
-            except HetContourError:
-                # shrink toward the better-behaved side
-                b = m
-                continue
-            if fm == 0.0:
-                a = b = m
-                fa_ = 0.0
-                break
-            if fa_ * fm < 0:
-                b, fb_ = m, fm
-            else:
-                a, fa_ = m, fm
-        t_star = 0.5 * (a + b)
+        # a failure inside the bracket ends the series: the zero is not
+        # known there, and shrinking past the failure could report one
+        a, fa_, b, _ = bracket
         try:
-            r = float(gap_fn(sys, point_at(t_star), k))
-        except HetContourError:
-            r = math.nan
-        zeros.append((k, t_star, point_at(t_star), r))
+            while b - a > xtol:
+                t = 0.5 * (a + b)
+                ft = float(gap_fn(sys, point_at(t), k))
+                if ft == 0.0:
+                    a = b = t
+                    break
+                if fa_ * ft < 0:
+                    b = t
+                else:
+                    a, fa_ = t, ft
+            t = 0.5 * (a + b)
+            r = float(gap_fn(sys, point_at(t), k))
+        except HetContourError as exc:
+            reason = (f"the {k}-turn gap failed at t = {float(t)!r} inside "
+                      f"its bracket: {type(exc).__name__}: {exc}")
+            break
+        zeros.append((k, t, point_at(t), r))
     return FlashingSeries(zeros, reason)

@@ -1,9 +1,9 @@
 """Limit cycles as fixed points of a section return map.
 
 The return map P is evaluated by event-located integration; cycles are
-zeros of P(x) - x on a section coordinate bracket, their multiplier is the
-central-difference derivative of P, and the fold (semi-stable) condition is
-the simultaneous vanishing of P(x) - x and P'(x) - 1.
+zeros of P(x) - x on a section coordinate bracket, and their multiplier is
+the central-difference derivative of P.  A multiplier within
+``MULTIPLIER_TOL`` of 1 marks a semi-stable cycle.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import integrate as hi
-from .errors import FoldBracketError, HetContourError, NoCycleInBracket
+from .errors import HetContourError, NoCycleInBracket
 
 MULTIPLIER_TOL = 1e-4
 MULTIPLIER_STEP = 1e-6
@@ -43,12 +43,6 @@ def return_map(sys, params, section, coord, max_time=500.0,
     c, _ = hi.poincare_map(sys, params, section, x0, max_time,
                            tol=tol, direction=direction)
     return c
-
-
-def _return_with_time(sys, params, section, coord, max_time, tol, direction):
-    x0 = section.point_at(coord)
-    return hi.poincare_map(sys, params, section, x0, max_time,
-                           tol=tol, direction=direction)
 
 
 def find_cycle(sys, params, section, bracket, max_time=500.0,
@@ -102,8 +96,9 @@ def find_cycle(sys, params, section, bracket, max_time=500.0,
                 a, ga = x2, f2
             x0, f0, x1, f1 = x1, f1, x2, f2
         x_star = x1
-    coord, period = _return_with_time(sys, params, section, x_star,
-                                      max_time, tol, direction)
+    _, period = hi.poincare_map(sys, params, section,
+                                section.point_at(x_star), max_time,
+                                tol=tol, direction=direction)
     m = multiplier(sys, params, section, x_star, max_time, tol, direction)
     if m < 1 - multiplier_tol:
         stab = Stability.STABLE
@@ -143,41 +138,3 @@ def fixed_points(sys, params, section, bracket, samples=40, max_time=500.0,
                          direction)
         roots.append(cyc)
     return roots
-
-
-def fold_condition(sys, params, section, bracket, samples=40, max_time=500.0,
-                   tol=hi.DEFAULT_TOL, direction=None, h=1e-5):
-    """Residual pair (P(x)-x, P'(x)-1) at the near-double fixed point.
-
-    The probe point is the extremum of the displacement P(x)-x inside the
-    bracket (where the two colliding fixed points meet).  The bracket must
-    isolate the colliding pair: 1 or 2 fixed points.
-    """
-    found = fixed_points(sys, params, section, bracket, samples, max_time,
-                         tol, direction)
-    if len(found) == 0 or len(found) > 2:
-        raise FoldBracketError(
-            f"{len(found)} fixed points in bracket, need 1 or 2")
-
-    g = lambda x: return_map(sys, params, section, x, max_time, tol,
-                             direction) - x
-    # extremum of the displacement: zero of g' by bisection on a FD slope
-    a, b = float(bracket[0]), float(bracket[1])
-    dg = lambda x: (g(x + h) - g(x - h)) / (2 * h)
-    da, db = dg(a), dg(b)
-    if da * db > 0:
-        x_c = found[0].fixed_point if len(found) == 1 else \
-            0.5 * (found[0].fixed_point + found[1].fixed_point)
-    else:
-        for _ in range(50):
-            m = 0.5 * (a + b)
-            dm = dg(m)
-            if dm == 0.0 or b - a < 1e-10:
-                break
-            if da * dm < 0:
-                b, db = m, dm
-            else:
-                a, da = m, dm
-        x_c = 0.5 * (a + b)
-    p_prime = multiplier(sys, params, section, x_c, max_time, tol, direction)
-    return float(g(x_c)), float(p_prime - 1.0)

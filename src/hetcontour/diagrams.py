@@ -105,24 +105,6 @@ def _build_spec(scn, sys, params, recipe):
     return src, tgt, sec, center
 
 
-def gap_function(scn, recipe_name, k=0, tol=(1e-10, 1e-10)):
-    """Scalar zero function (sys, point) -> gap for one connection."""
-    recipe = scn.recipes[recipe_name]
-
-    def gap(sys, point):
-        params = _params_at(scn, point)
-        src, tgt, sec, center = _build_spec(scn, sys, params, recipe)
-        spec = cn.ConnectionSpec(src, tgt, sec, recipe.source_side,
-                                 recipe.target_side, winding_center=center,
-                                 winding_count=k,
-                                 crossing_direction=recipe.crossing_direction)
-        return cn.splitting(sys, params, spec, tol=tol,
-                            time_cap=recipe.time_cap,
-                            arclength_cap=recipe.arclength_cap).gap
-
-    return gap
-
-
 def winding_gap_function(scn, recipe_name, tol=(1e-10, 1e-10)):
     """(sys, point, k) -> gap of the k-turn connection, for flashing scans."""
     recipe = scn.recipes[recipe_name]
@@ -139,6 +121,12 @@ def winding_gap_function(scn, recipe_name, tol=(1e-10, 1e-10)):
                             arclength_cap=recipe.arclength_cap).gap
 
     return gap
+
+
+def gap_function(scn, recipe_name, k=0, tol=(1e-10, 1e-10)):
+    """Scalar zero function (sys, point) -> gap of the k-turn connection."""
+    gap = winding_gap_function(scn, recipe_name, tol=tol)
+    return lambda sys, point: gap(sys, point, k)
 
 
 def residual_pair_function(scn, seed):

@@ -89,10 +89,6 @@ class NoCycleInBracket(HetContourError):
     """Return-map displacement has no zero in the bracket."""
 
 
-class FoldBracketError(HetContourError):
-    """Bracket does not isolate a near-double fixed point pair."""
-
-
 class QuadratureError(HetContourError):
     """Melnikov quadrature failed to converge."""
 

@@ -174,12 +174,6 @@ def fold_points(m, xi_max=10.0, samples=200):
     return roots
 
 
-def fold_point(m, xi_max=10.0):
-    """The smallest xi > 0 solving P'(xi) = 1, if any, else None."""
-    roots = fold_points(m, xi_max)
-    return roots[0] if roots else None
-
-
 def condition_F(m, xi_max=10.0):
     """Signed distance to the nearest fold of fixed points.
 

@@ -110,10 +110,6 @@ def poly_dy(p):
     return _clean({(mx, my - 1): c * my for (mx, my), c in p.items() if my > 0})
 
 
-def poly_degree(p):
-    return max((mx + my for mx, my in p), default=-1)
-
-
 def _grevlex_key(mono):
     mx, my = mono
     return (mx + my, -my)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .affine import AffineExpr, parse_affine
+from .affine import _CONST, AffineExpr, parse_affine
 from .errors import ConfigError, DomainError, NotFound, ParseError
 
 MAX_DEGREE = 6
@@ -59,8 +59,14 @@ class ParametricSystem:
             if undeclared:
                 raise ParseError(
                     f"coefficient uses undeclared parameter(s) {sorted(undeclared)}")
-        self._rhs_cache = {}
-        self._jac_cache = {}
+        # f, g and their partials df/dx, df/dy, dg/dx, dg/dy: one flat
+        # coefficient list feeds one closure factory compiled here
+        polys = (self.x_terms, self.y_terms, _ddx(self.x_terms),
+                 _ddy(self.x_terms), _ddx(self.y_terms), _ddy(self.y_terms))
+        names = [n for n, _ in self.parameters]
+        self._coeffs = tuple(_float_affine(t.coeff, names)
+                             for terms in polys for t in terms)
+        self._field_factory = _compile_factory(polys)
 
     # -- parameters -------------------------------------------------------
 
@@ -76,9 +82,6 @@ class ParametricSystem:
                 raise ConfigError(f"unknown parameter {k!r} for system {self.name!r}")
             out[k] = Fraction(v) if exact else float(v)
         return out
-
-    def _params_key(self, params):
-        return tuple(float(params[n]) for n, _ in self.parameters)
 
     # -- evaluation -------------------------------------------------------
 
@@ -100,9 +103,7 @@ class ParametricSystem:
         return out[0], out[1]
 
     def jacobian(self, x, y, params=None):
-        p = self._resolve(params)
-        jf = self.compiled_jacobian(p)
-        return jf(x, y)
+        return self._fields(params)[1](x, y)
 
     def _resolve(self, params):
         """Accept None, partial overrides, or a full parameter mapping."""
@@ -121,34 +122,22 @@ class ParametricSystem:
 
     def compiled_rhs(self, params):
         """A fast ``f(t, (x, y)) -> [fx, fy]`` closure for the integrator."""
-        key = self._params_key(self._resolve(params))
-        fn = self._rhs_cache.get(key)
-        if fn is None:
-            p = dict(zip((n for n, _ in self.parameters), key))
-            fx = _poly_source(self.x_terms, p)
-            fy = _poly_source(self.y_terms, p)
-            ns = {}
-            exec(f"def _rhs(t, z):\n x = z[0]; y = z[1]\n return [{fx}, {fy}]\n", ns)
-            fn = ns["_rhs"]
-            self._rhs_cache[key] = fn
-        return fn
+        return self._fields(params)[0]
 
-    def compiled_jacobian(self, params):
-        key = self._params_key(self._resolve(params))
-        fn = self._jac_cache.get(key)
-        if fn is None:
-            p = dict(zip((n for n, _ in self.parameters), key))
-            dfdx = _poly_source(_ddx(self.x_terms), p)
-            dfdy = _poly_source(_ddy(self.x_terms), p)
-            dgdx = _poly_source(_ddx(self.y_terms), p)
-            dgdy = _poly_source(_ddy(self.y_terms), p)
-            ns = {"np": np}
-            exec(
-                "def _jac(x, y):\n"
-                f" return np.array([[{dfdx}, {dfdy}], [{dgdx}, {dgdy}]])\n", ns)
-            fn = ns["_jac"]
-            self._jac_cache[key] = fn
-        return fn
+    def _fields(self, params):
+        """The (rhs, jacobian) closures at one parameter point.
+
+        Each coefficient is summed as ``AffineExpr.evaluate`` sums it in
+        floats, term by term in the same order, so the values are the same.
+        """
+        p = self._resolve(params)
+        vals = [float(p[n]) for n, _ in self.parameters]
+        coeffs = []
+        for acc, weights in self._coeffs:
+            for i, w in weights:
+                acc += w * vals[i]
+            coeffs.append(acc)
+        return self._field_factory(*coeffs)
 
     def finite_difference_jacobian(self, x, y, params=None, h=1e-7):
         p = self._resolve(params)
@@ -200,16 +189,34 @@ def _ddy(terms):
     return [MonomialTerm(t.coeff * t.py, t.px, t.py - 1) for t in terms if t.py > 0]
 
 
-def _poly_source(terms, params):
-    """Python source for a polynomial with numeric coefficients inlined."""
-    parts = []
-    for t in terms:
-        c = float(t.coeff.evaluate(params))
-        if c == 0.0:
-            continue
-        mono = "*".join(["x"] * t.px + ["y"] * t.py)
-        parts.append(f"({c!r})" + (f"*{mono}" if mono else ""))
-    return " + ".join(parts) if parts else "0.0"
+def _float_affine(expr, names):
+    """(constant, ((parameter index, weight), ...)) of ``expr`` in floats,
+    the weights in the order ``AffineExpr.evaluate`` adds them."""
+    const = float(expr.terms.get(_CONST, Fraction(0)))
+    return const, tuple((names.index(k), float(expr.terms[k]))
+                        for k in expr.param_names())
+
+
+def _compile_factory(polys):
+    """``factory(*coeffs) -> (rhs, jacobian)`` for the six term lists."""
+    args, sources = [], []
+    for terms in polys:
+        parts = []
+        for t in terms:
+            c = f"c{len(args)}"
+            args.append(c)
+            parts.append("*".join([c] + ["x"] * t.px + ["y"] * t.py))
+        sources.append(" + ".join(parts) if parts else "0.0")
+    f, g, fx, fy, gx, gy = sources
+    ns = {"np": np}
+    exec(f"def _factory({', '.join(args)}):\n"
+         " def rhs(t, z):\n"
+         "  x = z[0]; y = z[1]\n"
+         f"  return [{f}, {g}]\n"
+         " def jacobian(x, y):\n"
+         f"  return np.array([[{fx}, {fy}], [{gx}, {gy}]])\n"
+         " return rhs, jacobian\n", ns)
+    return ns["_factory"]
 
 
 # -- construction helpers -------------------------------------------------
@@ -259,11 +266,6 @@ def builtin(name):
             _terms([("alpha", 0, 1), ("1", 1, 0), ("1", 1, 1), ("-1", 3, 0)]),
         )
     raise NotFound(f"unknown built-in system {name!r}")
-
-
-def evaluate(sys, point, params=None):
-    """Evaluate the right-hand side of ``sys`` at ``point``."""
-    return sys.rhs(point[0], point[1], params)
 
 
 # -- JSON file format -----------------------------------------------------

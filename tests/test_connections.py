@@ -4,7 +4,10 @@ import pytest
 
 from hetcontour import connections as cn
 from hetcontour import diagrams as dg
+from hetcontour import equilibria as eq
 from hetcontour import manifolds as mf
+from hetcontour import modelmap as mm
+from hetcontour import vectorfield as vf
 from hetcontour.errors import (HetContourError, InsufficientWinding,
                                NoIntersection, StiffnessError)
 
@@ -70,7 +73,7 @@ def test_splitting_result_fields(mono_first):
                              recipe.target_side, winding_center=center,
                              crossing_direction=recipe.crossing_direction)
     res = cn.splitting(scn.system, params, spec)
-    assert res.transversal
+    assert res.transversal is True
     assert res.winding_count == 0
     assert abs(res.gap - (res.unstable_coord - res.stable_coord)) < 1e-14
 
@@ -170,3 +173,31 @@ def test_probe_stops_on_toolkit_errors_only(monkeypatch):
     with pytest.raises(ZeroDivisionError):
         cn._probe_accumulates(scn.system, params, (0.5, 0.1), contour,
                               (1e-9, 1e-9))
+
+
+@pytest.mark.parametrize("scenario, system, params, seed_M, monodromic", [
+    ("mono_first", "mono_unperturbed", {"c": 1.5}, (1.0, 0.0), True),
+    ("mono_second", "mono_unperturbed", {"c": 0.5}, (1.0, 0.0), True),
+    ("heart", "diss_heart", {"alpha": 0.422438, "epsilon": -0.452011},
+     (-0.57, -2.6), False),
+])
+def test_classify_contour_matches_model_indices(scenario, system, params,
+                                                seed_M, monodromic):
+    # each scenario's contour, classified from the flow, against the
+    # orientation and saddle indices its model map is built with
+    sys_ = vf.builtin(system)
+    p = sys_.full_params(params)
+    L, M = (eq.saddle_data(sys_, p, eq.find_equilibrium(sys_, p, seed)[0])
+            for seed in ((0.0, 0.0), seed_M))
+    res = cn.classify_contour(sys_, p, L, M)
+    assert res.monodromic is monodromic
+    assert res.probe_agrees is True
+    lam, mu, orientation = dg.scenario(scenario).model_indices
+    assert (orientation is mm.Orientation.MONODROMIC) is monodromic
+    if scenario == "heart":
+        assert abs(lam - L.index) < 1e-4 and abs(mu - M.index) < 1e-4
+    else:
+        # mono_second stores (2/3, 2) while L has index 2 and M has 2/3,
+        # so the mono scenarios are checked as a pair, not in order
+        assert sorted((lam, mu)) == pytest.approx(
+            sorted((L.index, M.index)), abs=1e-4)

@@ -5,7 +5,7 @@ import pytest
 from hetcontour import continuation as ct
 from hetcontour import vectorfield as vf
 from hetcontour.errors import (BracketError, CurveStall, Degenerate,
-                               InsufficientWinding)
+                               InsufficientWinding, NoIntersection)
 
 
 def circle_gap(radius):
@@ -95,3 +95,20 @@ def test_flashing_series_stops_at_insufficient_winding():
                                 k_max=5, samples=23)
     assert series.k_found == [0, 1]
     assert "2" in series.truncated_reason
+
+
+def test_flashing_series_ends_at_a_failure_inside_the_bracket():
+    # the 1-turn gap changes sign between two samples but cannot be
+    # measured next to its zero: no zero may be reported for k = 1
+    def gap(sys, p, k):
+        if k == 1 and 0.0995 <= p[0] <= 0.1005:
+            raise NoIntersection("branch missed the section")
+        return p[0] - k / 10.0
+
+    series = ct.flashing_series(None, gap, ((-0.0531, 0.0), (0.45, 0.0)),
+                                k_max=5, samples=23)
+    assert series.k_found == [0]
+    reason = series.truncated_reason
+    assert "1-turn" in reason and "NoIntersection" in reason
+    t = float(reason.split("t = ")[1].split()[0])
+    assert 0.0995 <= -0.0531 + t * 0.5031 <= 0.1005

@@ -84,9 +84,43 @@ def test_unknown_builtin_rejected():
 
 
 def test_compiled_rhs_matches_rhs(rng):
+    # against the exact rational path of rhs; every other parameter is 0,
+    # so terms whose coefficient vanishes at this point are exercised too
+    for name in vf.BUILTIN_NAMES:
+        sys_ = vf.builtin(name)
+        params = {n: (0.0 if i % 2 else float(rng.uniform(-2, 2)))
+                  for i, (n, _) in enumerate(sys_.parameters)}
+        exact = {n: Fraction(v) for n, v in params.items()}
+        f = sys_.compiled_rhs(params)
+        for _ in range(20):
+            x, y = rng.uniform(-2, 2, size=2)
+            want = sys_.rhs(Fraction(x), Fraction(y), exact)
+            assert np.allclose(f(0.0, [x, y]), [float(v) for v in want],
+                               rtol=1e-13, atol=1e-13), name
+
+
+def test_compiled_rhs_keeps_its_parameter_point():
     sys_ = vf.builtin("diss_heart")
-    params = sys_.full_params({"alpha": 0.3, "epsilon": -0.2})
-    f = sys_.compiled_rhs(params)
-    for _ in range(20):
-        x, y = rng.uniform(-2, 2, size=2)
-        assert np.allclose(f(0.0, [x, y]), sys_.rhs(x, y, params), atol=1e-14)
+    p1 = sys_.full_params({"alpha": 0.3, "epsilon": -0.2})
+    p2 = sys_.full_params({"alpha": -0.1, "epsilon": 0.4})
+    f1 = sys_.compiled_rhs(p1)
+    before = f1(0.0, [0.5, -0.7])
+    f2 = sys_.compiled_rhs(p2)
+    assert f2(0.0, [0.5, -0.7]) != before
+    assert f1(0.0, [0.5, -0.7]) == before
+
+
+def test_many_parameter_points_leave_the_system_unchanged():
+    # no per-point state: the system holds what it held after construction
+    sys_ = vf.builtin("diss_heart")
+
+    def layout():
+        return {k: len(v) if hasattr(v, "__len__") else None
+                for k, v in vars(sys_).items()}
+
+    before = layout()
+    for i in range(1000):
+        p = sys_.full_params({"alpha": i * 1e-3, "epsilon": -i * 1e-3})
+        sys_.compiled_rhs(p)
+        sys_.jacobian(0.1, 0.2, p)
+    assert layout() == before
