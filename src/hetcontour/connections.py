@@ -50,11 +50,12 @@ class ContourClass:
 def _winding_at(traj, center, times, refine=4):
     """Accumulated |angle| around ``center`` at each of ``times``."""
     ts = traj.t
-    fine = [ts[0]]
-    for a, b in zip(ts[:-1], ts[1:]):
-        fine.extend(np.linspace(a, b, refine + 1)[1:])
-    fine = np.asarray(fine)
-    pts = traj.interpolant(fine) if fine.size else np.empty((2, 0))
+    # each step split as np.linspace(a, b, refine + 1)[1:] splits it
+    a, b = ts[:-1, None], ts[1:, None]
+    grid = np.arange(1, refine + 1) * ((b - a) / refine) + a
+    grid[:, -1] = ts[1:]
+    fine = np.concatenate([ts[:1], grid.ravel()])
+    pts = traj.interpolant(fine)
     ang = np.unwrap(np.arctan2(pts[1] - center[1], pts[0] - center[0]))
     acc = np.abs(ang - ang[0])
     order = np.argsort(fine)

@@ -113,28 +113,15 @@ def grow_branch(sys, params, saddle, kind, side, arclength_cap=20.0,
 
 
 def _concat(pieces, termination, hits, terminal_index):
+    """One trajectory, with one dense output, from consecutive chunks."""
     if len(pieces) == 1:
         tr = pieces[0]
         return hi.Trajectory(tr.t, tr.xy, tr.interpolant, termination,
                              hits, terminal_index)
+    # each chunk starts at the last sample of the one before
     t = np.concatenate([pieces[0].t] + [p.t[1:] for p in pieces[1:]])
     xy = np.concatenate([pieces[0].xy] + [p.xy[1:] for p in pieces[1:]])
-    interps = [p.interpolant for p in pieces]
-
-    class _Chain:
-        def __init__(self):
-            lows = np.array([min(i.t_min, i.t_max) for i in interps])
-            self.order = np.argsort(lows)
-            self.lows = lows[self.order]
-
-        def __call__(self, tq):
-            tq_arr = np.atleast_1d(np.asarray(tq, float))
-            idx = np.clip(np.searchsorted(self.lows, tq_arr, side="right") - 1,
-                          0, len(interps) - 1)
-            out = np.empty((2, tq_arr.size))
-            for i in np.unique(idx):
-                sel = idx == i
-                out[:, sel] = interps[self.order[i]](tq_arr[sel])
-            return out[:, 0] if np.isscalar(tq) or np.asarray(tq).ndim == 0 else out
-
-    return hi.Trajectory(t, xy, _Chain(), termination, hits, terminal_index)
+    dense = hi.DenseOutput(
+        t, xy, np.concatenate([p.interpolant.h for p in pieces]),
+        np.concatenate([p.interpolant.k for p in pieces]))
+    return hi.Trajectory(t, xy, dense, termination, hits, terminal_index)

@@ -53,9 +53,9 @@ class ParametricSystem:
         self.parameters = tuple((n, Fraction(d)) for n, d in parameters)
         self.x_terms = tuple(x_terms)
         self.y_terms = tuple(y_terms)
-        declared = {n for n, _ in self.parameters}
+        self._declared = frozenset(n for n, _ in self.parameters)
         for t in self.x_terms + self.y_terms:
-            undeclared = t.coeff.param_names() - declared
+            undeclared = t.coeff.param_names() - self._declared
             if undeclared:
                 raise ParseError(
                     f"coefficient uses undeclared parameter(s) {sorted(undeclared)}")
@@ -75,10 +75,9 @@ class ParametricSystem:
 
     def full_params(self, overrides=None, exact=False):
         """Defaults updated with overrides; unknown names are rejected."""
-        declared = {n for n, _ in self.parameters}
         out = {n: (d if exact else float(d)) for n, d in self.parameters}
         for k, v in (overrides or {}).items():
-            if k not in declared:
+            if k not in self._declared:
                 raise ConfigError(f"unknown parameter {k!r} for system {self.name!r}")
             out[k] = Fraction(v) if exact else float(v)
         return out
@@ -89,17 +88,14 @@ class ParametricSystem:
         """Evaluate (dx/dt, dy/dt) at a point."""
         if not (math.isfinite(x) and math.isfinite(y)):
             raise DomainError(f"non-finite state ({x}, {y})")
-        p = self._resolve(params)
-        exact = isinstance(x, Fraction) and isinstance(y, Fraction)
-        if exact:
-            pe = {k: Fraction(v) for k, v in p.items()}
+        if isinstance(x, Fraction) and isinstance(y, Fraction):
+            pe = {k: Fraction(v) for k, v in self._resolve(params).items()}
             fx = sum((t.coeff.evaluate(pe) * x**t.px * y**t.py
                       for t in self.x_terms), Fraction(0))
             fy = sum((t.coeff.evaluate(pe) * x**t.px * y**t.py
                       for t in self.y_terms), Fraction(0))
             return fx, fy
-        f = self.compiled_rhs(p)
-        out = f(0.0, (x, y))
+        out = self.compiled_rhs(params)(0.0, (x, y))
         return out[0], out[1]
 
     def jacobian(self, x, y, params=None):
@@ -109,16 +105,16 @@ class ParametricSystem:
         """Accept None, partial overrides, or a full parameter mapping."""
         if params is None:
             return self.defaults()
-        declared = {n for n, _ in self.parameters}
-        if set(params) <= declared and set(params) != declared:
+        if params.keys() == self._declared:
+            return params
+        given = set(params)
+        if given < self._declared:
             return self.full_params(params)
-        missing = declared - set(params)
+        missing = self._declared - given
         if missing:
             raise ConfigError(f"missing parameter(s) {sorted(missing)}")
-        unknown = set(params) - declared
-        if unknown:
-            raise ConfigError(f"unknown parameter(s) {sorted(unknown)}")
-        return {n: params[n] for n in declared}
+        raise ConfigError(
+            f"unknown parameter(s) {sorted(given - self._declared)}")
 
     def compiled_rhs(self, params):
         """A fast ``f(t, (x, y)) -> [fx, fy]`` closure for the integrator."""
@@ -140,8 +136,7 @@ class ParametricSystem:
         return self._field_factory(*coeffs)
 
     def finite_difference_jacobian(self, x, y, params=None, h=1e-7):
-        p = self._resolve(params)
-        f = self.compiled_rhs(p)
+        f = self.compiled_rhs(params)
         f0 = np.asarray(f(0.0, (x, y)))
         fx = (np.asarray(f(0.0, (x + h, y))) - f0) / h
         fy = (np.asarray(f(0.0, (x, y + h))) - f0) / h

@@ -1,10 +1,12 @@
-"""Adaptive integration against a fixed-step RK4 oracle, events, sections."""
+"""Adaptive integration against a fixed-step RK4 oracle and scipy's RK45,
+events, sections."""
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from hetcontour import integrate as hi
 from hetcontour import vectorfield as vf
-from hetcontour.errors import DomainError
+from hetcontour.errors import DomainError, StiffnessError
 
 
 def rk4_oracle(sys_, params, x0, t_end, dt=1e-5):
@@ -39,6 +41,91 @@ def test_convergence_against_rk4_oracle(revers):
         errors.append(np.linalg.norm(traj.end - ref))
     assert all(e1 > e2 for e1, e2 in zip(errors, errors[1:])), errors
     assert errors[-1] < 1e-6
+
+
+def rk45_oracle(sys_, params, x0, t_span, tol=hi.DEFAULT_TOL, **kwargs):
+    """scipy's RK45, whose steps, events and dense output the stepper keeps."""
+    return solve_ivp(sys_.compiled_rhs(params), t_span, x0, method="RK45",
+                     rtol=tol[1], atol=tol[0], dense_output=True, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def gamma():
+    sys_ = vf.builtin("revers_gamma")
+    return sys_, sys_.full_params()
+
+
+# at 1e-6 a quarter of the steps are first rejected
+@pytest.mark.parametrize("tol", [1e-10, 1e-6])
+def test_steps_match_scipy_rk45(gamma, tol):
+    sys_, params = gamma
+    x0, tol = (0.3, 0.2), (tol, tol)
+    fwd = hi.integrate(sys_, params, x0, (0.0, 30.0), tol=tol)
+    back = hi.integrate(sys_, params, fwd.end, (30.0, 0.0), tol=tol)
+    for traj, start, span in ((fwd, x0, (0.0, 30.0)),
+                              (back, fwd.end, (30.0, 0.0))):
+        ref = rk45_oracle(sys_, params, start, span, tol=tol)
+        assert len(traj.t) == len(ref.t) > 200
+        assert traj.t[-1] == ref.t[-1]
+        assert np.max(np.abs(traj.end - ref.y[:, -1])) < 1e-12
+        assert traj.termination is hi.Termination.TIME_LIMIT
+
+
+@pytest.mark.parametrize("span, direction", [((0.0, 50.0), -1),
+                                             ((0.0, -50.0), 1)])
+def test_section_event_matches_scipy_rk45(gamma, span, direction):
+    sys_, params = gamma
+    x0 = (0.3, 0.2)
+    sec = hi.CrossSection.at((0.0, 0.0), (1.0, 0.0))   # the line x = 0
+    traj = hi.integrate(sys_, params, x0, span, events=[sec],
+                        directions=[direction], terminal=[0])
+
+    def crossing(t, z):
+        return sec.offset(z)
+    crossing.terminal = True
+    crossing.direction = direction * np.sign(span[1] - span[0])
+    ref = rk45_oracle(sys_, params, x0, span, events=[crossing])
+    assert traj.termination is hi.Termination.EVENT
+    assert traj.terminal_index == 0
+    (_, t_hit, z_hit), = traj.event_hits
+    assert abs(t_hit - ref.t_events[0][0]) < 1e-12
+    assert np.max(np.abs(np.subtract(z_hit, ref.y_events[0][0]))) < 1e-12
+    assert traj.t[-1] == t_hit and len(traj.t) == len(ref.t)
+    assert np.max(np.abs(traj.end - np.asarray(z_hit))) == 0.0
+    # the last step is cut at the hit, but its quartic spans the whole step
+    inside = np.linspace(traj.t[-2], traj.t[-1], 9)
+    assert np.max(np.abs(traj(inside) - ref.sol(inside))) < 1e-12
+
+
+def test_max_step_is_honoured(gamma):
+    # the free steps on this orbit are four times longer
+    sys_, params = gamma
+    traj = hi.integrate(sys_, params, (0.3, 0.2), (0.0, 10.0),
+                        max_step=0.005)
+    ref = rk45_oracle(sys_, params, (0.3, 0.2), (0.0, 10.0), max_step=0.005)
+    assert np.max(np.diff(traj.t)) <= 0.005 + 1e-12
+    assert len(traj.t) == len(ref.t) > 2000
+    assert np.max(np.abs(traj.end - ref.y[:, -1])) < 1e-12
+
+
+def test_step_underflow_raises_stiffness_error():
+    # x' = x^2 from x = 1 blows up at t = 1; with no radius to stop at, the
+    # steps shrink until they fall below the spacing of floats near t = 1
+    sys_ = vf.from_dict({"name": "square", "parameters": [],
+                         "x_dot": [{"coeff": "1", "px": 2, "py": 0}],
+                         "y_dot": []})
+    assert rk45_oracle(sys_, {}, (1.0, 0.0), (0.0, 2.0)).status == -1
+    with pytest.raises(StiffnessError):
+        hi.integrate(sys_, {}, (1.0, 0.0), (0.0, 2.0), blowup_radius=np.inf)
+
+
+def test_zero_length_span_returns_the_start(revers):
+    sys_, params = revers
+    traj = hi.integrate(sys_, params, (0.3, 0.2), (1.0, 1.0))
+    assert list(traj.t) == [1.0, 1.0]
+    assert traj.xy.tolist() == [[0.3, 0.2], [0.3, 0.2]]
+    assert traj(1.0).tolist() == [0.3, 0.2]
+    assert traj.termination is hi.Termination.TIME_LIMIT
 
 
 def test_time_reversal_returns_to_start(revers):
@@ -102,6 +189,15 @@ def test_nonfinite_start_rejected():
     sys_ = vf.builtin("mono_unperturbed")
     with pytest.raises(DomainError):
         hi.integrate(sys_, sys_.full_params(), (np.nan, 0.0), (0.0, 1.0))
+
+
+def test_nonpositive_absolute_tolerance_rejected(revers):
+    # with atol = 0 a zero state component has a zero error scale
+    sys_, params = revers
+    for atol in (0.0, -1e-10, np.nan):
+        with pytest.raises(DomainError):
+            hi.integrate(sys_, params, (0.0, 0.5), (0.0, 1.0),
+                         tol=(atol, 1e-10))
 
 
 def test_section_coordinates_roundtrip():

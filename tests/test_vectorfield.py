@@ -73,6 +73,24 @@ def test_unknown_parameter_rejected():
         sys_.full_params({"nope": 1.0})
 
 
+def test_parameter_mappings_are_resolved_once(monkeypatch):
+    sys_ = vf.builtin("diss_heart")
+    calls = []
+    resolve = vf.ParametricSystem._resolve
+
+    def counted(self, params):
+        calls.append(params)
+        return resolve(self, params)
+    monkeypatch.setattr(vf.ParametricSystem, "_resolve", counted)
+    full = sys_.full_params({"alpha": 0.1})
+    assert sys_.rhs(0.3, -0.2, full) == sys_.rhs(0.3, -0.2, {"alpha": 0.1})
+    assert len(calls) == 2
+    with pytest.raises(ConfigError, match=r"missing parameter\(s\) \['gamma'\]"):
+        sys_.compiled_rhs({"alpha": 0.1, "epsilon": 0.0, "nope": 1.0})
+    with pytest.raises(ConfigError, match=r"unknown parameter\(s\) \['nope'\]"):
+        sys_.compiled_rhs(dict(full, nope=1.0))
+
+
 def test_exact_parameters_are_rational():
     params = vf.builtin("mono_unperturbed").full_params(exact=True)
     assert params["c"] == Fraction(3, 2)
