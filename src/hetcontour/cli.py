@@ -100,9 +100,9 @@ def polylines_csv(named_polylines):
     return "\n".join(lines) + "\n"
 
 
-def svg_document(polylines, markers=(), labels=()):
+def svg_document(polylines, markers=()):
     """Standalone SVG: polylines as (points, color, dash), markers as
-    (x, y, color), labels as (x, y, text)."""
+    (x, y, color)."""
     pts = [np.asarray(p, float) for p, _, _ in polylines if len(p)]
     pts += [np.array([[x, y]]) for x, y, _ in markers]
     if not pts:
@@ -129,13 +129,8 @@ def svg_document(polylines, markers=(), labels=()):
         parts.append(f'<path d="{d}" fill="none" stroke="{color}" '
                      f'stroke-width="1.5"{extra}/>')
     for x, y, color in markers:
-        parts.append(f'<circle cx="{to_px((x, y)).split(",")[0]}" '
-                     f'cy="{to_px((x, y)).split(",")[1]}" r="4" '
-                     f'fill="{color}"/>')
-    for x, y, text in labels:
         px, py = to_px((x, y)).split(",")
-        parts.append(f'<text x="{px}" y="{py}" font-size="12" '
-                     f'font-family="sans-serif">{text}</text>')
+        parts.append(f'<circle cx="{px}" cy="{py}" r="4" fill="{color}"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -189,7 +184,7 @@ def cmd_portrait(args):
             guess = (gx + 0.01 * diag * rng.uniform(-1, 1),
                      gy + 0.01 * diag * rng.uniform(-1, 1))
             try:
-                loc, _ = eq.find_equilibrium(system, params, guess)
+                loc, kind = eq.find_equilibrium(system, params, guess)
             except HetContourError:
                 continue
             if not (xmin <= loc[0] <= xmax and ymin <= loc[1] <= ymax):
@@ -197,7 +192,7 @@ def cmd_portrait(args):
             if any(np.hypot(loc[0] - f[0], loc[1] - f[1]) < 1e-6
                    for f, _ in found):
                 continue
-            found.append((loc, eq.classify(system, params, loc)))
+            found.append((loc, kind))
     found.sort(key=lambda fc: (round(fc[0][0], 9), round(fc[0][1], 9)))
 
     polylines, names = [], []

@@ -19,6 +19,7 @@ from . import integrate as hi
 from . import manifolds as mf
 from .errors import (BracketError, CurveStall, Degenerate, HetContourError,
                      NoConvergence)
+from .roots import brent
 
 RESIDUAL_TOL = 1e-6
 STEP_MIN = 1e-6
@@ -258,16 +259,17 @@ def _crossing(sys, params, seed_loc, section, pick, tol, arclength_cap):
     return pick(xs)
 
 
-def _reversible_splitting(sys, gamma, tol=(1e-10, 1e-10), arclength_cap=30.0):
+def _reversible_splitting(sys, gamma, tol=(1e-10, 1e-10), arclength_cap=30.0,
+                          frac=0.5):
     """Scalar contour condition for the x -> -x reversible family.
 
     The two saddles sit on the symmetry axis at (0,0) and (0,-gamma); the
     mirror of the unstable manifold of one is the stable manifold of the
     other, so the contour closes exactly when the two unstable branches
-    cross the mid-line y = -gamma/2 at opposite x.  Returns x_L + x_M.
+    cross a line y = -frac*gamma at opposite x.  Returns x_L + x_M.
     """
     params = sys.full_params({"gamma": gamma})
-    section = hi.CrossSection.at((0.0, -gamma / 2.0), (0.0, 1.0))
+    section = hi.CrossSection.at((0.0, -gamma * frac), (0.0, 1.0))
     # the branch on the x > 0 side, and the one whose mirror matches it
     x_L = _crossing(sys, params, (0.0, 0.0), section, max, tol, arclength_cap)
     x_M = _crossing(sys, params, (0.0, -gamma), section, min, tol,
@@ -278,60 +280,28 @@ def _reversible_splitting(sys, gamma, tol=(1e-10, 1e-10), arclength_cap=30.0):
 def find_reversible_contour(sys, bracket, xtol=1e-6, tol=(1e-10, 1e-10)):
     """Parameter value at which the reversible family has a full contour.
 
-    Bisection on the scalar splitting, finished by secant polish; raises
-    BracketError when the splitting does not change sign on ``bracket``.
+    Brent's method on the scalar splitting; raises BracketError when the
+    splitting does not change sign on ``bracket``.
     """
+    f = lambda gamma: _reversible_splitting(sys, gamma, tol=tol)
     a, b = float(bracket[0]), float(bracket[1])
-    fa = _reversible_splitting(sys, a, tol=tol)
-    fb = _reversible_splitting(sys, b, tol=tol)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
+    fa, fb = f(a), f(b)
     if fa * fb > 0:
         raise BracketError(
             f"splitting has the same sign at both ends of [{a}, {b}]")
-    while b - a > 64 * xtol:
-        m = 0.5 * (a + b)
-        fm = _reversible_splitting(sys, m, tol=tol)
-        if fm == 0.0:
-            return m
-        if fa * fm < 0:
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    # secant polish inside the bracket
-    x0, f0, x1, f1 = a, fa, b, fb
-    for _ in range(30):
-        if f1 == f0:
-            break
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        x2 = min(max(x2, a), b)
-        f2 = _reversible_splitting(sys, x2, tol=tol)
-        if f2 == 0.0 or abs(x2 - x1) < xtol:
-            return x2
-        if fa * f2 < 0:
-            b, fb = x2, f2
-        else:
-            a, fa = x2, f2
-        x0, f0, x1, f1 = x1, f1, x2, f2
-    return 0.5 * (a + b)
+    return brent(f, a, b, fa, fb, xtol)[0]
 
 
 def reversible_contour_asymmetry(sys, gamma, fractions=(0.25, 0.5, 0.75),
                                  tol=(1e-10, 1e-10)):
     """Largest |x_L + x_M| over several horizontal sections of the contour."""
-    params = sys.full_params({"gamma": gamma})
     worst = 0.0
     for frac in fractions:
-        section = hi.CrossSection.at((0.0, -gamma * frac), (0.0, 1.0))
         try:
-            x_L = _crossing(sys, params, (0.0, 0.0), section, max, tol, 30.0)
-            x_M = _crossing(sys, params, (0.0, -gamma), section, min, tol,
-                            30.0)
+            split = _reversible_splitting(sys, gamma, tol, frac=frac)
         except BracketError:
             continue                  # a section no branch reaches
-        worst = max(worst, abs(x_L + x_M))
+        worst = max(worst, abs(split))
     return worst
 
 
@@ -360,35 +330,25 @@ def flashing_series(sys, gap_fn, segment, k_max=K_MAX_DEFAULT, samples=25,
         vals = []
         for t in ts:
             try:
-                vals.append((t, float(gap_fn(sys, point_at(t), k))))
+                vals.append(float(gap_fn(sys, point_at(t), k)))
             except HetContourError:     # InsufficientWinding among others
-                vals.append((t, None))
-        bracket = None
-        for (t0, v0), (t1, v1) in zip(vals[:-1], vals[1:]):
-            if v0 is not None and v1 is not None and v0 * v1 < 0:
-                bracket = (t0, v0, t1, v1)
-                break
+                vals.append(math.nan)
+        bracket = next(((t0, t1, v0, v1) for t0, t1, v0, v1 in zip(
+            ts[:-1], ts[1:], vals[:-1], vals[1:]) if v0 * v1 < 0), None)
         if bracket is None:
             reason = f"no sign change of the {k}-turn gap along the segment"
             break
         # a failure inside the bracket ends the series: the zero is not
         # known there, and shrinking past the failure could report one
-        a, fa_, b, _ = bracket
+        tried = []
+
+        def f(t):
+            tried.append(t)
+            return float(gap_fn(sys, point_at(t), k))
         try:
-            while b - a > xtol:
-                t = 0.5 * (a + b)
-                ft = float(gap_fn(sys, point_at(t), k))
-                if ft == 0.0:
-                    a = b = t
-                    break
-                if fa_ * ft < 0:
-                    b = t
-                else:
-                    a, fa_ = t, ft
-            t = 0.5 * (a + b)
-            r = float(gap_fn(sys, point_at(t), k))
+            t, r = brent(f, *bracket, xtol)
         except HetContourError as exc:
-            reason = (f"the {k}-turn gap failed at t = {float(t)!r} inside "
+            reason = (f"the {k}-turn gap failed at t = {tried[-1]!r} inside "
                       f"its bracket: {type(exc).__name__}: {exc}")
             break
         zeros.append((k, t, point_at(t), r))

@@ -15,10 +15,10 @@ import numpy as np
 
 from . import integrate as hi
 from .errors import HetContourError, NoCycleInBracket
+from .roots import brent
 
 MULTIPLIER_TOL = 1e-4
 MULTIPLIER_STEP = 1e-6
-FIXED_POINT_TOL = 1e-9
 
 
 class Stability(enum.Enum):
@@ -51,7 +51,7 @@ def find_cycle(sys, params, section, bracket, max_time=500.0,
     """Cycle through the section with coordinate in ``bracket``.
 
     Requires a sign change of P(x) - x on the bracket; the root is located
-    by bisection and polished by secant steps.
+    by Brent's method to within ``xtol``.
     """
     g = lambda x: return_map(sys, params, section, x, max_time, tol,
                              direction) - x
@@ -60,42 +60,11 @@ def find_cycle(sys, params, section, bracket, max_time=500.0,
         ga, gb = g(a), g(b)
     except HetContourError as exc:
         raise NoCycleInBracket(f"return map undefined on bracket: {exc}")
-    if ga == 0.0:
-        x_star = a
-    elif gb == 0.0:
-        x_star = b
-    elif ga * gb > 0:
+    if ga * gb > 0:
         raise NoCycleInBracket(
             f"displacement has the same sign at both ends "
             f"({ga:+.3e}, {gb:+.3e})")
-    else:
-        while b - a > 256 * xtol:
-            m = 0.5 * (a + b)
-            gm = g(m)
-            if gm == 0.0:
-                a = b = m
-                break
-            if ga * gm < 0:
-                b, gb = m, gm
-            else:
-                a, ga = m, gm
-        x0, f0, x1, f1 = a, ga, b, gb
-        for _ in range(60):
-            if f1 == f0 or x1 == x0:
-                break
-            x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-            if not (a <= x2 <= b):
-                x2 = 0.5 * (a + b)
-            f2 = g(x2)
-            if abs(f2) <= FIXED_POINT_TOL or abs(x2 - x1) < xtol:
-                x1, f1 = x2, f2
-                break
-            if ga * f2 < 0:
-                b, gb = x2, f2
-            else:
-                a, ga = x2, f2
-            x0, f0, x1, f1 = x1, f1, x2, f2
-        x_star = x1
+    x_star, _ = brent(g, a, b, ga, gb, xtol)
     _, period = hi.poincare_map(sys, params, section,
                                 section.point_at(x_star), max_time,
                                 tol=tol, direction=direction)

@@ -26,6 +26,7 @@ from . import integrate as hi
 from . import modelmap as mm
 from . import vectorfield as vf
 from .errors import BracketError, HetContourError, NotFound
+from .roots import brent
 
 CIRCLE_XTOL = 1e-7
 
@@ -139,7 +140,7 @@ def residual_pair_function(scn, seed):
 
 
 def find_curve_start(scn, start, xtol=CIRCLE_XTOL):
-    """Zero of the start's gap on its search arc, by bisection in angle."""
+    """Zero of the start's gap on its search arc, by Brent's method in angle."""
     gap = gap_function(scn, start.recipe, k=start.k)
     cx, cy_ = start.center
     r = start.radius
@@ -148,23 +149,14 @@ def find_curve_start(scn, start, xtol=CIRCLE_XTOL):
         th = math.radians(theta_deg)
         return (cx + r * math.cos(th), cy_ + r * math.sin(th))
 
+    f = lambda theta: float(gap(scn.system, at(theta)))
     a, b = start.theta_bracket
-    fa = gap(scn.system, at(a))
-    fb = gap(scn.system, at(b))
+    fa, fb = f(a), f(b)
     if fa * fb > 0:
         raise BracketError(
             f"{start.tag.name}: gap has the same sign at both arc ends "
             f"({fa:+.3e}, {fb:+.3e})")
-    while b - a > xtol:
-        m = 0.5 * (a + b)
-        fm = gap(scn.system, at(m))
-        if fm == 0.0:
-            return at(m)
-        if fa * fm < 0:
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    return at(0.5 * (a + b))
+    return at(brent(f, a, b, fa, fb, xtol)[0])
 
 
 def assemble_diagram(scn, bounds=None, k_max=2, step=5e-4, step_min=1e-6,

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Degenerate, NoConvergence, NotASaddle
+from .vectorfield import check_state
 
 HYPERBOLICITY_CUTOFF = 1e-8
 INDEX_DEGENERACY_CUTOFF = 1e-10
@@ -67,16 +68,23 @@ def find_equilibrium(sys, params=None, guess=(0.0, 0.0), tol=1e-12,
                      max_iter=100):
     """Damped (Armijo) Newton search for an equilibrium near ``guess``.
 
-    Returns ``(point, EquilibriumType)``.
+    Returns ``(point, EquilibriumType)``.  The field and its Jacobian are
+    built once for the whole search.
     """
     p = sys.full_params(params)
+    rhs, jacobian = sys.fields(p)
+
+    def field(z):
+        check_state(z[0], z[1])
+        return np.asarray(rhs(0.0, (z[0], z[1])))
+
     z = np.asarray(guess, float)
-    f = np.asarray(sys.rhs(z[0], z[1], p))
+    f = field(z)
     for _ in range(max_iter):
         nf = np.linalg.norm(f)
         if nf <= tol:
             break
-        J = sys.jacobian(z[0], z[1], p)
+        J = jacobian(z[0], z[1])
         try:
             step = np.linalg.solve(J, -f)
         except np.linalg.LinAlgError:
@@ -84,7 +92,7 @@ def find_equilibrium(sys, params=None, guess=(0.0, 0.0), tol=1e-12,
         lam = 1.0
         while lam > 1e-12:
             z_new = z + lam * step
-            f_new = np.asarray(sys.rhs(z_new[0], z_new[1], p))
+            f_new = field(z_new)
             if np.linalg.norm(f_new) < (1 - 0.25 * lam) * nf:
                 z, f = z_new, f_new
                 break
@@ -93,11 +101,15 @@ def find_equilibrium(sys, params=None, guess=(0.0, 0.0), tol=1e-12,
             raise NoConvergence(f"Newton stagnated at {tuple(z)} (|rhs|={nf:.3e})")
     else:
         raise NoConvergence(f"no convergence after {max_iter} damped steps")
-    return (float(z[0]), float(z[1])), classify(sys, p, z)
+    return (float(z[0]), float(z[1])), _classify(jacobian(z[0], z[1]))
 
 
 def classify(sys, params, point):
-    ev = np.linalg.eigvals(sys.jacobian(point[0], point[1], params))
+    return _classify(sys.jacobian(point[0], point[1], params))
+
+
+def _classify(J):
+    ev = np.linalg.eigvals(J)
     re = np.real(ev)
     if np.any(np.abs(re) < HYPERBOLICITY_CUTOFF):
         return EquilibriumType.NON_HYPERBOLIC

@@ -2,9 +2,9 @@
 
 One Dormand-Prince 5(4) loop over plain floats (Hairer, Norsett & Wanner,
 *Solving ODEs I*, II.4-II.6): the tableau, initial step, error norm and
-step-size control of scipy's RK45, with Shampine's quartic continuous
+step-size control of SciPy's RK45, with Shampine's quartic continuous
 extension for the dense output.  Events are located on that extension with
-``brentq`` by scipy's event rules (Shampine & Thompson, "Event location
+``roots.brent`` by SciPy's event rules (Shampine & Thompson, "Event location
 for ODEs", 2000).  Around the loop sit the trajectory/termination
 bookkeeping and the cross-section geometry the rest of the toolkit works with.
 """
@@ -16,9 +16,9 @@ from array import array
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, NoReturn, StiffnessError, TangencyError
+from .roots import EPS, brent
 
 DEFAULT_TOL = (1e-10, 1e-10)
 BLOWUP_RADIUS = 1e6
@@ -117,7 +117,6 @@ STAGES = len(DENSE_P)
 
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
 ERROR_EXPONENT = -1 / 5
-EPS = np.finfo(float).eps
 SQRT2 = 2 ** 0.5
 
 
@@ -171,10 +170,6 @@ class Trajectory:
         return self.interpolant(t)
 
     @property
-    def start(self):
-        return self.xy[0]
-
-    @property
     def end(self):
         return self.xy[-1]
 
@@ -216,7 +211,7 @@ def _rms(a, b):
 
 def _initial_step(f, t0, x0, y0, fx0, fy0, span, direction, rtol, atol,
                   max_step):
-    """First step size, HNW II.4, as scipy's ``select_initial_step``."""
+    """First step size, HNW II.4, as SciPy's ``select_initial_step``."""
     sx, sy = atol + abs(x0) * rtol, atol + abs(y0) * rtol
     d0 = _rms(x0 / sx, y0 / sy)
     d1 = _rms(fx0 / sx, fy0 / sy)
@@ -316,10 +311,12 @@ def _dopri5(f, t0, x0, y0, t_end, rtol, atol, max_step, events, n_sections):
                 active.append(i)
         if active:
             dense = _step_polynomial(t_old, x_old, y_old, h, stages)
-            roots = sorted(
-                ((brentq(lambda s, ev=events[i][0]: ev(*dense(s)), t_old, t,
-                         xtol=4 * EPS, rtol=4 * EPS), i) for i in active),
-                key=lambda r: direction * r[0])
+            roots = []
+            for i in active:
+                ev_t = lambda s, ev=events[i][0]: ev(*dense(s))
+                roots.append((brent(ev_t, t_old, t, ev_t(t_old), ev_t(t),
+                                    4 * EPS)[0], i))
+            roots.sort(key=lambda r: direction * r[0])
             cut = next((j for j, (_, i) in enumerate(roots)
                         if events[i][2]), None)
             if cut is not None:
@@ -437,7 +434,7 @@ def poincare_map(sys, params, section, x0_on_section, max_time,
     ``x0``).  Raises NoReturn / TangencyError.
     """
     x0 = np.asarray(x0_on_section, float)
-    if abs(section.offset(x0)) > 1e-10:
+    if abs(section.offset(x0)) >= ARM_OFFSET:
         raise DomainError("start point is not on the section")
     p = sys.full_params(params)
     fx, fy = sys.rhs(x0[0], x0[1], p)
@@ -447,21 +444,15 @@ def poincare_map(sys, params, section, x0_on_section, max_time,
     if direction is None:
         direction = 1 if v_n > 0 else -1
 
-    # leave the section before arming the terminal crossing event
-    speed = math.hypot(fx, fy)
-    dt = max(1e-8, 1e-6 / max(speed, 1e-12))
-    lead = integrate(sys, p, x0, (0.0, dt), tol=tol)
-    t_off = lead.t[-1]
-    z_off = lead.end
-
-    traj = integrate(sys, p, z_off, (t_off, max_time), tol=tol,
-                     events=[section], directions=[direction], terminal=[0])
+    # the event is held at the departure sign until the orbit has left the
+    # section (``_section_event``), so the start is not found as a return
+    traj = integrate(sys, p, x0, (0.0, max_time), tol=tol, events=[section],
+                     directions=[direction], terminal=[0])
     if traj.termination is not Termination.EVENT:
         raise NoReturn(f"no return within t={max_time} ({traj.termination})")
-    t_ret = traj.t[-1]
     z_ret = traj.end
     fr = sys.rhs(z_ret[0], z_ret[1], p)
     v_ret = fr[0] * section.normal[0] + fr[1] * section.normal[1]
     if abs(v_ret) <= transversality_min:
         raise TangencyError("tangential return crossing")
-    return section.coord(z_ret), float(t_ret)
+    return section.coord(z_ret), float(traj.t[-1])

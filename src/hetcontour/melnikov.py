@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import QuadratureError
 
@@ -93,6 +92,9 @@ def melnikov_integral(problem):
     connection runs from (0,0) to (1,0) and the integrand is negative
     throughout, certifying a negative integral.
     """
+    # imported on use: the rest of the package runs without SciPy
+    from scipy.integrate import quad
+
     a, b, c = problem.a, problem.b, problem.c
     if problem.connection is Connection.PARABOLA:
         num, roots = _parabola_pieces(a, b, c)

@@ -15,10 +15,10 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .continuation import BifurcationCurve, CurveTag
 from .errors import Degenerate, DomainError
+from .roots import brent
 
 K_MAX_DEFAULT = 5
 
@@ -162,16 +162,8 @@ def fold_points(m, xi_max=10.0, samples=200):
     edge when an index is below one), so there may be two roots: the fold
     bounding a two-fixed-point region is the larger one.
     """
-    g = lambda x: _fin(eval_derivative(m, x))
-    xs = np.geomspace(1e-12, xi_max, samples)
-    vals = [g(x) for x in xs]
-    roots = []
-    for x0, x1, v0, v1 in zip(xs[:-1], xs[1:], vals[:-1], vals[1:]):
-        if math.isnan(v0) or math.isnan(v1):
-            continue
-        if (v0 - 1.0) * (v1 - 1.0) < 0:
-            roots.append(brentq(lambda x: g(x) - 1.0, x0, x1, xtol=1e-14))
-    return roots
+    return list(_grid_roots(lambda x: _fin(eval_derivative(m, x)) - 1.0,
+                            np.geomspace(1e-12, xi_max, samples), 1e-14))
 
 
 def condition_F(m, xi_max=10.0):
@@ -192,7 +184,8 @@ def condition_F(m, xi_max=10.0):
 
 
 def _fin(v):
-    return math.nan if v is OUT_OF_DOMAIN else float(v)
+    """``v`` as a float, NaN for OUT_OF_DOMAIN or a missing value."""
+    return math.nan if v is None or v is OUT_OF_DOMAIN else float(v)
 
 
 # -- fixed points ----------------------------------------------------------
@@ -253,13 +246,14 @@ def fixed_points(m, xi_max=10.0, samples=2000):
     if xs is None:
         return []
     g = _displacement(m, xs)
+    f = lambda x: _fin(eval_map(m, x)) - x
     roots = []
     for x0, x1, v0, v1 in zip(xs[:-1], xs[1:], g[:-1], g[1:]):
         if math.isnan(v0) or math.isnan(v1) or v0 * v1 > 0:
             continue
-        r = brentq(lambda x: eval_map(m, x) - x
-                   if eval_map(m, x) is not OUT_OF_DOMAIN else math.nan,
-                   x0, x1, xtol=1e-15)
+        # the ends again in scalar arithmetic, as the iterates are computed
+        a, b = float(x0), float(x1)
+        r, _ = brent(f, a, b, f(a), f(b), 1e-15)
         if not roots or abs(r - roots[-1]) > 1e-12:
             roots.append(r)
     return roots
@@ -363,15 +357,22 @@ def bifurcation_set(m, box=((-0.5, 0.5), (-0.5, 0.5)), n=101,
 
 
 def _solve_b1(m, cond, k, b2, b1lo, b1hi, samples=400):
-    f = lambda b1: cond(m.at(b1, b2), k)
-    b1s = np.linspace(b1lo, b1hi, samples)
-    vals = [f(b) for b in b1s]
-    for b0, b1, v0, v1 in zip(b1s[:-1], b1s[1:], vals[:-1], vals[1:]):
-        if v0 is None or v1 is None or v0 * v1 > 0:
-            continue
-        return brentq(lambda b: f(b) if f(b) is not None else math.nan,
-                      b0, b1, xtol=1e-14)
-    return None
+    return next(_grid_roots(lambda b1: _fin(cond(m.at(b1, b2), k)),
+                            np.linspace(b1lo, b1hi, samples), 1e-14), None)
+
+
+def _grid_roots(f, xs, xtol):
+    """Roots of ``f`` on the grid ``xs``, in order: each node where ``f``
+    is zero, once, and one root in each cell whose end values have strictly
+    opposite signs.  A NaN value is never a sign change."""
+    vals = [f(x) for x in xs]
+    if vals[0] == 0:
+        yield xs[0]
+    for x0, x1, v0, v1 in zip(xs[:-1], xs[1:], vals[:-1], vals[1:]):
+        if v0 * v1 < 0:
+            yield brent(f, x0, x1, v0, v1, xtol)[0]
+        elif v1 == 0:
+            yield x1
 
 
 # -- flashing series at the map level --------------------------------------
@@ -383,8 +384,8 @@ def flashing_series_map(m, segment, k_max=K_MAX_DEFAULT, which="H_M",
 
     ``segment = ((b1,b2) start, (b1,b2) end)``; the condition is evaluated
     densely in the segment parameter t in [0,1] and each sign change is
-    refined by brentq.  Returns [(k, t, (b1,b2)), ...] for k = 0..k_max,
-    truncated at the first k with no zero.
+    refined by Brent's method.  Returns [(k, t, (b1,b2)), ...] for
+    k = 0..k_max, truncated at the first k with no zero.
     """
     cond = {"H_M": condition_H_M, "H_L": condition_H_L}[which]
     p0 = np.asarray(segment[0], float)
@@ -394,15 +395,8 @@ def flashing_series_map(m, segment, k_max=K_MAX_DEFAULT, which="H_M",
     zeros = []
     ts = np.linspace(0.0, 1.0, samples)
     for k in range(k_max + 1):
-        f = lambda t: cond(m.at(*at(t)), k)
-        vals = [f(t) for t in ts]
-        hit = None
-        for t0, t1, v0, v1 in zip(ts[:-1], ts[1:], vals[:-1], vals[1:]):
-            if v0 is None or v1 is None or v0 * v1 > 0:
-                continue
-            hit = brentq(lambda t: f(t) if f(t) is not None else math.nan,
-                         t0, t1, xtol=1e-15)
-            break
+        hit = next(_grid_roots(lambda t: _fin(cond(m.at(*at(t)), k)), ts,
+                               1e-15), None)
         if hit is None:
             break
         zeros.append((k, float(hit), tuple(at(hit))))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .affine import AffineExpr, parse_affine
+from .affine import AffineExpr
 from .errors import BadPerturbation, EmptyFamily, ParseError
 from .vectorfield import MonomialTerm, ParametricSystem
 
@@ -316,16 +316,15 @@ def solve_family(variety, degree, parameter_names=None, free_symbols=()):
 
 def tangency_residual(variety, x_terms, y_terms, params):
     """Remainder of <grad G, (f,g)> mod G for a concrete member; exact."""
-    f = {}
-    for t in x_terms:
-        val = t.coeff.evaluate(params)
-        if val:
-            f[(t.px, t.py)] = f.get((t.px, t.py), Fraction(0)) + Fraction(val)
-    g = {}
-    for t in y_terms:
-        val = t.coeff.evaluate(params)
-        if val:
-            g[(t.px, t.py)] = g.get((t.px, t.py), Fraction(0)) + Fraction(val)
+    def poly(terms):
+        out = {}
+        for t in terms:
+            val = t.coeff.evaluate(params)
+            if val:
+                out[(t.px, t.py)] = out.get((t.px, t.py), 0) + Fraction(val)
+        return out
+
+    f, g = poly(x_terms), poly(y_terms)
     tang = poly_add(poly_mul(poly_dx(variety.G), f),
                     poly_mul(poly_dy(variety.G), g))
     return poly_divmod_single(tang, variety.G)
@@ -354,15 +353,11 @@ def perturb_connections(field, assignments, perturbations, name=None):
         if pert.equation not in ("x", "y"):
             raise ParseError(f"equation must be 'x' or 'y', got {pert.equation!r}")
 
-    x_terms, y_terms = [], []
-    for t in field.x_terms:
-        val = Fraction(t.coeff.evaluate({k: Fraction(v) for k, v in assignments.items()}))
-        if val:
-            x_terms.append(MonomialTerm(AffineExpr.constant(val), t.px, t.py))
-    for t in field.y_terms:
-        val = Fraction(t.coeff.evaluate({k: Fraction(v) for k, v in assignments.items()}))
-        if val:
-            y_terms.append(MonomialTerm(AffineExpr.constant(val), t.px, t.py))
+    fixed = {k: Fraction(v) for k, v in assignments.items()}
+    x_terms, y_terms = (
+        [MonomialTerm(AffineExpr.constant(val), t.px, t.py) for t in terms
+         if (val := Fraction(t.coeff.evaluate(fixed)))]
+        for terms in (field.x_terms, field.y_terms))
 
     params = []
     for pert in perturbations:

@@ -86,8 +86,7 @@ class ParametricSystem:
 
     def rhs(self, x, y, params=None):
         """Evaluate (dx/dt, dy/dt) at a point."""
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise DomainError(f"non-finite state ({x}, {y})")
+        check_state(x, y)
         if isinstance(x, Fraction) and isinstance(y, Fraction):
             pe = {k: Fraction(v) for k, v in self._resolve(params).items()}
             fx = sum((t.coeff.evaluate(pe) * x**t.px * y**t.py
@@ -99,7 +98,7 @@ class ParametricSystem:
         return out[0], out[1]
 
     def jacobian(self, x, y, params=None):
-        return self._fields(params)[1](x, y)
+        return self.fields(params)[1](x, y)
 
     def _resolve(self, params):
         """Accept None, partial overrides, or a full parameter mapping."""
@@ -118,10 +117,10 @@ class ParametricSystem:
 
     def compiled_rhs(self, params):
         """A fast ``f(t, (x, y)) -> [fx, fy]`` closure for the integrator."""
-        return self._fields(params)[0]
+        return self.fields(params)[0]
 
-    def _fields(self, params):
-        """The (rhs, jacobian) closures at one parameter point.
+    def fields(self, params):
+        """The (rhs, jacobian) closures at one parameter point, built together.
 
         Each coefficient is summed as ``AffineExpr.evaluate`` sums it in
         floats, term by term in the same order, so the values are the same.
@@ -170,6 +169,12 @@ class ParametricSystem:
 
     def __repr__(self):
         return f"ParametricSystem({self.name!r}, params={[n for n, _ in self.parameters]})"
+
+
+def check_state(x, y):
+    """DomainError unless the state ``(x, y)`` is finite."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise DomainError(f"non-finite state ({x}, {y})")
 
 
 def _term_dict(t):

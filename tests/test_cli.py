@@ -1,5 +1,9 @@
 """Command-line interface: exit codes, artifact schemas, determinism."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -95,3 +99,17 @@ def test_portrait_finds_equilibria(tmp_path, capsys):
     assert len(doc["equilibria"]) == 4
     types = {e["type"] for e in doc["equilibria"]}
     assert "saddle" in types
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # only the Melnikov quadrature needs scipy, and it imports it on use
+    code = ("import sys\n"
+            "import hetcontour.cli\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

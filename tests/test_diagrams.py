@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from hetcontour import connections as cn
 from hetcontour import diagrams as dg
 from hetcontour import modelmap as mm
 from hetcontour.continuation import CurveTag
@@ -66,3 +67,22 @@ def test_params_at_maps_to_declared_names():
     params = dg._params_at(scn, (0.01, -0.02))
     assert math.isclose(params["alpha"], 0.01)
     assert math.isclose(params["epsilon"], -0.02)
+
+
+def test_curve_start_gap_budget(monkeypatch):
+    # Brent's method from the two arc-end gaps: a handful of gap
+    # evaluations per start, where bisection to 1e-7 degrees took ~31
+    calls = []
+    splitting = cn.splitting
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return splitting(*args, **kwargs)
+    monkeypatch.setattr(cn, "splitting", counted)
+    scn = dg.scenario("heart")
+    for start in scn.curves:
+        calls.clear()
+        z = dg.find_curve_start(scn, start)
+        assert 2 < len(calls) <= 8
+        gap = dg.gap_function(scn, start.recipe, k=start.k)(scn.system, z)
+        assert abs(gap) < 1e-9

@@ -1,4 +1,5 @@
 """Saddle data, symbolic eigenvalue checks, subcase classification."""
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 
 from hetcontour import equilibria as eq
 from hetcontour import vectorfield as vf
-from hetcontour.errors import NoConvergence, NotASaddle
+from hetcontour.errors import DomainError, NoConvergence, NotASaddle
 
 
 @pytest.fixture(scope="module")
@@ -124,3 +125,26 @@ def test_eigenvectors_are_eigenvectors(mono):
     for v, lam in ((s.v_s, s.lambda_s), (s.v_u, s.lambda_u)):
         v = np.asarray(v)
         assert np.linalg.norm(j @ v - lam * v) < 1e-9
+
+
+def test_find_equilibrium_builds_the_field_once(monkeypatch):
+    sys_ = vf.builtin("diss_heart")
+    built = []
+    fields = vf.ParametricSystem.fields
+
+    def counted(self, params):
+        built.append(params)
+        return fields(self, params)
+    monkeypatch.setattr(vf.ParametricSystem, "fields", counted)
+    params = sys_.full_params()
+    for guess in ((0.05, -0.05), (-0.57, -2.6), (0.55, -2.6)):
+        built.clear()
+        loc, kind = eq.find_equilibrium(sys_, params, guess)
+        assert len(built) == 1
+        assert kind is eq.EquilibriumType.SADDLE
+        assert np.hypot(*sys_.rhs(*loc, params)) <= 1e-12
+
+
+def test_find_equilibrium_rejects_a_non_finite_state(mono):
+    with pytest.raises(DomainError, match="non-finite state"):
+        eq.find_equilibrium(mono, mono.full_params(), (math.nan, 0.0))

@@ -135,6 +135,19 @@ def test_fold_points_satisfy_unit_derivative():
         assert abs(mm.eval_derivative(m, xi) - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("node", [0, 57, 199])
+def test_fold_points_count_a_root_on_a_grid_node_once(monkeypatch, node):
+    # P'(xi) - 1 is exactly zero on one node of the scan and changes sign
+    # inside the cell around xi = 5
+    xs = np.geomspace(1e-12, 10.0, 200)
+    monkeypatch.setattr(mm, "eval_derivative",
+                        lambda m, x: 1.0 + (x - xs[node]) * (x - 5.0))
+    roots = mm.fold_points(mm.ModelMap(0.5, 3.0))
+    assert len(roots) == 2
+    assert xs[node] in roots
+    assert min(roots, key=lambda r: abs(r - 5.0)) == pytest.approx(5.0)
+
+
 def test_bifurcation_set_curve_inventory():
     # second-family indices produce a fold curve, first-family ones do not
     with_f = mm.bifurcation_set(mm.ModelMap(2.0 / 3.0, 2.0), k_max=1)
