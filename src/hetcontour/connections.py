@@ -2,8 +2,8 @@
 
 The gap of a connection is the signed difference, in the section coordinate,
 between where the source's unstable branch and the target's stable branch
-hit the section.  Winding counts are accumulated-angle turns around a
-reference saddle, which is robust near tangencies.
+hit the section.  Winding counts are accumulated-angle turns around the
+source saddle, which is robust near tangencies.
 """
 from __future__ import annotations
 
@@ -24,10 +24,8 @@ class ConnectionSpec:
     section: hi.CrossSection
     source_side: int = 1
     target_side: int = 1
-    winding_center: tuple | None = None   # defaults to source location
-    winding_count: int = 0
+    winding_count: int = 0         # turns around the source saddle
     crossing_direction: int = 0    # geometric direction filter on the section
-    orientation_sign: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -63,32 +61,29 @@ def _winding_at(traj, center, times, refine=4):
             for t in times]
 
 
-def _branch_hits(sys, params, saddle, kind, side, section, direction,
-                 tol, arclength_cap, time_cap, first_hit):
-    """Branch with its section hits; ``first_hit`` stops it at the first."""
-    return mf.grow_branch(
-        sys, params, saddle, kind, side,
-        arclength_cap=arclength_cap, events=[section],
-        directions=[direction], terminal=[0] if first_hit else [], tol=tol,
-        time_cap=time_cap)
-
-
 def splitting(sys, params, spec, tol=(1e-9, 1e-9), arclength_cap=200.0,
-              time_cap=500.0, transversality_min=1e-8):
-    """Measure the splitting gap of ``spec`` (at the requested winding)."""
+              time_cap=500.0):
+    """Measure the splitting gap of ``spec`` (at the requested winding).
+
+    The gap is the unstable hit's section coordinate minus the stable
+    hit's.  Both hits are transversal when the flow's normal speed there
+    exceeds ``hi.TRANSVERSALITY_MIN``.
+    """
     k = spec.winding_count
-    center = spec.winding_center or spec.source.location
     p = sys.full_params(params)
 
     # k = 0 needs only the first hit; a k-turn gap needs the hits after it
-    ub = _branch_hits(sys, p, spec.source, mf.Kind.UNSTABLE, spec.source_side,
-                      spec.section, spec.crossing_direction, tol,
-                      arclength_cap, time_cap, first_hit=k == 0)
+    ub = mf.grow_branch(sys, p, spec.source, mf.Kind.UNSTABLE,
+                        spec.source_side, arclength_cap=arclength_cap,
+                        events=[spec.section],
+                        directions=[spec.crossing_direction],
+                        terminal=[0] if k == 0 else [], tol=tol,
+                        time_cap=time_cap)
     hits = ub.curve.event_hits
     if not hits:
         raise NoIntersection("unstable branch never met the section")
     times = [h[1] for h in hits]
-    winds = _winding_at(ub.curve, center, times)
+    winds = _winding_at(ub.curve, spec.source.location, times)
     chosen = next(((t, z, w) for (_, t, z), w in zip(hits, winds) if w == k), None)
     if chosen is None:
         if k == 0:
@@ -96,9 +91,11 @@ def splitting(sys, params, spec, tol=(1e-9, 1e-9), arclength_cap=200.0,
         raise InsufficientWinding(k, max(winds))
     t_u, z_u, w_u = chosen
 
-    sb = _branch_hits(sys, p, spec.target, mf.Kind.STABLE, spec.target_side,
-                      spec.section, spec.crossing_direction, tol,
-                      arclength_cap, time_cap, first_hit=True)
+    sb = mf.grow_branch(sys, p, spec.target, mf.Kind.STABLE,
+                        spec.target_side, arclength_cap=arclength_cap,
+                        events=[spec.section],
+                        directions=[spec.crossing_direction], terminal=[0],
+                        tol=tol, time_cap=time_cap)
     shits = sb.curve.event_hits
     if not shits:
         raise NoIntersection("stable branch never met the section")
@@ -110,10 +107,9 @@ def splitting(sys, params, spec, tol=(1e-9, 1e-9), arclength_cap=200.0,
     fu = sys.rhs(z_u[0], z_u[1], p)
     fs = sys.rhs(z_s[0], z_s[1], p)
     transversal = bool(
-        abs(fu[0] * n[0] + fu[1] * n[1]) > transversality_min
-        and abs(fs[0] * n[0] + fs[1] * n[1]) > transversality_min)
-    gap = spec.orientation_sign * (u_coord - s_coord)
-    return SplittingResult(float(gap), w_u, transversal,
+        abs(fu[0] * n[0] + fu[1] * n[1]) > hi.TRANSVERSALITY_MIN
+        and abs(fs[0] * n[0] + fs[1] * n[1]) > hi.TRANSVERSALITY_MIN)
+    return SplittingResult(float(u_coord - s_coord), w_u, transversal,
                            float(u_coord), float(s_coord))
 
 

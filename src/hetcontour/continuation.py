@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from . import integrate as hi
 from . import manifolds as mf
 from .errors import (BracketError, CurveStall, Degenerate, HetContourError,
                      NoConvergence)
-from .roots import brent
+from .roots import brent, grid_roots, sample
 
 RESIDUAL_TOL = 1e-6
 STEP_MIN = 1e-6
@@ -285,11 +285,7 @@ def find_reversible_contour(sys, bracket, xtol=1e-6, tol=(1e-10, 1e-10)):
     """
     f = lambda gamma: _reversible_splitting(sys, gamma, tol=tol)
     a, b = float(bracket[0]), float(bracket[1])
-    fa, fb = f(a), f(b)
-    if fa * fb > 0:
-        raise BracketError(
-            f"splitting has the same sign at both ends of [{a}, {b}]")
-    return brent(f, a, b, fa, fb, xtol)[0]
+    return brent(f, a, b, f(a), f(b), xtol)[0]
 
 
 def reversible_contour_asymmetry(sys, gamma, fractions=(0.25, 0.5, 0.75),
@@ -315,6 +311,9 @@ def flashing_series(sys, gap_fn, segment, k_max=K_MAX_DEFAULT, samples=25,
     ``gap_fn(sys, point, k)`` is the winding gap (may raise
     InsufficientWinding when the branch leaves before k turns);
     ``segment = (p0, p1)`` are the endpoints in the parameter plane.
+    Each k's gap is sampled at ``samples`` even steps; its zero is the
+    first zero sample or cell of strictly opposite end signs along the
+    segment, and a sample where the gap fails brackets nothing.
     Returns a FlashingSeries with one zero per reachable k; the series
     ends, with the reason, at the first k whose gap keeps its sign along
     the segment or fails inside the bracket of its zero.
@@ -327,26 +326,18 @@ def flashing_series(sys, gap_fn, segment, k_max=K_MAX_DEFAULT, samples=25,
     reason = None
     ts = np.linspace(0.0, 1.0, samples)
     for k in range(k_max + 1):
-        vals = []
-        for t in ts:
-            try:
-                vals.append(float(gap_fn(sys, point_at(t), k)))
-            except HetContourError:     # InsufficientWinding among others
-                vals.append(math.nan)
-        bracket = next(((t0, t1, v0, v1) for t0, t1, v0, v1 in zip(
-            ts[:-1], ts[1:], vals[:-1], vals[1:]) if v0 * v1 < 0), None)
-        if bracket is None:
-            reason = f"no sign change of the {k}-turn gap along the segment"
-            break
-        # a failure inside the bracket ends the series: the zero is not
-        # known there, and shrinking past the failure could report one
         tried = []
 
         def f(t):
             tried.append(t)
             return float(gap_fn(sys, point_at(t), k))
+        # a failure inside the bracket ends the series: the zero is not
+        # known there, and shrinking past the failure could report one
         try:
-            t, r = brent(f, *bracket, xtol)
+            t, r = next(grid_roots(f, ts, sample(f, ts), xtol))
+        except StopIteration:
+            reason = f"no sign change of the {k}-turn gap along the segment"
+            break
         except HetContourError as exc:
             reason = (f"the {k}-turn gap failed at t = {tried[-1]!r} inside "
                       f"its bracket: {type(exc).__name__}: {exc}")

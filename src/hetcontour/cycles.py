@@ -3,22 +3,23 @@
 The return map P is evaluated by event-located integration; cycles are
 zeros of P(x) - x on a section coordinate bracket, and their multiplier is
 the central-difference derivative of P.  A multiplier within
-``MULTIPLIER_TOL`` of 1 marks a semi-stable cycle.
+``MULTIPLIER_TOL`` of 1 marks a semi-stable cycle.  The return is counted
+in the direction in which the flow leaves the section.
 """
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import integrate as hi
-from .errors import HetContourError, NoCycleInBracket
-from .roots import brent
+from .errors import BracketError, HetContourError, NoCycleInBracket
+from .roots import brent, grid_roots, sample
 
 MULTIPLIER_TOL = 1e-4
 MULTIPLIER_STEP = 1e-6
+XTOL = 1e-12
 
 
 class Stability(enum.Enum):
@@ -37,41 +38,42 @@ class LimitCycle:
 
 
 def return_map(sys, params, section, coord, max_time=500.0,
-               tol=hi.DEFAULT_TOL, direction=None):
+               tol=hi.DEFAULT_TOL):
     """P(coord): section coordinate of the first return."""
     x0 = section.point_at(coord)
-    c, _ = hi.poincare_map(sys, params, section, x0, max_time,
-                           tol=tol, direction=direction)
+    c, _ = hi.poincare_map(sys, params, section, x0, max_time, tol=tol)
     return c
 
 
 def find_cycle(sys, params, section, bracket, max_time=500.0,
-               tol=hi.DEFAULT_TOL, direction=None, xtol=1e-12,
-               multiplier_tol=MULTIPLIER_TOL):
+               tol=hi.DEFAULT_TOL):
     """Cycle through the section with coordinate in ``bracket``.
 
     Requires a sign change of P(x) - x on the bracket; the root is located
-    by Brent's method to within ``xtol``.
+    by Brent's method to within ``XTOL``.
     """
-    g = lambda x: return_map(sys, params, section, x, max_time, tol,
-                             direction) - x
+    g = lambda x: return_map(sys, params, section, x, max_time, tol) - x
     a, b = float(bracket[0]), float(bracket[1])
     try:
         ga, gb = g(a), g(b)
     except HetContourError as exc:
         raise NoCycleInBracket(f"return map undefined on bracket: {exc}")
-    if ga * gb > 0:
-        raise NoCycleInBracket(
-            f"displacement has the same sign at both ends "
-            f"({ga:+.3e}, {gb:+.3e})")
-    x_star, _ = brent(g, a, b, ga, gb, xtol)
+    try:
+        x_star, _ = brent(g, a, b, ga, gb, XTOL)
+    except BracketError as exc:
+        raise NoCycleInBracket(f"displacement: {exc}")
+    return _cycle_at(sys, params, section, x_star, max_time, tol)
+
+
+def _cycle_at(sys, params, section, x_star, max_time, tol):
+    """The cycle through the fixed point ``x_star``: its period, multiplier
+    and stability."""
     _, period = hi.poincare_map(sys, params, section,
-                                section.point_at(x_star), max_time,
-                                tol=tol, direction=direction)
-    m = multiplier(sys, params, section, x_star, max_time, tol, direction)
-    if m < 1 - multiplier_tol:
+                                section.point_at(x_star), max_time, tol=tol)
+    m = multiplier(sys, params, section, x_star, max_time, tol)
+    if m < 1 - MULTIPLIER_TOL:
         stab = Stability.STABLE
-    elif m > 1 + multiplier_tol:
+    elif m > 1 + MULTIPLIER_TOL:
         stab = Stability.UNSTABLE
     else:
         stab = Stability.SEMI_STABLE
@@ -79,31 +81,23 @@ def find_cycle(sys, params, section, bracket, max_time=500.0,
 
 
 def multiplier(sys, params, section, x_star, max_time=500.0,
-               tol=hi.DEFAULT_TOL, direction=None, h=MULTIPLIER_STEP):
+               tol=hi.DEFAULT_TOL):
     """Central-difference derivative of the return map at ``x_star``."""
-    p_plus = return_map(sys, params, section, x_star + h, max_time, tol,
-                        direction)
-    p_minus = return_map(sys, params, section, x_star - h, max_time, tol,
-                         direction)
+    h = MULTIPLIER_STEP
+    p_plus = return_map(sys, params, section, x_star + h, max_time, tol)
+    p_minus = return_map(sys, params, section, x_star - h, max_time, tol)
     return (p_plus - p_minus) / (2 * h)
 
 
 def fixed_points(sys, params, section, bracket, samples=40, max_time=500.0,
-                 tol=hi.DEFAULT_TOL, direction=None):
-    """All return-map fixed points found by scanning ``bracket``."""
+                 tol=hi.DEFAULT_TOL):
+    """All return-map fixed points found by scanning ``bracket``.
+
+    P(x) - x is sampled at ``samples`` even steps.  A zero sample is one
+    cycle, a cell of strictly opposite end signs holds one (solved from the
+    held end values), and a sample with no return brackets nothing.
+    """
+    g = lambda x: return_map(sys, params, section, x, max_time, tol) - x
     xs = np.linspace(bracket[0], bracket[1], samples)
-    vals = []
-    for x in xs:
-        try:
-            vals.append(return_map(sys, params, section, x, max_time, tol,
-                                   direction) - x)
-        except HetContourError:
-            vals.append(math.nan)
-    roots = []
-    for x0, x1, g0, g1 in zip(xs[:-1], xs[1:], vals[:-1], vals[1:]):
-        if math.isnan(g0) or math.isnan(g1) or g0 * g1 > 0:
-            continue
-        cyc = find_cycle(sys, params, section, (x0, x1), max_time, tol,
-                         direction)
-        roots.append(cyc)
-    return roots
+    return [_cycle_at(sys, params, section, x, max_time, tol)
+            for x, _ in grid_roots(g, xs, sample(g, xs), XTOL)]

@@ -25,10 +25,12 @@ from . import equilibria as eq
 from . import integrate as hi
 from . import modelmap as mm
 from . import vectorfield as vf
-from .errors import BracketError, HetContourError, NotFound
-from .roots import brent
+from .errors import HetContourError, NotFound
+from .roots import brent, sample, sign_changes
 
 CIRCLE_XTOL = 1e-7
+CYCLE_SAMPLES = 14            # heights sampled by flow_cycle_count
+CYCLE_TOL = (1e-9, 1e-9)      # integration tolerance of its return maps
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,6 @@ class ConnectionRecipe:
     source_side: int
     target_side: int
     crossing_direction: int = 1
-    winding_center_source: bool = True
     time_cap: float = 500.0
     arclength_cap: float = 200.0
 
@@ -102,8 +103,7 @@ def _build_spec(scn, sys, params, recipe):
     tgt = eq.saddle_data(sys, params,
                          eq.find_equilibrium(sys, params, recipe.target_seed)[0])
     sec = hi.CrossSection.transverse_to_flow(sys, p, recipe.section_base)
-    center = src.location if recipe.winding_center_source else tgt.location
-    return src, tgt, sec, center
+    return src, tgt, sec
 
 
 def winding_gap_function(scn, recipe_name, tol=(1e-10, 1e-10)):
@@ -112,10 +112,9 @@ def winding_gap_function(scn, recipe_name, tol=(1e-10, 1e-10)):
 
     def gap(sys, point, k):
         params = _params_at(scn, point)
-        src, tgt, sec, center = _build_spec(scn, sys, params, recipe)
+        src, tgt, sec = _build_spec(scn, sys, params, recipe)
         spec = cn.ConnectionSpec(src, tgt, sec, recipe.source_side,
-                                 recipe.target_side, winding_center=center,
-                                 winding_count=k,
+                                 recipe.target_side, winding_count=k,
                                  crossing_direction=recipe.crossing_direction)
         return cn.splitting(sys, params, spec, tol=tol,
                             time_cap=recipe.time_cap,
@@ -139,8 +138,10 @@ def residual_pair_function(scn, seed):
     return pair
 
 
-def find_curve_start(scn, start, xtol=CIRCLE_XTOL):
-    """Zero of the start's gap on its search arc, by Brent's method in angle."""
+def find_curve_start(scn, start):
+    """Zero of the start's gap on its search arc, by Brent's method in angle
+    to within ``CIRCLE_XTOL`` degrees; BracketError when the gap has the
+    same sign at both arc ends."""
     gap = gap_function(scn, start.recipe, k=start.k)
     cx, cy_ = start.center
     r = start.radius
@@ -151,12 +152,7 @@ def find_curve_start(scn, start, xtol=CIRCLE_XTOL):
 
     f = lambda theta: float(gap(scn.system, at(theta)))
     a, b = start.theta_bracket
-    fa, fb = f(a), f(b)
-    if fa * fb > 0:
-        raise BracketError(
-            f"{start.tag.name}: gap has the same sign at both arc ends "
-            f"({fa:+.3e}, {fb:+.3e})")
-    return at(brent(f, a, b, fa, fb, xtol)[0])
+    return at(brent(f, a, b, f(a), f(b), CIRCLE_XTOL)[0])
 
 
 def assemble_diagram(scn, bounds=None, k_max=2, step=5e-4, step_min=1e-6,
@@ -218,14 +214,14 @@ def model_bifurcation_set(scn, k_max=2, n=101):
                               n=n, k_max=k_max)
 
 
-def flow_cycle_count(scn, point, samples=14, tol=(1e-9, 1e-9), max_time=500.0):
+def flow_cycle_count(scn, point):
     """Number of limit cycles crossing the scenario's counting window.
 
     The section runs through the interior focus; return displacements are
-    sampled at log-spaced heights above the lower contour edge (cycles near
-    a contour live at exponentially small heights).  Samples whose orbit
-    escapes (no return) are skipped, so a cycle is only counted between two
-    defined samples of opposite displacement sign.
+    sampled at ``CYCLE_SAMPLES`` log-spaced heights above the lower contour
+    edge (cycles near a contour live at exponentially small heights).  A
+    zero displacement sample counts one cycle, so does each cell of strictly
+    opposite end signs, and a sample whose orbit escapes brackets nothing.
     """
     if scn.focus_seed is None or scn.cycle_bracket is None:
         raise NotFound(f"scenario {scn.name} has no cycle-counting window")
@@ -233,19 +229,10 @@ def flow_cycle_count(scn, point, samples=14, tol=(1e-9, 1e-9), max_time=500.0):
     focus, _ = eq.find_equilibrium(scn.system, params, scn.focus_seed)
     section = hi.CrossSection.at(tuple(focus), (1.0, 0.0))
     d_lo, d_hi = scn.cycle_bracket
-    xs = np.geomspace(d_lo, d_hi, samples) - focus[1]
-    vals = []
-    for x in xs:
-        try:
-            vals.append(cy.return_map(scn.system, params, section, x,
-                                      max_time=max_time, tol=tol) - x)
-        except HetContourError:
-            vals.append(math.nan)
-    count = 0
-    for v0, v1 in zip(vals[:-1], vals[1:]):
-        if not (math.isnan(v0) or math.isnan(v1)) and v0 * v1 < 0:
-            count += 1
-    return count
+    xs = np.geomspace(d_lo, d_hi, CYCLE_SAMPLES) - focus[1]
+    g = lambda x: cy.return_map(scn.system, params, section, x,
+                                tol=CYCLE_TOL) - x
+    return len(sign_changes(sample(g, xs)))
 
 
 def hausdorff(points_a, points_b):

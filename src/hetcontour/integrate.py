@@ -22,6 +22,7 @@ from .roots import EPS, brent
 
 DEFAULT_TOL = (1e-10, 1e-10)
 BLOWUP_RADIUS = 1e6
+TRANSVERSALITY_MIN = 1e-8   # least normal speed of a transversal crossing
 
 
 class Termination(enum.Enum):
@@ -426,12 +427,13 @@ def integrate(sys, params, x0, t_span, tol=DEFAULT_TOL, events=(),
 
 
 def poincare_map(sys, params, section, x0_on_section, max_time,
-                 tol=DEFAULT_TOL, direction=None, transversality_min=1e-8):
+                 tol=DEFAULT_TOL):
     """First return of the flow to ``section``.
 
-    Returns ``(coordinate, return_time)`` of the first crossing in the given
-    geometric direction (default: the departure direction of the flow at
-    ``x0``).  Raises NoReturn / TangencyError.
+    Returns ``(coordinate, return_time)`` of the first crossing in the
+    geometric direction in which the flow leaves ``x0``.  A flow whose
+    normal speed is within ``TRANSVERSALITY_MIN`` of zero at either end
+    raises TangencyError; no return within ``max_time`` raises NoReturn.
     """
     x0 = np.asarray(x0_on_section, float)
     if abs(section.offset(x0)) >= ARM_OFFSET:
@@ -439,10 +441,9 @@ def poincare_map(sys, params, section, x0_on_section, max_time,
     p = sys.full_params(params)
     fx, fy = sys.rhs(x0[0], x0[1], p)
     v_n = fx * section.normal[0] + fy * section.normal[1]
-    if abs(v_n) <= transversality_min:
+    if abs(v_n) <= TRANSVERSALITY_MIN:
         raise TangencyError("flow tangent to section at start point")
-    if direction is None:
-        direction = 1 if v_n > 0 else -1
+    direction = 1 if v_n > 0 else -1
 
     # the event is held at the departure sign until the orbit has left the
     # section (``_section_event``), so the start is not found as a return
@@ -453,6 +454,6 @@ def poincare_map(sys, params, section, x0_on_section, max_time,
     z_ret = traj.end
     fr = sys.rhs(z_ret[0], z_ret[1], p)
     v_ret = fr[0] * section.normal[0] + fr[1] * section.normal[1]
-    if abs(v_ret) <= transversality_min:
+    if abs(v_ret) <= TRANSVERSALITY_MIN:
         raise TangencyError("tangential return crossing")
     return section.coord(z_ret), float(traj.t[-1])

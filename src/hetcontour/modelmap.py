@@ -16,11 +16,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .continuation import BifurcationCurve, CurveTag
+from .continuation import K_MAX_DEFAULT, BifurcationCurve, CurveTag
 from .errors import Degenerate, DomainError
-from .roots import brent
-
-K_MAX_DEFAULT = 5
+from .roots import grid_roots, sample, sign_changes
 
 
 class _OutOfDomain:
@@ -162,8 +160,9 @@ def fold_points(m, xi_max=10.0, samples=200):
     edge when an index is below one), so there may be two roots: the fold
     bounding a two-fixed-point region is the larger one.
     """
-    return list(_grid_roots(lambda x: _fin(eval_derivative(m, x)) - 1.0,
-                            np.geomspace(1e-12, xi_max, samples), 1e-14))
+    f = lambda x: _fin(eval_derivative(m, x)) - 1.0
+    xs = np.geomspace(1e-12, xi_max, samples)
+    return [x for x, _ in grid_roots(f, xs, sample(f, xs), 1e-14)]
 
 
 def condition_F(m, xi_max=10.0):
@@ -240,34 +239,25 @@ def fixed_points(m, xi_max=10.0, samples=2000):
     """All fixed points of P in (0, xi_max], by dense sign scanning.
 
     Sampling is geometric from the domain edges so roots created right at
-    an edge (the homoclinic boundary) are not missed.
+    an edge (the homoclinic boundary) are not missed.  A zero sample of
+    P(xi) - xi is one fixed point, a cell of strictly opposite end signs
+    holds one, and a sample off the domain brackets nothing.
     """
     xs = _scan_grid(m, xi_max, samples)
     if xs is None:
         return []
-    g = _displacement(m, xs)
+    # sampled in scalar arithmetic, as the solver's iterates are computed
     f = lambda x: _fin(eval_map(m, x)) - x
-    roots = []
-    for x0, x1, v0, v1 in zip(xs[:-1], xs[1:], g[:-1], g[1:]):
-        if math.isnan(v0) or math.isnan(v1) or v0 * v1 > 0:
-            continue
-        # the ends again in scalar arithmetic, as the iterates are computed
-        a, b = float(x0), float(x1)
-        r, _ = brent(f, a, b, f(a), f(b), 1e-15)
-        if not roots or abs(r - roots[-1]) > 1e-12:
-            roots.append(r)
-    return roots
+    return [x for x, _ in grid_roots(f, xs, sample(f, xs), 1e-15)]
 
 
 def fixed_point_count(m, xi_max=10.0, samples=2000):
-    """Number of fixed points in (0, xi_max], by vectorized sign counting."""
+    """Number of fixed points in (0, xi_max]: the sign changes, by the rule
+    of ``fixed_points``, of the vectorized displacement on its grid."""
     xs = _scan_grid(m, xi_max, samples)
     if xs is None:
         return 0
-    g = _displacement(m, xs)
-    v0, v1 = g[:-1], g[1:]
-    with np.errstate(invalid="ignore"):
-        return int(np.count_nonzero(v0 * v1 < 0) + np.count_nonzero(g == 0.0))
+    return len(sign_changes(_displacement(m, xs)))
 
 
 # -- bifurcation set in the (beta1, beta2) plane ---------------------------
@@ -357,22 +347,10 @@ def bifurcation_set(m, box=((-0.5, 0.5), (-0.5, 0.5)), n=101,
 
 
 def _solve_b1(m, cond, k, b2, b1lo, b1hi, samples=400):
-    return next(_grid_roots(lambda b1: _fin(cond(m.at(b1, b2), k)),
-                            np.linspace(b1lo, b1hi, samples), 1e-14), None)
-
-
-def _grid_roots(f, xs, xtol):
-    """Roots of ``f`` on the grid ``xs``, in order: each node where ``f``
-    is zero, once, and one root in each cell whose end values have strictly
-    opposite signs.  A NaN value is never a sign change."""
-    vals = [f(x) for x in xs]
-    if vals[0] == 0:
-        yield xs[0]
-    for x0, x1, v0, v1 in zip(xs[:-1], xs[1:], vals[:-1], vals[1:]):
-        if v0 * v1 < 0:
-            yield brent(f, x0, x1, v0, v1, xtol)[0]
-        elif v1 == 0:
-            yield x1
+    f = lambda b1: _fin(cond(m.at(b1, b2), k))
+    b1s = np.linspace(b1lo, b1hi, samples)
+    return next((b1 for b1, _ in grid_roots(f, b1s, sample(f, b1s), 1e-14)),
+                None)
 
 
 # -- flashing series at the map level --------------------------------------
@@ -395,9 +373,9 @@ def flashing_series_map(m, segment, k_max=K_MAX_DEFAULT, which="H_M",
     zeros = []
     ts = np.linspace(0.0, 1.0, samples)
     for k in range(k_max + 1):
-        hit = next(_grid_roots(lambda t: _fin(cond(m.at(*at(t)), k)), ts,
-                               1e-15), None)
+        f = lambda t: _fin(cond(m.at(*at(t)), k))
+        hit = next(grid_roots(f, ts, sample(f, ts), 1e-15), None)
         if hit is None:
             break
-        zeros.append((k, float(hit), tuple(at(hit))))
+        zeros.append((k, hit[0], tuple(at(hit[0]))))
     return zeros

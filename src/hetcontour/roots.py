@@ -1,16 +1,24 @@
-"""Brent's bracketed root finder (Brent 1973, *Algorithms for Minimization
-without Derivatives*, ch. 4), the one scalar solver of the package.
+"""The one scalar solver of the package and the one grid scan that feeds it.
 
-A line-for-line port of SciPy's ``brentq.c``, with its iterates, except
-that the caller hands over the values at the bracket ends, which are not
-evaluated again, and that the value at the root is returned with it.
+``brent`` is Brent's bracketed root finder (Brent 1973, *Algorithms for
+Minimization without Derivatives*, ch. 4): a line-for-line port of SciPy's
+``brentq.c``, with its iterates, except that the caller hands over the
+values at the bracket ends, which are not evaluated again, and that the
+value at the root is returned with it.
+
+``sample``, ``sign_changes`` and ``grid_roots`` are the scan every grid
+search uses.  Its rule: a grid node where the value is zero is a root, once;
+a cell whose end values have strictly opposite signs holds one; a NaN value
+(a point where the function failed) is neither, so it never brackets.
 """
 from __future__ import annotations
 
 import math
 import sys
 
-from .errors import BracketError, DomainError, NoConvergence
+import numpy as np
+
+from .errors import BracketError, DomainError, HetContourError, NoConvergence
 
 EPS = sys.float_info.epsilon
 RTOL = 4 * EPS      # relative part of the stopping width, SciPy's default
@@ -80,3 +88,36 @@ def _valued(x, fx):
     if math.isnan(fx):
         raise DomainError(f"the function value at x={x!r} is NaN")
     return fx
+
+
+def sample(f, xs):
+    """``f`` at each grid point of ``xs`` as floats, NaN where ``f`` raises
+    a HetContourError."""
+    vals = []
+    for x in xs:
+        try:
+            vals.append(float(f(x)))
+        except HetContourError:
+            vals.append(math.nan)
+    return vals
+
+
+def sign_changes(vals):
+    """The zero nodes ``(i, i)`` and the cells ``(i, i + 1)`` whose values
+    have strictly opposite signs, in grid order; NaN is neither."""
+    v = np.asarray(vals, float)
+    neg, pos = v < 0, v > 0
+    cells = (neg[:-1] & pos[1:]) | (pos[:-1] & neg[1:])
+    return sorted([(i, i) for i in np.flatnonzero(v == 0).tolist()]
+                  + [(i, i + 1) for i in np.flatnonzero(cells).tolist()])
+
+
+def grid_roots(f, xs, vals, xtol):
+    """``(x, f(x))`` for each sign change of ``vals = f(xs)``, in grid order:
+    a zero node as it is, and a cell by ``brent`` from its held end values,
+    which are not evaluated again."""
+    for i, j in sign_changes(vals):
+        if i == j:
+            yield float(xs[i]), vals[i]
+        else:
+            yield brent(f, xs[i], xs[j], vals[i], vals[j], xtol)

@@ -14,9 +14,7 @@ from fractions import Fraction
 
 from .affine import AffineExpr
 from .errors import BadPerturbation, EmptyFamily, ParseError
-from .vectorfield import MonomialTerm, ParametricSystem
-
-MAX_DEGREE = 6
+from .vectorfield import MAX_DEGREE, MonomialTerm, ParametricSystem
 
 
 # -- exact bivariate polynomials ------------------------------------------

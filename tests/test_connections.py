@@ -68,9 +68,9 @@ def test_splitting_result_fields(mono_first):
     scn = mono_first
     params = dg._params_at(scn, (1e-4, 0.0))
     recipe = scn.recipes["axis"]
-    src, tgt, sec, center = dg._build_spec(scn, scn.system, params, recipe)
+    src, tgt, sec = dg._build_spec(scn, scn.system, params, recipe)
     spec = cn.ConnectionSpec(src, tgt, sec, recipe.source_side,
-                             recipe.target_side, winding_center=center,
+                             recipe.target_side,
                              crossing_direction=recipe.crossing_direction)
     res = cn.splitting(scn.system, params, spec)
     assert res.transversal is True
@@ -83,7 +83,7 @@ def _splitting_from_all_hits(sys, params, spec, tol, arclength_cap,
     """``splitting`` computed the long way: both branches run to their caps
     with no terminal event, and the hits are picked afterwards."""
     p = sys.full_params(params)
-    center = spec.winding_center or spec.source.location
+    center = spec.source.location
 
     def hits(saddle, kind, side):
         br = mf.grow_branch(sys, p, saddle, kind, side,
@@ -112,7 +112,7 @@ def _splitting_from_all_hits(sys, params, spec, tol, arclength_cap,
     fu, fs = sys.rhs(*z_u, p), sys.rhs(*z_s, p)
     u, s = spec.section.coord(z_u), spec.section.coord(z_s)
     return cn.SplittingResult(
-        float(spec.orientation_sign * (u - s)), w_u,
+        float(u - s), w_u,
         abs(fu[0] * n[0] + fu[1] * n[1]) > transversality_min
         and abs(fs[0] * n[0] + fs[1] * n[1]) > transversality_min,
         float(u), float(s))
@@ -138,12 +138,11 @@ def test_first_hit_gaps_match_all_hits(name, recipe_name, point):
     scn = dg.scenario(name)
     params = dg._params_at(scn, point)
     recipe = scn.recipes[recipe_name]
-    src, tgt, sec, center = dg._build_spec(scn, scn.system, params, recipe)
+    src, tgt, sec = dg._build_spec(scn, scn.system, params, recipe)
     tol = (1e-10, 1e-10)
     for k in (0, 1):
         spec = cn.ConnectionSpec(src, tgt, sec, recipe.source_side,
-                                 recipe.target_side, winding_center=center,
-                                 winding_count=k,
+                                 recipe.target_side, winding_count=k,
                                  crossing_direction=recipe.crossing_direction)
         caps = dict(tol=tol, arclength_cap=recipe.arclength_cap,
                     time_cap=recipe.time_cap)

@@ -73,16 +73,22 @@ def test_reversible_bracket_must_change_sign():
         ct.find_reversible_contour(sys_, (3.0, 3.1))
 
 
-def test_flashing_series_analytic():
-    # gap(point, k) = x - k/10: one zero per k along x in [0, 0.45]
+@pytest.mark.parametrize("segment,samples,k_max", [
+    (((-0.0531, 0.0), (0.45, 0.0)), 23, 5),
+    # zeros at t = 0.2 k: most of them sit exactly on a sample
+    (((0.0, 0.0), (0.5, 0.0)), 6, 4),
+], ids=["between_samples", "on_samples"])
+def test_flashing_series_analytic(segment, samples, k_max):
+    # gap(point, k) = x - k/10: one zero per k, at x = k/10
     gap = lambda sys, p, k: p[0] - k / 10.0
-    series = ct.flashing_series(None, gap, ((-0.0531, 0.0), (0.45, 0.0)),
-                                k_max=5, samples=23)
+    series = ct.flashing_series(None, gap, segment, k_max=k_max,
+                                samples=samples)
     assert series.k_found == [0, 1, 2, 3, 4]
     for k, t, point, res in series.zeros:
         assert abs(point[0] - k / 10.0) < 1e-7
         assert abs(res) < 1e-6
-    assert series.truncated_reason is not None
+    # a reason exactly when the series stopped short of k_max
+    assert (series.truncated_reason is None) == (len(series.zeros) > k_max)
 
 
 def test_flashing_series_stops_at_insufficient_winding():

@@ -56,11 +56,41 @@ def test_no_cycle_without_sign_change(wedge_setup):
                       (0.005 - focus[1], 0.05 - focus[1]))
 
 
-def test_fixed_points_scan_finds_the_cycle(wedge_setup):
+def _counted_poincare_map(monkeypatch, stub=None):
+    """Patch ``hi.poincare_map`` to record the start of every call."""
+    calls = []
+    inner = stub or hi.poincare_map
+
+    def counted(sys, params, section, x0, *args, **kwargs):
+        calls.append(section.coord(x0))
+        return inner(sys, params, section, x0, *args, **kwargs)
+    monkeypatch.setattr(hi, "poincare_map", counted)
+    return calls
+
+
+def test_fixed_points_scan_finds_the_cycle(wedge_setup, monkeypatch):
     scn, params, section, focus = wedge_setup
+    calls = _counted_poincare_map(monkeypatch)
     found = cy.fixed_points(scn.system, params, section,
                             (1e-4 - focus[1], 1e-3 - focus[1]), samples=12)
     assert len(found) == 1
+    # 12 samples, the solver's iterates, 2 for the multiplier and 1 for
+    # the period: the cell's end values are not integrated again
+    assert len(calls) <= 18
+
+
+def test_fixed_points_take_a_zero_sample_once(monkeypatch):
+    # P(x) - x = (0.5 - x) / 2 is zero at the middle sample of (0, 1)
+    section = hi.CrossSection.at((0.0, 0.0), (1.0, 0.0))
+    stub = lambda sys, params, sec, x0, *args, **kwargs: (
+        0.25 + sec.coord(x0) / 2, 1.0)
+    calls = _counted_poincare_map(monkeypatch, stub)
+    found = cy.fixed_points(None, {}, section, (0.0, 1.0), samples=5)
+    assert [c.fixed_point for c in found] == [0.5]
+    assert found[0].multiplier == pytest.approx(0.5)
+    assert found[0].stability is cy.Stability.STABLE
+    # 5 samples, 2 for the multiplier, 1 for the period
+    assert len(calls) == 8
 
 
 def test_flow_cycle_counts_change_into_wedge():
@@ -71,3 +101,16 @@ def test_flow_cycle_counts_change_into_wedge():
         counts.append(dg.flow_cycle_count(
             scn, (2e-3 * math.cos(th), 2e-3 * math.sin(th))))
     assert counts == [0, 1, 0]
+
+
+def test_flow_cycle_count_counts_a_zero_sample(monkeypatch):
+    # the displacement is zero at one sample and positive at the others
+    scn = dg.scenario("mono_first")
+    point = (2e-3 * math.cos(math.radians(225.0)),
+             2e-3 * math.sin(math.radians(225.0)))
+    focus, _ = eq.find_equilibrium(scn.system, dg._params_at(scn, point),
+                                   scn.focus_seed)
+    xs = np.geomspace(*scn.cycle_bracket, dg.CYCLE_SAMPLES) - focus[1]
+    monkeypatch.setattr(cy, "return_map", lambda sys, params, section, x,
+                        **kwargs: x + abs(x - xs[5]))
+    assert dg.flow_cycle_count(scn, point) == 1

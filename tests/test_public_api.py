@@ -1,4 +1,5 @@
-"""Every public top-level function and class of the package is used.
+"""Every public top-level function and class of the package is used, and
+every name a package module imports is used in it.
 
 A public name that no module, test or demo refers to is dead API: it is
 either gated by a test or deleted.  Only references in code count; a name
@@ -41,3 +42,26 @@ def test_every_public_name_is_referenced():
               for name in _public_definitions(ast.parse(path.read_text()))
               if name not in referenced]
     assert unused == [], f"public names referenced nowhere: {unused}"
+
+
+def _imported_names(tree):
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [a.asname or a.name for a in node.names]
+    return names
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in _imported_names(tree)
+                   if name not in used]
+    assert unused == [], f"imports used nowhere in their module: {unused}"

@@ -1,4 +1,5 @@
-"""The package's Brent solver against scipy's brentq, iterate for iterate."""
+"""The package's Brent solver against scipy's brentq, iterate for iterate,
+and the grid scan that feeds it."""
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from scipy.optimize import brentq
 
 from hetcontour.errors import BracketError, DomainError, NoConvergence
-from hetcontour.roots import EPS, MAXITER, brent
+from hetcontour.roots import (EPS, MAXITER, brent, grid_roots, sample,
+                              sign_changes)
 
 # the tolerances the package solves at: event location, curve starts,
 # model-map curves and model-map fixed points
@@ -116,3 +118,47 @@ def test_running_out_of_iterations_raises_no_convergence():
     with pytest.raises(NoConvergence,
                        match=f"after {MAXITER} iterations"):
         brent(g, 0.0, 1.0, g(0.0), g(1.0), 4 * EPS)
+
+
+def test_sample_turns_failures_into_nan():
+    def f(x):
+        if x == 1.0:
+            raise DomainError("undefined")
+        return x
+    vals = sample(f, np.array([0.0, 1.0, 2.0]))
+    assert vals[0] == 0.0 and math.isnan(vals[1]) and vals[2] == 2.0
+
+
+def test_sign_changes_in_grid_order():
+    nan = math.nan
+    vals = [1.0, 0.0, -1.0, -2.0, 3.0, 4.0, -0.0, 2.0, -1.0]
+    assert sign_changes(vals) == [(1, 1), (3, 4), (6, 6), (7, 8)]
+    assert sign_changes(np.array(vals)) == sign_changes(vals)
+    assert sign_changes([]) == [] and sign_changes([0.0]) == [(0, 0)]
+    # NaN is neither sign: it never brackets, not even between two signs
+    assert sign_changes([1.0, nan, -1.0, nan, 0.0]) == [(4, 4)]
+
+
+def test_grid_roots_takes_a_zero_node_once_without_evaluations():
+    h, xs = _recorded(lambda x: x - 0.5)
+    grid = np.linspace(0.0, 1.0, 5)
+    vals = [x - 0.5 for x in grid]
+    assert list(grid_roots(h, grid, vals, 1e-12)) == [(0.5, 0.0)]
+    assert xs == []
+
+
+def test_grid_roots_reuse_the_end_values():
+    rng = np.random.default_rng(3)
+    found = 0
+    for f in _functions(rng):
+        grid = np.sort(rng.uniform(-3, 3, 15))
+        vals = sample(f, grid)
+        h, xs = _recorded(f)
+        roots = [x for x, _ in grid_roots(h, grid, vals, 1e-7)]
+        assert not set(xs) & set(grid)
+        want = [brent(f, a, b, fa, fb, 1e-7)[0]
+                for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1],
+                                        vals[1:]) if fa * fb < 0]
+        assert roots == want
+        found += len(roots)
+    assert found > 0
