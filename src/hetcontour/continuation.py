@@ -181,13 +181,13 @@ def continue_curve(sys, zero_function, start, tag=CurveTag.H_L, k=0,
 # -- codim-2 Newton --------------------------------------------------------
 
 
-def find_codim2(sys, residual_pair, guess, saddle_seeds, h=1e-5,
-                tol=1e-9, step_tol=1e-8, max_iter=25):
+def find_codim2(sys, residual_pair, guess, saddle_seeds, params_at,
+                h=1e-5, tol=1e-9, step_tol=1e-8, max_iter=25):
     """2D Newton on a pair of gap functions.
 
     ``residual_pair(sys, point) -> (r1, r2)``; ``saddle_seeds`` are rough
     locations of the two saddles, used to attach eigen-data and the subcase
-    tag at the solution.
+    tag at the solution, with the parameters ``params_at(point)``.
     """
     z = np.asarray(guess, float)
     F = np.asarray(residual_pair(sys, z), float)
@@ -222,21 +222,13 @@ def find_codim2(sys, residual_pair, guess, saddle_seeds, h=1e-5,
     else:
         raise NoConvergence("codim-2 Newton did not converge")
 
-    params = _point_params(sys, z)
+    params = params_at(z)
     saddles = []
     for seed in saddle_seeds:
         loc, _ = eq.find_equilibrium(sys, params, seed)
         saddles.append(eq.saddle_data(sys, params, loc))
     tag = eq.classify_subcase(saddles[0], saddles[1])
     return Codim2Point(tuple(z), tuple(F), saddles[0], saddles[1], tag)
-
-
-def _point_params(sys, z, names=("alpha", "epsilon")):
-    declared = {n for n, _ in sys.parameters}
-    active = [n for n in names if n in declared]
-    if len(active) != 2:
-        active = [n for n, _ in sys.parameters][-2:]
-    return {active[0]: float(z[0]), active[1]: float(z[1])}
 
 
 # -- reversible one-parameter family ---------------------------------------

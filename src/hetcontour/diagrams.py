@@ -189,7 +189,8 @@ def assemble_diagram(scn, bounds=None, k_max=2, step=5e-4, step_min=1e-6,
             codim2.append(ct.find_codim2(
                 scn.system, residual_pair_function(scn, seed), seed.guess,
                 [scn.recipes[seed.recipes[0]].source_seed,
-                 scn.recipes[seed.recipes[0]].target_seed]))
+                 scn.recipes[seed.recipes[0]].target_seed],
+                lambda z: _params_at(scn, z)))
         except HetContourError as exc:
             failures[f"codim2@{seed.guess}"] = f"{type(exc).__name__}: {exc}"
 

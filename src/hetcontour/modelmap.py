@@ -7,6 +7,9 @@ negative miss the second section; that is reported as OutOfDomain, never
 clamped.  Connection conditions (homoclinic P_L / P_M and the k-turn
 heteroclinic series H^(k)) and the fold-of-cycles curve F are computed in
 the (beta1, beta2) plane.
+
+Fixed points and folds are counted exactly, on the at most four points
+between which P' - 1 and P(xi) - xi are monotone, not on a sample grid.
 """
 from __future__ import annotations
 
@@ -153,15 +156,21 @@ def condition_H_L(m, k):
     return m.beta2 + m.sign * m.theta1 * v ** m.lam
 
 
-def fold_points(m, xi_max=10.0, samples=200):
-    """All xi > 0 solving P'(xi) = 1, in increasing order.
+def fold_points(m, xi_max=10.0):
+    """All xi in the searched domain solving P'(xi) = 1, in increasing order.
 
-    The derivative is monotone only piecewise (it diverges at a domain
-    edge when an index is below one), so there may be two roots: the fold
-    bounding a two-fixed-point region is the larger one.
+    d log P'/dxi = ((lam-1) beta2 + s theta1 (lam mu-1) xi**lam) / (xi u),
+    u the inner base, has at most one zero (none when lam mu = 1): P' - 1
+    has at most one root on each side of it, each bracketed exactly.  The
+    fold bounding a two-fixed-point region is the larger root.
     """
+    xs = _ends(m, xi_max)
+    c = m.sign * m.theta1 * (m.lam * m.mu - 1)
+    t = -(m.lam - 1) * m.beta2 / c if c else 0.0
+    turn = t ** (1.0 / m.lam) if t > 0 else 0.0
+    if xs and xs[0] < turn < xs[1]:
+        xs.insert(1, turn)
     f = lambda x: _fin(eval_derivative(m, x)) - 1.0
-    xs = np.geomspace(1e-12, xi_max, samples)
     return [x for x, _ in grid_roots(f, xs, sample(f, xs), 1e-14)]
 
 
@@ -205,59 +214,48 @@ def domain_interval(m):
     return 0.0, (m.beta2 / m.theta1) ** (1.0 / m.lam)
 
 
-def _scan_grid(m, xi_max, samples):
-    """Geometric sample grid of the domain, refined toward both edges."""
+def _ends(m, xi_max):
+    """[a, b], the ends of the searched part of the domain, or [].
+
+    a is 1e-12 above 0, or 1e-15 inside a lower domain edge; b is
+    ``xi_max``, or 1e-15 inside an upper domain edge below it.
+    """
     dom = domain_interval(m)
     if dom is None:
-        return None
-    lo, hi = dom
-    hi = min(hi, xi_max)
-    if lo >= hi:
-        return None
-    if lo > 0:
-        return lo + np.geomspace(1e-15, hi - lo, samples)
-    half = samples // 2
-    xs = np.geomspace(1e-12, hi, samples - half)
-    if math.isfinite(hi):
-        # refine toward the upper edge as well
-        xs = np.unique(np.concatenate([xs, hi - np.geomspace(1e-15, hi, half)]))
-    return xs[(xs > 0) & (xs <= hi)]
-
-
-def _displacement(m, xs):
-    """P(xs) - xs, vectorized; NaN where the inner base is negative."""
-    s = m.sign
-    base = m.beta2 + s * m.theta1 * np.power(xs, m.lam)
-    with np.errstate(invalid="ignore"):
-        p = np.where(base >= 0,
-                     m.beta1 + s * m.theta2 * np.power(np.abs(base), m.mu),
-                     np.nan)
-    return p - xs
-
-
-def fixed_points(m, xi_max=10.0, samples=2000):
-    """All fixed points of P in (0, xi_max], by dense sign scanning.
-
-    Sampling is geometric from the domain edges so roots created right at
-    an edge (the homoclinic boundary) are not missed.  A zero sample of
-    P(xi) - xi is one fixed point, a cell of strictly opposite end signs
-    holds one, and a sample off the domain brackets nothing.
-    """
-    xs = _scan_grid(m, xi_max, samples)
-    if xs is None:
         return []
-    # sampled in scalar arithmetic, as the solver's iterates are computed
+    lo, hi = dom
+    a = lo + 1e-15 if lo > 0 else 1e-12
+    b = hi - 1e-15 if hi < xi_max else xi_max
+    return [a, b] if a < b else []
+
+
+def _displacement_scan(m, xi_max):
+    """P(xi) - xi, the ends and fold points between which it is monotone,
+    and its values there."""
     f = lambda x: _fin(eval_map(m, x)) - x
-    return [x for x, _ in grid_roots(f, xs, sample(f, xs), 1e-15)]
+    xs = _ends(m, xi_max)
+    if xs:
+        xs[1:1] = [x for x in fold_points(m, xi_max) if xs[0] < x < xs[-1]]
+    return f, xs, sample(f, xs)
 
 
-def fixed_point_count(m, xi_max=10.0, samples=2000):
-    """Number of fixed points in (0, xi_max]: the sign changes, by the rule
-    of ``fixed_points``, of the vectorized displacement on its grid."""
-    xs = _scan_grid(m, xi_max, samples)
-    if xs is None:
-        return 0
-    return len(sign_changes(_displacement(m, xs)))
+def fixed_points(m, xi_max=10.0):
+    """All fixed points of P in the searched domain, in increasing order.
+
+    P(xi) - xi is monotone between the fold points, so the count is exact:
+    a zero value at a piece end is one fixed point (a double one at a
+    fold), and a piece whose end values have strictly opposite signs holds
+    one, found by Brent's method.
+    """
+    return [x for x, _ in grid_roots(*_displacement_scan(m, xi_max), 1e-15)]
+
+
+def fixed_point_count(m, xi_max=10.0, samples=None):
+    """Number of fixed points in the searched domain: the sign changes, by
+    the rule of ``fixed_points``, over its monotone pieces.  ``samples`` is
+    ignored; it is kept only because ``perfbench/workloads.py`` passes it.
+    """
+    return len(sign_changes(_displacement_scan(m, xi_max)[2]))
 
 
 # -- bifurcation set in the (beta1, beta2) plane ---------------------------
@@ -346,9 +344,9 @@ def bifurcation_set(m, box=((-0.5, 0.5), (-0.5, 0.5)), n=101,
     return curves
 
 
-def _solve_b1(m, cond, k, b2, b1lo, b1hi, samples=400):
+def _solve_b1(m, cond, k, b2, b1lo, b1hi):
     f = lambda b1: _fin(cond(m.at(b1, b2), k))
-    b1s = np.linspace(b1lo, b1hi, samples)
+    b1s = np.linspace(b1lo, b1hi, 400)
     return next((b1 for b1, _ in grid_roots(f, b1s, sample(f, b1s), 1e-14)),
                 None)
 
@@ -356,24 +354,23 @@ def _solve_b1(m, cond, k, b2, b1lo, b1hi, samples=400):
 # -- flashing series at the map level --------------------------------------
 
 
-def flashing_series_map(m, segment, k_max=K_MAX_DEFAULT, which="H_M",
-                        samples=2000):
-    """Ordered zeros of the k-turn conditions along a (beta1,beta2) segment.
+def flashing_series_map(m, segment, k_max=K_MAX_DEFAULT):
+    """Ordered zeros of the k-turn conditions H_M^(k) along a (beta1,beta2)
+    segment.
 
     ``segment = ((b1,b2) start, (b1,b2) end)``; the condition is evaluated
-    densely in the segment parameter t in [0,1] and each sign change is
-    refined by Brent's method.  Returns [(k, t, (b1,b2)), ...] for
-    k = 0..k_max, truncated at the first k with no zero.
+    at 2000 even steps of the segment parameter t in [0,1] and each sign
+    change is refined by Brent's method.  Returns [(k, t, (b1,b2)), ...]
+    for k = 0..k_max, truncated at the first k with no zero.
     """
-    cond = {"H_M": condition_H_M, "H_L": condition_H_L}[which]
     p0 = np.asarray(segment[0], float)
     p1 = np.asarray(segment[1], float)
     at = lambda t: p0 + t * (p1 - p0)
 
     zeros = []
-    ts = np.linspace(0.0, 1.0, samples)
+    ts = np.linspace(0.0, 1.0, 2000)
     for k in range(k_max + 1):
-        f = lambda t: _fin(cond(m.at(*at(t)), k))
+        f = lambda t: _fin(condition_H_M(m.at(*at(t)), k))
         hit = next(grid_roots(f, ts, sample(f, ts), 1e-15), None)
         if hit is None:
             break

@@ -287,11 +287,15 @@ def from_dict(data):
     for key in ("name", "parameters", "x_dot", "y_dot"):
         if key not in data:
             raise ParseError("missing field", key)
+        if key != "name" and not isinstance(data[key], list):
+            raise ParseError("must be a list", key)
     params = []
     for i, p in enumerate(data["parameters"]):
         loc = f"parameters[{i}]"
         if not isinstance(p, dict) or "name" not in p or "default" not in p:
             raise ParseError("parameter entries need 'name' and 'default'", loc)
+        if not isinstance(p["name"], str):
+            raise ParseError("parameter name must be a string", f"{loc}.name")
         try:
             params.append((p["name"], Fraction(str(p["default"]))))
         except (ValueError, ZeroDivisionError):
@@ -316,13 +320,8 @@ def from_dict(data):
             out.append(MonomialTerm(parse_affine(str(t["coeff"]), loc), px, py))
         return out
 
-    try:
-        return ParametricSystem(
-            data["name"], params, read_terms("x_dot"), read_terms("y_dot"))
-    except ParseError:
-        raise
-    except Exception as exc:  # undeclared parameters etc.
-        raise ParseError(str(exc))
+    return ParametricSystem(
+        data["name"], params, read_terms("x_dot"), read_terms("y_dot"))
 
 
 def save(sys, path_or_file):

@@ -87,7 +87,8 @@ def test_criterion_04_codim2_contour_points():
         recipe = scn.recipes[seed.recipes[0]]
         points.append(ct.find_codim2(
             scn.system, dg.residual_pair_function(scn, seed), seed.guess,
-            [recipe.source_seed, recipe.target_seed]))
+            [recipe.source_seed, recipe.target_seed],
+            lambda z: dg._params_at(scn, z)))
     c1, c2 = points
     c1_err = max(abs(c1.location[0] - 0.422432),
                  abs(c1.location[1] + 0.452007))
@@ -165,10 +166,8 @@ def test_criterion_06_diagram_topologies():
     jump_two = False
     for c in f_curves:
         b1, b2 = c.points[len(c.points) // 2]
-        inside = mm.fixed_point_count(m2.at(b1 - 3e-3, b2),
-                                      xi_max=5.0, samples=600)
-        outside = mm.fixed_point_count(m2.at(b1 + 3e-3, b2),
-                                       xi_max=5.0, samples=600)
+        inside = mm.fixed_point_count(m2.at(b1 - 3e-3, b2), xi_max=5.0)
+        outside = mm.fixed_point_count(m2.at(b1 + 3e-3, b2), xi_max=5.0)
         if {inside, outside} == {2, 0}:
             jump_two = True
     checks["b_two_cycles"] = jump_two
@@ -281,8 +280,7 @@ def test_criterion_08_model_map_oracle_equivalence():
         m0 = mm.ModelMap(lam, mu, orientation=ori)
         for b1 in grid:
             for b2 in grid:
-                got = mm.fixed_point_count(m0.at(b1, b2),
-                                           xi_max=5.0, samples=600)
+                got = mm.fixed_point_count(m0.at(b1, b2), xi_max=5.0)
                 want = _oracle_count(lam, mu, m0.sign, b1, b2)
                 if got != want:
                     mismatches += 1

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from hetcontour import continuation as ct
+from hetcontour import diagrams as dg
 from hetcontour import vectorfield as vf
 from hetcontour.errors import (BracketError, CurveStall, Degenerate,
                                InsufficientWinding, NoIntersection)
@@ -53,7 +54,8 @@ def test_find_codim2_analytic_pair():
     # family, so the attached saddle data matches the default system
     sys_ = vf.builtin("mono_unperturbed")
     pair = lambda s, z: (z[0] + 3.0, z[1] - 1.5)
-    pt = ct.find_codim2(sys_, pair, (-2.9, 1.4), ((0.0, 0.0), (1.0, 0.0)))
+    pt = ct.find_codim2(sys_, pair, (-2.9, 1.4), ((0.0, 0.0), (1.0, 0.0)),
+                        lambda z: {"b": z[0], "c": z[1]})
     assert np.allclose(pt.location, (-3.0, 1.5), atol=1e-8)
     assert max(abs(r) for r in pt.residuals) < 1e-8
     assert abs(pt.saddle_L.index - 2.0) < 1e-10
@@ -61,10 +63,23 @@ def test_find_codim2_analytic_pair():
     assert pt.subcase.canonical_id in (1, 2, 6)
 
 
+def test_find_codim2_attaches_saddles_at_the_scenario_parameters():
+    # mono_second runs at c = 1/2, not the system's default 3/2: there the
+    # saddle M at (1, 0) has index 2/3 and L at (0, 0) has index 2
+    scn = dg.scenario("mono_second")
+    pair = lambda s, z: (z[0], z[1])
+    pt = ct.find_codim2(scn.system, pair, (1e-3, -1e-3),
+                        ((0.0, 0.0), (1.0, 0.0)),
+                        lambda z: dg._params_at(scn, z))
+    assert np.allclose(pt.location, (0.0, 0.0), atol=1e-12)
+    assert abs(pt.saddle_L.index - 2.0) < 1e-10
+    assert abs(pt.saddle_M.index - 2.0 / 3.0) < 1e-10
+
+
 def test_find_codim2_singular_jacobian():
     pair = lambda s, z: (z[0] + z[1], 2.0 * (z[0] + z[1]) + 1.0)
     with pytest.raises(Degenerate):
-        ct.find_codim2(None, pair, (0.3, 0.2), ())
+        ct.find_codim2(None, pair, (0.3, 0.2), (), None)
 
 
 def test_reversible_bracket_must_change_sign():

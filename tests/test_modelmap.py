@@ -80,7 +80,7 @@ def _displacement(m, x):
 @example(0.34375, 0.34375, mm.Orientation.NON_MONODROMIC, 0.0005, 0.0005)
 def test_fixed_points_are_fixed_and_counted(lam, mu, orient, b1, b2):
     m = _make(lam, mu, orient, b1, b2)
-    roots = mm.fixed_points(m, xi_max=5.0, samples=400)
+    roots = mm.fixed_points(m, xi_max=5.0)
     for r in roots:
         assert mm.eval_map(m, r) is not mm.OUT_OF_DOMAIN
         # P(x) - x changes sign within twice the bracket brentq stops at
@@ -90,7 +90,7 @@ def test_fixed_points_are_fixed_and_counted(lam, mu, orient, b1, b2):
         near = [_displacement(m, x) for x in r + w * np.linspace(-1, 1, 1001)]
         near = [d for d in near if not math.isnan(d)]
         assert min(near) <= 0 <= max(near), r
-    assert mm.fixed_point_count(m, xi_max=5.0, samples=400) >= len(roots)
+    assert mm.fixed_point_count(m, xi_max=5.0) == len(roots)
 
 
 def test_out_of_domain_is_a_falsy_singleton():
@@ -135,17 +135,23 @@ def test_fold_points_satisfy_unit_derivative():
         assert abs(mm.eval_derivative(m, xi) - 1.0) < 1e-9
 
 
-@pytest.mark.parametrize("node", [0, 57, 199])
-def test_fold_points_count_a_root_on_a_grid_node_once(monkeypatch, node):
-    # P'(xi) - 1 is exactly zero on one node of the scan and changes sign
-    # inside the cell around xi = 5
-    xs = np.geomspace(1e-12, 10.0, 200)
-    monkeypatch.setattr(mm, "eval_derivative",
-                        lambda m, x: 1.0 + (x - xs[node]) * (x - 5.0))
-    roots = mm.fold_points(mm.ModelMap(0.5, 3.0))
-    assert len(roots) == 2
-    assert xs[node] in roots
-    assert min(roots, key=lambda r: abs(r - 5.0)) == pytest.approx(5.0)
+def test_fold_points_find_a_root_next_to_the_domain_edge():
+    # mu < 1: P' diverges at the upper domain edge 0.2050049 and crosses 1
+    # only 1.3e-7 below it
+    m = mm.ModelMap(1.943, 0.947, orientation=mm.Orientation.NON_MONODROMIC,
+                    beta2=0.046)
+    roots = mm.fold_points(m)
+    assert roots == [pytest.approx(0.205005, abs=1e-6)]
+    assert abs(mm.eval_derivative(m, roots[0]) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("b1", [0.03840, 0.038434])
+def test_fixed_point_pair_next_to_a_fold_is_counted(b1):
+    # 3.4e-5 and 3.1e-7 in beta1 below the double-fixed-point locus at
+    # 0.0384343, where a 600- and a 2000-point scan count 0
+    m = mm.ModelMap(2 / 3, 2.0, beta1=b1, beta2=0.06350)
+    assert mm.fixed_point_count(m, xi_max=5.0) == 2
+    assert len(mm.fixed_points(m, xi_max=5.0)) == 2
 
 
 def test_bifurcation_set_curve_inventory():

@@ -3,7 +3,8 @@ every name a package module imports is used in it.
 
 A public name that no module, test or demo refers to is dead API: it is
 either gated by a test or deleted.  Only references in code count; a name
-that is merely mentioned in a docstring or a comment is still unused.
+that is merely mentioned in a docstring or a comment is still unused.  No
+package module catches every exception.
 """
 import ast
 from pathlib import Path
@@ -65,3 +66,20 @@ def test_no_unused_imports():
         unused += [f"{path.stem}.{name}" for name in _imported_names(tree)
                    if name not in used]
     assert unused == [], f"imports used nowhere in their module: {unused}"
+
+
+def test_no_catch_all_handlers():
+    # a handler for every exception turns a program fault into a
+    # plausible-looking error: catch the package's own errors by name
+    broad = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            caught = (node.type.elts if isinstance(node.type, ast.Tuple)
+                      else [node.type])
+            if any(t is None or (isinstance(t, ast.Name) and t.id in
+                                 ("Exception", "BaseException"))
+                   for t in caught):
+                broad.append(f"{path.stem}:{node.lineno}")
+    assert broad == [], f"catch-all except clauses: {broad}"

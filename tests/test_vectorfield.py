@@ -67,6 +67,28 @@ def test_save_load_roundtrip(tmp_path):
     assert vf.load(path) == sys_
 
 
+@pytest.mark.parametrize("field, value, path", [
+    ("parameters", 3, "parameters"),
+    ("x_dot", 5, "x_dot"),
+    ("y_dot", {"coeff": "1", "px": 0, "py": 0}, "y_dot"),
+    ("parameters", [{"name": ["a"], "default": 1}], "parameters[0].name"),
+])
+def test_from_dict_reports_malformed_fields_with_their_path(field, value,
+                                                            path):
+    data = vf.builtin("mono_perturbed").to_dict()
+    data[field] = value
+    with pytest.raises(ParseError) as err:
+        vf.from_dict(data)
+    assert err.value.path == path
+
+
+def test_from_dict_rejects_an_undeclared_parameter():
+    data = vf.builtin("mono_perturbed").to_dict()
+    data["parameters"] = [p for p in data["parameters"] if p["name"] != "c"]
+    with pytest.raises(ParseError, match="undeclared parameter"):
+        vf.from_dict(data)
+
+
 def test_unknown_parameter_rejected():
     sys_ = vf.builtin("mono_unperturbed")
     with pytest.raises(ConfigError):
