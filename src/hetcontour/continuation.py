@@ -31,8 +31,8 @@ class CurveTag(enum.Enum):
     P_L = "P_L"          # homoclinic loop of L
     P_M = "P_M"          # homoclinic loop of M
     F = "F"              # fold of limit cycles
-    H_L = "H_L"          # k-turn heteroclinic onto L's stable side
-    H_M = "H_M"          # k-turn heteroclinic onto M's stable side
+    H_L = "H_L"          # k-turn heteroclinic connection L -> M
+    H_M = "H_M"          # k-turn heteroclinic connection M -> L
 
 
 @dataclass
@@ -110,9 +110,9 @@ def _initial_tangent(f, z, f0, h=1e-6):
 def continue_curve(sys, zero_function, start, tag=CurveTag.H_L, k=0,
                    step=1e-3, step_min=STEP_MIN, step_max=STEP_MAX,
                    bounds=((-np.inf, np.inf), (-np.inf, np.inf)),
-                   max_points=400, residual_tol=RESIDUAL_TOL,
-                   both_directions=True):
-    """Trace the zero curve of ``zero_function`` through ``start``.
+                   max_points=400, residual_tol=RESIDUAL_TOL):
+    """Trace the zero curve of ``zero_function`` through ``start``, in both
+    directions.
 
     ``zero_function(sys, point)`` is a scalar gap; the start must already
     satisfy it to ``residual_tol``.  Returns a BifurcationCurve; corrector
@@ -131,8 +131,7 @@ def continue_curve(sys, zero_function, start, tag=CurveTag.H_L, k=0,
 
     t0 = _initial_tangent(f, z0, f0)
     halves = []
-    reasons = []
-    for direction in ((1.0, -1.0) if both_directions else (1.0,)):
+    for direction in (1.0, -1.0):
         pts = [z0.copy()]
         res = [f0]
         tangent = direction * t0
@@ -161,16 +160,11 @@ def continue_curve(sys, zero_function, start, tag=CurveTag.H_L, k=0,
             res.append(f_new)
             tangent = (z_new - z) / step_len
             h = min(step_max, 1.3 * h)
-        halves.append((pts, res))
-        reasons.append(reason)
-    if both_directions:
-        back_pts, back_res = halves[1]
-        pts = back_pts[::-1] + halves[0][0][1:]
-        res = back_res[::-1] + halves[0][1][1:]
-        endpoints = (reasons[1], reasons[0])
-    else:
-        pts, res = halves[0]
-        endpoints = ("start", reasons[0])
+        halves.append((pts, res, reason))
+    (fwd_pts, fwd_res, fwd_end), (back_pts, back_res, back_end) = halves
+    pts = back_pts[::-1] + fwd_pts[1:]
+    res = back_res[::-1] + fwd_res[1:]
+    endpoints = (back_end, fwd_end)
     curve = BifurcationCurve(tag, k, np.asarray(pts), np.asarray(res),
                              endpoints)
     if "stall" in endpoints and len(pts) < 3:
@@ -217,7 +211,6 @@ def find_codim2(sys, residual_pair, guess, saddle_seeds, params_at,
         else:
             raise NoConvergence(f"codim-2 Newton stagnated at {tuple(z)}")
         if np.linalg.norm(lam * step) <= step_tol:
-            F = np.asarray(residual_pair(sys, z), float)
             break
     else:
         raise NoConvergence("codim-2 Newton did not converge")

@@ -2,9 +2,10 @@
 
 A scenario bundles a built-in system with the geometry of its heteroclinic
 contour: saddle seeds, cross-section base points, branch sides for every
-connection of interest, starting arcs for curve tracing, the location of the
-interior focus used for cycle counting, and the saddle indices that select
-the matching one-dimensional model map.
+connection of interest, starting arcs for curve tracing, and the location of
+the interior focus used for cycle counting.  Its one-dimensional model map
+is not stored: `model_map_for` reads the saddle indices and the orientation
+off the flow at the contour point.
 
 Curves are traced in the scenario's two active parameters with the
 pseudo-arclength tracer from `continuation`; fold-of-cycles curves that are
@@ -75,7 +76,6 @@ class Scenario:
     focus_seed: tuple | None = None
     cycle_bracket: tuple | None = None   # (d_lo, d_hi) distances above the
                                          # lower contour edge, log-sampled
-    model_indices: tuple | None = None   # (lam, mu, Orientation)
     model_box: tuple | None = None       # (beta1, beta2) half-widths
     notes: str = ""
 
@@ -96,7 +96,7 @@ def _params_at(scn, point):
     return params
 
 
-def _build_spec(scn, sys, params, recipe):
+def _build_spec(sys, params, recipe):
     p = sys.full_params(params)
     src = eq.saddle_data(sys, params,
                          eq.find_equilibrium(sys, params, recipe.source_seed)[0])
@@ -112,7 +112,7 @@ def winding_gap_function(scn, recipe_name, tol=(1e-10, 1e-10)):
 
     def gap(sys, point, k):
         params = _params_at(scn, point)
-        src, tgt, sec = _build_spec(scn, sys, params, recipe)
+        src, tgt, sec = _build_spec(sys, params, recipe)
         spec = cn.ConnectionSpec(src, tgt, sec, recipe.source_side,
                                  recipe.target_side, winding_count=k,
                                  crossing_direction=recipe.crossing_direction)
@@ -123,9 +123,9 @@ def winding_gap_function(scn, recipe_name, tol=(1e-10, 1e-10)):
     return gap
 
 
-def gap_function(scn, recipe_name, k=0, tol=(1e-10, 1e-10)):
+def gap_function(scn, recipe_name, k=0):
     """Scalar zero function (sys, point) -> gap of the k-turn connection."""
-    gap = winding_gap_function(scn, recipe_name, tol=tol)
+    gap = winding_gap_function(scn, recipe_name)
     return lambda sys, point: gap(sys, point, k)
 
 
@@ -160,8 +160,10 @@ def assemble_diagram(scn, bounds=None, k_max=2, step=5e-4, step_min=1e-6,
     """Trace every curve of the scenario; collect per-curve failures.
 
     Each traced curve starts from a sign change on its search arc and is
-    continued in both directions inside ``bounds``.  Scenarios whose fold
-    curve lives at the model-map level get it from ``model_bifurcation_set``.
+    continued in both directions inside ``bounds``.  Scenarios with a
+    ``model_box`` also get the model map's curves from
+    ``model_bifurcation_set``; a failure to derive the map is recorded under
+    ``"model_map"``.
     """
     curves, failures = [], {}
     for start in scn.curves:
@@ -195,18 +197,30 @@ def assemble_diagram(scn, bounds=None, k_max=2, step=5e-4, step_min=1e-6,
             failures[f"codim2@{seed.guess}"] = f"{type(exc).__name__}: {exc}"
 
     model_curves = []
-    if scn.model_indices is not None and scn.model_box is not None:
-        model_curves = model_bifurcation_set(scn, k_max=k_max)
+    if scn.model_box is not None:
+        try:
+            model_curves = model_bifurcation_set(scn, k_max=k_max)
+        except HetContourError as exc:
+            failures["model_map"] = f"{type(exc).__name__}: {exc}"
 
     return Diagram(scn.name, curves, model_curves, codim2, failures)
 
 
-def model_map_for(scn, beta1=0.0, beta2=0.0):
-    if scn.model_indices is None:
-        raise NotFound(f"scenario {scn.name} has no model-map indices")
-    lam, mu, orientation = scn.model_indices
-    return mm.ModelMap(lam=lam, mu=mu, orientation=orientation,
-                       beta1=beta1, beta2=beta2)
+def model_map_for(scn):
+    """The contour's model map, read from the flow at the contour point.
+
+    The point is the center of the scenario's first H_L start, whose recipe
+    runs L -> M: lam is L's saddle index, mu is M's, and the orientation is
+    `connections.classify_contour`'s.
+    """
+    start = next((s for s in scn.curves if s.tag is ct.CurveTag.H_L), None)
+    if start is None:
+        raise NotFound(f"scenario {scn.name} has no H_L curve start")
+    params = scn.system.full_params(_params_at(scn, start.center))
+    L, M, _ = _build_spec(scn.system, params, scn.recipes[start.recipe])
+    contour = cn.classify_contour(scn.system, params, L, M, probe=False)
+    return mm.ModelMap(L.index, M.index, orientation=mm.Orientation(
+        1 if contour.monodromic else -1))
 
 
 def model_bifurcation_set(scn, k_max=2, n=101):
@@ -244,8 +258,8 @@ def hausdorff(points_a, points_b):
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
-def _mono_scenario(name, c, curves, model_indices, model_box, focus_seed,
-                   cycle_bracket, notes=""):
+def _mono_scenario(name, c, curves, focus_seed, cycle_bracket,
+                   model_box=None, notes=""):
     return Scenario(
         name=name,
         system=vf.builtin("mono_perturbed"),
@@ -270,7 +284,6 @@ def _mono_scenario(name, c, curves, model_indices, model_box, focus_seed,
         curves=curves,
         focus_seed=focus_seed,
         cycle_bracket=cycle_bracket,
-        model_indices=model_indices,
         model_box=model_box,
         notes=notes,
     )
@@ -313,8 +326,6 @@ def _heart_scenario():
             Codim2Seed((0.4, -0.45), ("LM_low", "ML_low")),
             Codim2Seed((-0.4, 0.45), ("LM_up", "ML_up")),
         ),
-        model_indices=(1.0175, 1.2674, mm.Orientation.NON_MONODROMIC),
-        model_box=None,
         notes="inversion-symmetric pair of codim-2 contour points at "
               "gamma=2.7; flashing connections wind around the saddle at "
               "the origin",
@@ -331,8 +342,6 @@ def _registry():
             CurveStart(ct.CurveTag.P_L, "loop_L", r, (170.0, 185.0)),
             CurveStart(ct.CurveTag.P_M, "loop_M", r, (262.0, 280.0)),
         ),
-        model_indices=(2.0, 2.0, mm.Orientation.MONODROMIC),
-        model_box=None,
         focus_seed=(2 / 3, 1 / 9),
         cycle_bracket=(1e-4, 0.1),
         notes="both saddle indices exceed 1: no fold-of-cycles curve",
@@ -343,17 +352,14 @@ def _registry():
             CurveStart(ct.CurveTag.H_L, "axis", 0.02, (225.0, 315.0)),
             CurveStart(ct.CurveTag.H_M, "parabola", 0.02, (135.0, 225.0)),
             CurveStart(ct.CurveTag.P_M, "loop_M", 0.02, (268.0, 273.0)),
-            # the homoclinic curve of L hugs the negative epsilon axis
-            # inside a band narrower than the measurable gap; the start
-            # search is expected to fail and is reported, not fatal
-            CurveStart(ct.CurveTag.P_L, "loop_L", 0.02, (180.0, 268.0)),
         ),
-        model_indices=(2 / 3, 2.0, mm.Orientation.MONODROMIC),
         model_box=(0.12, 0.12),
         focus_seed=(6 / 11, 1 / 11),
         cycle_bracket=(3e-6, 0.08),
         notes="saddle indices 2 and 2/3 straddle 1: the fold-of-cycles "
-              "curve exists and is computed from the matched model map",
+              "curve exists and is computed from the model map, and so is "
+              "P_L: the flow's loop_L gap keeps its sign on circles of "
+              "radius 0.02 and 0.005 about the contour point",
     )
     return {
         "mono_first": mono_first,

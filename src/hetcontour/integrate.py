@@ -62,18 +62,9 @@ class CrossSection:
         return CrossSection(tuple(np.asarray(base, float)), tuple(n), tuple(t))
 
     @staticmethod
-    def transverse_to_flow(sys, params, base, positive_toward=None):
-        """Section at ``base`` with normal along the flow there.
-
-        ``positive_toward``: optional reference point; the tangent is flipped
-        so that the reference has positive section coordinate.
-        """
-        fx, fy = sys.rhs(base[0], base[1], params)
-        sec = CrossSection.at(base, (fx, fy))
-        if positive_toward is not None and sec.coord(positive_toward) < 0:
-            sec = CrossSection(sec.base, sec.normal,
-                               tuple(-np.asarray(sec.tangent)))
-        return sec
+    def transverse_to_flow(sys, params, base):
+        """Section at ``base`` with normal along the flow there."""
+        return CrossSection.at(base, sys.rhs(base[0], base[1], params))
 
     def coord(self, point):
         return ((point[0] - self.base[0]) * self.tangent[0]

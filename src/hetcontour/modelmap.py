@@ -268,14 +268,15 @@ def _check_generic(m):
             f"indices degenerate (lam={m.lam}, mu={m.mu})")
 
 
-def _sweep_curve(tag, k, sweep, residual_fn):
-    pts, res = [], []
-    for b1, b2 in sweep:
-        pts.append((b1, b2))
-        r = residual_fn(b1, b2)
-        res.append(0.0 if r is None else r)
-    return BifurcationCurve(tag, k, np.asarray(pts), np.asarray(res),
-                            ("range", "range"))
+def _add_curve(curves, tag, k, sweep, residual_fn):
+    """Append the curve through the points ``sweep``, if there are any;
+    its residuals are ``residual_fn``'s, None read as 0."""
+    if sweep:
+        res = [residual_fn(b1, b2) for b1, b2 in sweep]
+        curves.append(BifurcationCurve(
+            tag, k, np.asarray(sweep),
+            np.asarray([0.0 if r is None else r for r in res]),
+            ("range", "range")))
 
 
 def has_fold_curve(m):
@@ -287,9 +288,10 @@ def bifurcation_set(m, box=((-0.5, 0.5), (-0.5, 0.5)), n=101,
                     k_max=K_MAX_DEFAULT):
     """Connection and fold curves of the family (beta1, beta2) in ``box``.
 
-    P_L and P_M are closed-form; F is swept in beta2 solving P'(xi)=1;
-    H^(k) zeros are bracketed on beta1 lines per beta2 sample.  Residuals
-    of the returned polylines are <= 1e-10 by construction.
+    P_L, P_M and H^(0) are closed-form; F is swept in beta2 solving
+    P'(xi)=1; H^(k), k >= 1, zeros are bracketed on beta1 lines per beta2
+    sample.  Residuals of the returned polylines are <= 1e-10 by
+    construction.
     """
     _check_generic(m)
     (b1lo, b1hi), (b2lo, b2hi) = box
@@ -299,18 +301,14 @@ def bifurcation_set(m, box=((-0.5, 0.5), (-0.5, 0.5)), n=101,
     b2s = np.linspace(max(0.0, b2lo), b2hi, n)
     sweep = [(-s * m.theta2 * b2 ** m.mu, b2) for b2 in b2s
              if b1lo <= -s * m.theta2 * b2 ** m.mu <= b1hi]
-    if sweep:
-        curves.append(_sweep_curve(
-            CurveTag.P_L, 0, sweep,
-            lambda b1, b2: condition_P_L(m.at(b1, b2))))
+    _add_curve(curves, CurveTag.P_L, 0, sweep,
+               lambda b1, b2: condition_P_L(m.at(b1, b2)))
 
     b1s = np.linspace(max(0.0, b1lo), b1hi, n)
     sweep = [(b1, -s * m.theta1 * b1 ** m.lam) for b1 in b1s
              if b2lo <= -s * m.theta1 * b1 ** m.lam <= b2hi]
-    if sweep:
-        curves.append(_sweep_curve(
-            CurveTag.P_M, 0, sweep,
-            lambda b1, b2: condition_P_M(m.at(b1, b2))))
+    _add_curve(curves, CurveTag.P_M, 0, sweep,
+               lambda b1, b2: condition_P_M(m.at(b1, b2)))
 
     if has_fold_curve(m):
         branches = {}
@@ -325,11 +323,20 @@ def bifurcation_set(m, box=((-0.5, 0.5), (-0.5, 0.5)), n=101,
                 if b1lo <= b1 <= b1hi:
                     branches.setdefault(i, []).append((b1, b2))
         for i in sorted(branches):
-            curves.append(_sweep_curve(
-                CurveTag.F, 0, branches[i],
-                lambda b1, b2: condition_F(m.at(b1, b2)) or 0.0))
+            _add_curve(curves, CurveTag.F, 0, branches[i],
+                       lambda b1, b2: condition_F(m.at(b1, b2)) or 0.0)
 
-    for k in range(k_max + 1):
+    # H^(0) are the lines beta2 = 0 (H_L) and beta1 = 0 (H_M)
+    if b2lo <= 0.0 <= b2hi:
+        _add_curve(curves, CurveTag.H_L, 0,
+                   [(b1, 0.0) for b1 in np.linspace(b1lo, b1hi, n)],
+                   lambda b1, b2: condition_H_L(m.at(b1, b2), 0))
+    if b1lo <= 0.0 <= b1hi:
+        _add_curve(curves, CurveTag.H_M, 0,
+                   [(0.0, b2) for b2 in np.linspace(b2lo, b2hi, n)],
+                   lambda b1, b2: condition_H_M(m.at(b1, b2), 0))
+
+    for k in range(1, k_max + 1):
         for tag, cond in ((CurveTag.H_L, condition_H_L),
                           (CurveTag.H_M, condition_H_M)):
             pts = []
@@ -337,10 +344,8 @@ def bifurcation_set(m, box=((-0.5, 0.5), (-0.5, 0.5)), n=101,
                 b1 = _solve_b1(m, cond, k, b2, b1lo, b1hi)
                 if b1 is not None:
                     pts.append((b1, b2))
-            if pts:
-                curves.append(_sweep_curve(
-                    tag, k, pts,
-                    lambda b1, b2, c=cond, kk=k: c(m.at(b1, b2), kk) or 0.0))
+            _add_curve(curves, tag, k, pts,
+                       lambda b1, b2, c=cond, kk=k: c(m.at(b1, b2), kk) or 0.0)
     return curves
 
 

@@ -68,7 +68,7 @@ def test_splitting_result_fields(mono_first):
     scn = mono_first
     params = dg._params_at(scn, (1e-4, 0.0))
     recipe = scn.recipes["axis"]
-    src, tgt, sec = dg._build_spec(scn, scn.system, params, recipe)
+    src, tgt, sec = dg._build_spec(scn.system, params, recipe)
     spec = cn.ConnectionSpec(src, tgt, sec, recipe.source_side,
                              recipe.target_side,
                              crossing_direction=recipe.crossing_direction)
@@ -138,7 +138,7 @@ def test_first_hit_gaps_match_all_hits(name, recipe_name, point):
     scn = dg.scenario(name)
     params = dg._params_at(scn, point)
     recipe = scn.recipes[recipe_name]
-    src, tgt, sec = dg._build_spec(scn, scn.system, params, recipe)
+    src, tgt, sec = dg._build_spec(scn.system, params, recipe)
     tol = (1e-10, 1e-10)
     for k in (0, 1):
         spec = cn.ConnectionSpec(src, tgt, sec, recipe.source_side,
@@ -174,6 +174,11 @@ def test_probe_stops_on_toolkit_errors_only(monkeypatch):
                               (1e-9, 1e-9))
 
 
+# (lam, mu) of each scenario's model map: the indices of L and M, in order
+PINNED_INDICES = {"mono_first": (2.0, 2.0), "mono_second": (2.0, 2.0 / 3.0),
+                  "heart": (1.0175, 1.2674)}
+
+
 @pytest.mark.parametrize("scenario, system, params, seed_M, monodromic", [
     ("mono_first", "mono_unperturbed", {"c": 1.5}, (1.0, 0.0), True),
     ("mono_second", "mono_unperturbed", {"c": 0.5}, (1.0, 0.0), True),
@@ -183,7 +188,7 @@ def test_probe_stops_on_toolkit_errors_only(monkeypatch):
 def test_classify_contour_matches_model_indices(scenario, system, params,
                                                 seed_M, monodromic):
     # each scenario's contour, classified from the flow, against the
-    # orientation and saddle indices its model map is built with
+    # orientation and saddle indices of the model map derived for it
     sys_ = vf.builtin(system)
     p = sys_.full_params(params)
     L, M = (eq.saddle_data(sys_, p, eq.find_equilibrium(sys_, p, seed)[0])
@@ -191,12 +196,7 @@ def test_classify_contour_matches_model_indices(scenario, system, params,
     res = cn.classify_contour(sys_, p, L, M)
     assert res.monodromic is monodromic
     assert res.probe_agrees is True
-    lam, mu, orientation = dg.scenario(scenario).model_indices
-    assert (orientation is mm.Orientation.MONODROMIC) is monodromic
-    if scenario == "heart":
-        assert abs(lam - L.index) < 1e-4 and abs(mu - M.index) < 1e-4
-    else:
-        # mono_second stores (2/3, 2) while L has index 2 and M has 2/3,
-        # so the mono scenarios are checked as a pair, not in order
-        assert sorted((lam, mu)) == pytest.approx(
-            sorted((L.index, M.index)), abs=1e-4)
+    m = dg.model_map_for(dg.scenario(scenario))
+    assert (m.orientation is mm.Orientation.MONODROMIC) is monodromic
+    assert (m.lam, m.mu) == pytest.approx(PINNED_INDICES[scenario], abs=1e-4)
+    assert (m.lam, m.mu) == pytest.approx((L.index, M.index), abs=1e-10)

@@ -76,6 +76,26 @@ def test_find_codim2_attaches_saddles_at_the_scenario_parameters():
     assert abs(pt.saddle_M.index - 2.0 / 3.0) < 1e-10
 
 
+def test_find_codim2_step_rule_exit_reuses_the_accepted_residuals():
+    # a steep cubic: the forward-difference slope over h = 1e-5 dwarfs the
+    # true one 1e-6 from the root, so the first Newton step is below
+    # step_tol while |F| is still above tol, and the loop ends on the step
+    # rule; one pair at the guess, two for the Jacobian, one accepted
+    sys_ = vf.builtin("mono_unperturbed")
+    seen = []
+
+    def pair(s, z):
+        seen.append(tuple(z))
+        return (1e10 * (z[0] - 0.3) ** 3, z[1] - 0.2)
+
+    pt = ct.find_codim2(sys_, pair, (0.3 + 1e-6, 0.2),
+                        ((0.0, 0.0), (1.0, 0.0)), lambda z: {})
+    assert np.linalg.norm(pt.residuals) > 1e-9
+    assert len(seen) == 4 and len(set(seen)) == 4
+    assert pt.location == seen[-1]
+    assert pt.residuals == pair(None, pt.location)
+
+
 def test_find_codim2_singular_jacobian():
     pair = lambda s, z: (z[0] + z[1], 2.0 * (z[0] + z[1]) + 1.0)
     with pytest.raises(Degenerate):

@@ -1,5 +1,6 @@
 """Scenario registry, model-map wiring, distances, counting windows."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,11 @@ def test_scenario_registry():
         scn = dg.scenario(name)
         assert scn.name == name
         assert scn.recipes
+        # the model map is read at the first H_L start
+        assert any(s.tag is CurveTag.H_L for s in scn.curves)
+        names = [s.recipe for s in scn.curves]
+        names += [r for seed in scn.codim2 for r in seed.recipes]
+        assert set(names) <= set(scn.recipes)
 
 
 def test_unknown_scenario_rejected():
@@ -31,6 +37,21 @@ def test_model_map_wiring():
     first = dg.model_map_for(dg.scenario("mono_first"))
     assert first.orientation is mm.Orientation.MONODROMIC
     assert first.lam == first.mu == 2.0
+
+
+def test_mono_second_diagram_has_no_failures():
+    d = dg.assemble_diagram(dg.scenario("mono_second"), k_max=0,
+                            max_points=3)
+    assert d.failures == {}
+
+
+def test_model_map_failure_is_recorded():
+    # with no H_L start there is no contour point to read the map at
+    scn = replace(dg.scenario("mono_second"), curves=())
+    d = dg.assemble_diagram(scn, k_max=0)
+    assert d.model_curves == []
+    assert list(d.failures) == ["model_map"]
+    assert d.failures["model_map"].startswith("NotFound: ")
 
 
 def test_model_bifurcation_set_of_second_subcase_has_fold():

@@ -165,6 +165,31 @@ def test_bifurcation_set_curve_inventory():
         assert np.max(np.abs(c.residuals)) < 1e-10
 
 
+@pytest.mark.parametrize("m, box", [
+    (mm.ModelMap(2.0, 2.0), ((-0.5, 0.5), (-0.5, 0.5))),
+    (mm.ModelMap(2.0, 2.0 / 3.0), ((-0.12, 0.12), (-0.12, 0.12))),
+    (mm.ModelMap(2.0 / 3.0, 2.0), ((-0.05, 0.05), (-0.02, 0.1))),
+])
+def test_zero_turn_connections_are_the_coordinate_lines(m, box):
+    # H_L^(0) is beta2 = 0 and H_M^(0) is beta1 = 0, swept across the box
+    (b1lo, b1hi), (b2lo, b2hi) = box
+    n = 41
+    curves = {c.tag: c for c in mm.bifurcation_set(m, box, n=n, k_max=0)
+              if c.k == 0 and c.tag in (CurveTag.H_L, CurveTag.H_M)}
+    h_l = curves[CurveTag.H_L].points
+    assert len(h_l) == n and np.all(h_l[:, 1] == 0.0)
+    assert (h_l[0, 0], h_l[-1, 0]) == (b1lo, b1hi)
+    h_m = curves[CurveTag.H_M].points
+    assert len(h_m) == n and np.all(h_m[:, 0] == 0.0)
+    assert (h_m[0, 1], h_m[-1, 1]) == (b2lo, b2hi)
+
+
+def test_zero_turn_lines_outside_the_box_are_left_out():
+    curves = mm.bifurcation_set(mm.ModelMap(2.0, 2.0),
+                                ((0.1, 0.5), (0.1, 0.5)), k_max=0)
+    assert not [c for c in curves if c.tag in (CurveTag.H_L, CurveTag.H_M)]
+
+
 def test_flashing_series_map_ordering():
     # along a segment crossing the wedge the k-turn zeros appear in order
     # with strictly shrinking spacing (double-exponential accumulation)
