@@ -62,34 +62,38 @@ def _winding_at(traj, center, times, refine=4):
 
 
 def splitting(sys, params, spec, tol=(1e-9, 1e-9), arclength_cap=200.0,
-              time_cap=500.0):
+              time_cap=500.0, every_winding=False):
     """Measure the splitting gap of ``spec`` (at the requested winding).
 
     The gap is the unstable hit's section coordinate minus the stable
     hit's.  Both hits are transversal when the flow's normal speed there
-    exceeds ``hi.TRANSVERSALITY_MIN``.
+    exceeds ``hi.TRANSVERSALITY_MIN``.  The unstable hit at winding k is
+    its first hit of ``_winding_at`` count k; the branch stops at its first
+    hit for k = 0, else after the chunk of a hit at winding k or more.
+    With ``every_winding``, it returns the tuple of gaps at windings 0..k
+    instead, NaN at a winding with no hit, and checks no transversality.
     """
     k = spec.winding_count
     p = sys.full_params(params)
-
-    # k = 0 needs only the first hit; a k-turn gap needs the hits after it
+    center = spec.source.location
+    wound = lambda curve: max(_winding_at(
+        curve, center, [h[1] for h in curve.event_hits])) >= k
     ub = mf.grow_branch(sys, p, spec.source, mf.Kind.UNSTABLE,
                         spec.source_side, arclength_cap=arclength_cap,
                         events=[spec.section],
                         directions=[spec.crossing_direction],
                         terminal=[0] if k == 0 else [], tol=tol,
-                        time_cap=time_cap)
+                        time_cap=time_cap, until=wound if k else None)
     hits = ub.curve.event_hits
     if not hits:
         raise NoIntersection("unstable branch never met the section")
-    times = [h[1] for h in hits]
-    winds = _winding_at(ub.curve, spec.source.location, times)
-    chosen = next(((t, z, w) for (_, t, z), w in zip(hits, winds) if w == k), None)
-    if chosen is None:
+    winds = _winding_at(ub.curve, center, [h[1] for h in hits])
+    # each winding's first hit: the earliest one is written last
+    first = dict(zip(winds[::-1], [z for _, _, z in hits[::-1]]))
+    if k not in first and not every_winding:
         if k == 0:
             raise NoIntersection("no section hit at winding 0")
         raise InsufficientWinding(k, max(winds))
-    t_u, z_u, w_u = chosen
 
     sb = mf.grow_branch(sys, p, spec.target, mf.Kind.STABLE,
                         spec.target_side, arclength_cap=arclength_cap,
@@ -100,16 +104,18 @@ def splitting(sys, params, spec, tol=(1e-9, 1e-9), arclength_cap=200.0,
     if not shits:
         raise NoIntersection("stable branch never met the section")
     z_s = shits[0][2]
-
-    u_coord = spec.section.coord(z_u)
     s_coord = spec.section.coord(z_s)
+    if every_winding:
+        return tuple(float(spec.section.coord(first[w]) - s_coord)
+                     if w in first else np.nan for w in range(k + 1))
+    z_u = first[k]
+    u_coord = spec.section.coord(z_u)
     n = spec.section.normal
-    fu = sys.rhs(z_u[0], z_u[1], p)
-    fs = sys.rhs(z_s[0], z_s[1], p)
+    fu, fs = (sys.rhs(z[0], z[1], p) for z in (z_u, z_s))
     transversal = bool(
         abs(fu[0] * n[0] + fu[1] * n[1]) > hi.TRANSVERSALITY_MIN
         and abs(fs[0] * n[0] + fs[1] * n[1]) > hi.TRANSVERSALITY_MIN)
-    return SplittingResult(float(u_coord - s_coord), w_u, transversal,
+    return SplittingResult(float(u_coord - s_coord), k, transversal,
                            float(u_coord), float(s_coord))
 
 

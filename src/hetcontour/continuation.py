@@ -18,8 +18,8 @@ from . import equilibria as eq
 from . import integrate as hi
 from . import manifolds as mf
 from .errors import (BracketError, CurveStall, Degenerate, HetContourError,
-                     NoConvergence)
-from .roots import brent, grid_roots, sample
+                     InsufficientWinding, NoConvergence)
+from .roots import brent, grid_roots
 
 RESIDUAL_TOL = 1e-6
 STEP_MIN = 1e-6
@@ -293,33 +293,44 @@ def flashing_series(sys, gap_fn, segment, k_max=K_MAX_DEFAULT, samples=25,
                     xtol=1e-8):
     """Zeros of the k-turn connection gaps along a parameter segment.
 
-    ``gap_fn(sys, point, k)`` is the winding gap (may raise
-    InsufficientWinding when the branch leaves before k turns);
-    ``segment = (p0, p1)`` are the endpoints in the parameter plane.
-    Each k's gap is sampled at ``samples`` even steps; its zero is the
-    first zero sample or cell of strictly opposite end signs along the
-    segment, and a sample where the gap fails brackets nothing.
+    ``gap_fn(sys, point, k)`` returns the gaps at windings 0..k, NaN at a
+    winding the branch has no hit at (or raises a HetContourError);
+    ``segment = (p0, p1)`` are the endpoints in the parameter plane.  The
+    gaps are sampled once, for every k <= ``k_max``, at ``samples`` even
+    steps.  Each k's zero is the first zero sample or cell of strictly
+    opposite end signs along the segment, solved by Brent's method at
+    points measured for that k alone; a failed sample brackets nothing.
     Returns a FlashingSeries with one zero per reachable k; the series
     ends, with the reason, at the first k whose gap keeps its sign along
-    the segment or fails inside the bracket of its zero.
+    the segment or fails inside the bracket of its zero (a NaN there is
+    InsufficientWinding).
     """
     p0 = np.asarray(segment[0], float)
     p1 = np.asarray(segment[1], float)
     point_at = lambda t: p0 + t * (p1 - p0)
 
-    zeros = []
-    reason = None
     ts = np.linspace(0.0, 1.0, samples)
+    rows = []
+    for t in ts:
+        try:
+            rows.append([float(g) for g in gap_fn(sys, point_at(t), k_max)])
+        except HetContourError:
+            rows.append([math.nan] * (k_max + 1))
+    zeros, reason = [], None
     for k in range(k_max + 1):
         tried = []
 
         def f(t):
             tried.append(t)
-            return float(gap_fn(sys, point_at(t), k))
+            gaps = gap_fn(sys, point_at(t), k)
+            if math.isnan(gaps[k]):
+                hit = [w for w, g in enumerate(gaps) if not math.isnan(g)]
+                raise InsufficientWinding(k, max(hit, default=0))
+            return float(gaps[k])
         # a failure inside the bracket ends the series: the zero is not
         # known there, and shrinking past the failure could report one
         try:
-            t, r = next(grid_roots(f, ts, sample(f, ts), xtol))
+            t, r = next(grid_roots(f, ts, [row[k] for row in rows], xtol))
         except StopIteration:
             reason = f"no sign change of the {k}-turn gap along the segment"
             break

@@ -45,6 +45,17 @@ def return_map(sys, params, section, coord, max_time=500.0,
     return c
 
 
+def _displacement(sys, params, section, max_time, tol):
+    """x -> P(x) - x, and the dict it fills with the return time of x."""
+    periods = {}
+
+    def g(x):
+        c, periods[x] = hi.poincare_map(sys, params, section,
+                                        section.point_at(x), max_time, tol=tol)
+        return c - x
+    return g, periods
+
+
 def find_cycle(sys, params, section, bracket, max_time=500.0,
                tol=hi.DEFAULT_TOL):
     """Cycle through the section with coordinate in ``bracket``.
@@ -52,7 +63,7 @@ def find_cycle(sys, params, section, bracket, max_time=500.0,
     Requires a sign change of P(x) - x on the bracket; the root is located
     by Brent's method to within ``XTOL``.
     """
-    g = lambda x: return_map(sys, params, section, x, max_time, tol) - x
+    g, periods = _displacement(sys, params, section, max_time, tol)
     a, b = float(bracket[0]), float(bracket[1])
     try:
         ga, gb = g(a), g(b)
@@ -62,14 +73,13 @@ def find_cycle(sys, params, section, bracket, max_time=500.0,
         x_star, _ = brent(g, a, b, ga, gb, XTOL)
     except BracketError as exc:
         raise NoCycleInBracket(f"displacement: {exc}")
-    return _cycle_at(sys, params, section, x_star, max_time, tol)
+    return _cycle_at(sys, params, section, x_star, periods[x_star], max_time,
+                     tol)
 
 
-def _cycle_at(sys, params, section, x_star, max_time, tol):
-    """The cycle through the fixed point ``x_star``: its period, multiplier
-    and stability."""
-    _, period = hi.poincare_map(sys, params, section,
-                                section.point_at(x_star), max_time, tol=tol)
+def _cycle_at(sys, params, section, x_star, period, max_time, tol):
+    """The cycle through the fixed point ``x_star`` of return time
+    ``period``: its multiplier and stability."""
     m = multiplier(sys, params, section, x_star, max_time, tol)
     if m < 1 - MULTIPLIER_TOL:
         stab = Stability.STABLE
@@ -97,7 +107,7 @@ def fixed_points(sys, params, section, bracket, samples=40, max_time=500.0,
     cycle, a cell of strictly opposite end signs holds one (solved from the
     held end values), and a sample with no return brackets nothing.
     """
-    g = lambda x: return_map(sys, params, section, x, max_time, tol) - x
+    g, periods = _displacement(sys, params, section, max_time, tol)
     xs = np.linspace(bracket[0], bracket[1], samples)
-    return [_cycle_at(sys, params, section, x, max_time, tol)
+    return [_cycle_at(sys, params, section, x, periods[x], max_time, tol)
             for x, _ in grid_roots(g, xs, sample(g, xs), XTOL)]

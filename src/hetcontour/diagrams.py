@@ -106,11 +106,11 @@ def _build_spec(sys, params, recipe):
     return src, tgt, sec
 
 
-def winding_gap_function(scn, recipe_name, tol=(1e-10, 1e-10)):
-    """(sys, point, k) -> gap of the k-turn connection, for flashing scans."""
+def _splitting_function(scn, recipe_name, every_winding, tol=(1e-10, 1e-10)):
+    """(sys, point, k) -> ``cn.splitting`` of the k-turn connection."""
     recipe = scn.recipes[recipe_name]
 
-    def gap(sys, point, k):
+    def split(sys, point, k):
         params = _params_at(scn, point)
         src, tgt, sec = _build_spec(sys, params, recipe)
         spec = cn.ConnectionSpec(src, tgt, sec, recipe.source_side,
@@ -118,24 +118,28 @@ def winding_gap_function(scn, recipe_name, tol=(1e-10, 1e-10)):
                                  crossing_direction=recipe.crossing_direction)
         return cn.splitting(sys, params, spec, tol=tol,
                             time_cap=recipe.time_cap,
-                            arclength_cap=recipe.arclength_cap).gap
+                            arclength_cap=recipe.arclength_cap,
+                            every_winding=every_winding)
 
-    return gap
+    return split
+
+
+def winding_gap_function(scn, recipe_name, tol=(1e-10, 1e-10)):
+    """(sys, point, k) -> the gaps at windings 0..k from one branch pair,
+    NaN at a winding with no hit, for flashing scans."""
+    return _splitting_function(scn, recipe_name, True, tol)
 
 
 def gap_function(scn, recipe_name, k=0):
-    """Scalar zero function (sys, point) -> gap of the k-turn connection."""
-    gap = winding_gap_function(scn, recipe_name)
-    return lambda sys, point: gap(sys, point, k)
+    """Scalar zero function (sys, point) -> gap of the k-turn connection;
+    InsufficientWinding where the branch has no hit at winding k."""
+    split = _splitting_function(scn, recipe_name, False)
+    return lambda sys, point: split(sys, point, k).gap
 
 
 def residual_pair_function(scn, seed):
     gaps = [gap_function(scn, name) for name in seed.recipes]
-
-    def pair(sys, z):
-        return tuple(g(sys, z) for g in gaps)
-
-    return pair
+    return lambda sys, z: tuple(g(sys, z) for g in gaps)
 
 
 def find_curve_start(scn, start):

@@ -29,8 +29,9 @@ class Termination(enum.Enum):
     """Why an integration ended.
 
     ``integrate`` ends on TIME_LIMIT, EVENT, BLOWUP or EQUILIBRIUM_APPROACH.
-    ``manifolds.grow_branch`` adds ARCLENGTH_CAP, and SETTLED for a branch
-    whose latest chunk added next to no arclength.
+    ``manifolds.grow_branch`` adds ARCLENGTH_CAP, SETTLED for a branch
+    whose latest chunk added next to no arclength, and ENOUGH_HITS for a
+    branch whose section hits so far are all its caller asked for.
     """
 
     TIME_LIMIT = "time_limit"
@@ -39,6 +40,7 @@ class Termination(enum.Enum):
     EQUILIBRIUM_APPROACH = "equilibrium_approach"
     ARCLENGTH_CAP = "arclength_cap"
     SETTLED = "settled"
+    ENOUGH_HITS = "enough_hits"
 
 
 @dataclass(frozen=True)

@@ -49,15 +49,18 @@ def seed_point(saddle, kind, side, delta=None):
 def grow_branch(sys, params, saddle, kind, side, arclength_cap=20.0,
                 events=(), directions=None, terminal=None,
                 tol=hi.DEFAULT_TOL, delta=None, time_cap=1e4,
-                equilibria=(), equilibrium_radius=1e-8, chunk=5.0):
+                equilibria=(), equilibrium_radius=1e-8, chunk=5.0,
+                until=None):
     """Grow one of the four branches of ``saddle`` up to ``arclength_cap``.
 
     The branch is integrated in ``chunk``-long pieces.  Its ``termination``
     says why it ended: ARCLENGTH_CAP, TIME_LIMIT at ``time_cap``, EVENT at a
     terminal event hit, BLOWUP, EQUILIBRIUM_APPROACH to any of the
-    registered ``equilibria``, or SETTLED when a full chunk adds next to no
+    registered ``equilibria``, SETTLED when a full chunk adds next to no
     arclength, and no more than the chunk before it (the branch has come to
-    rest on an attractor).
+    rest on an attractor), or ENOUGH_HITS at the end of a chunk with event
+    hits where ``until(curve so far)`` holds: every step and hit up to it
+    is that of a branch grown on.
     """
     x0, delta = seed_point(saddle, kind, side, delta)
     sign = 1.0 if kind is Kind.UNSTABLE else -1.0
@@ -89,6 +92,10 @@ def grow_branch(sys, params, saddle, kind, side, arclength_cap=20.0,
         if traj.termination is not hi.Termination.TIME_LIMIT:
             termination = traj.termination
             terminal_index = traj.terminal_index
+            break
+        if until is not None and traj.event_hits and until(
+                _concat(pieces, termination, hits, None)):
+            termination = hi.Termination.ENOUGH_HITS
             break
         if length >= arclength_cap:
             termination = hi.Termination.ARCLENGTH_CAP

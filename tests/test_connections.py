@@ -5,6 +5,7 @@ import pytest
 from hetcontour import connections as cn
 from hetcontour import diagrams as dg
 from hetcontour import equilibria as eq
+from hetcontour import integrate as hi
 from hetcontour import manifolds as mf
 from hetcontour import modelmap as mm
 from hetcontour import vectorfield as vf
@@ -57,11 +58,14 @@ def test_winding_count_tolerance_stable():
     scn = dg.scenario("heart")
     point = (0.410402, -0.436038)
     for tol in ((1e-9, 1e-9), (5e-10, 5e-10)):
-        g = dg.winding_gap_function(scn, "LM_low", tol=tol)
-        v = g(scn.system, point, 1)
-        assert np.isfinite(v)
+        split = dg._splitting_function(scn, "LM_low", False, tol)
+        assert np.isfinite(split(scn.system, point, 1).gap)
         with pytest.raises(InsufficientWinding):
-            g(scn.system, point, 3)
+            split(scn.system, point, 3)
+        # the flashing row of the same branch: a gap at 1 turn, none at 3
+        row = dg.winding_gap_function(scn, "LM_low", tol=tol)(
+            scn.system, point, 3)
+        assert np.isfinite(row[1]) and np.isnan(row[3])
 
 
 def test_splitting_result_fields(mono_first):
@@ -151,6 +155,36 @@ def test_first_hit_gaps_match_all_hits(name, recipe_name, point):
         want = _outcome(lambda: _splitting_from_all_hits(
             scn.system, params, spec, **caps))
         assert got == want, (k, got, want)
+
+
+def test_k_turn_branch_stops_after_its_hit(monkeypatch):
+    # a k > 0 unstable branch ends at the chunk that brought its winding-k
+    # hit: fewer steps, and the gap of the branch grown to its end
+    scn = dg.scenario("heart")
+    params = dg._params_at(scn, (0.410402, -0.436038))
+    recipe = scn.recipes["LM_low"]
+    src, tgt, sec = dg._build_spec(scn.system, params, recipe)
+    spec = cn.ConnectionSpec(src, tgt, sec, recipe.source_side,
+                             recipe.target_side, winding_count=1,
+                             crossing_direction=recipe.crossing_direction)
+    caps = dict(tol=(1e-10, 1e-10), arclength_cap=recipe.arclength_cap,
+                time_cap=recipe.time_cap)
+    grown = []
+    grow = mf.grow_branch
+
+    def recorded(*args, **kwargs):
+        grown.append(grow(*args, **kwargs))
+        return grown[-1]
+    monkeypatch.setattr(mf, "grow_branch", recorded)
+
+    got = cn.splitting(scn.system, params, spec, **caps)
+    row = cn.splitting(scn.system, params, spec, every_winding=True, **caps)
+    stopped = grown[0].curve
+    grown.clear()
+    want = _splitting_from_all_hits(scn.system, params, spec, **caps)
+    assert got.gap == want.gap == row[1]
+    assert stopped.termination is hi.Termination.ENOUGH_HITS
+    assert len(stopped.t) < len(grown[0].curve.t)
 
 
 def test_probe_stops_on_toolkit_errors_only(monkeypatch):

@@ -1,4 +1,6 @@
 """Curve tracing, codim-2 Newton, the reversible family, flashing search."""
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from hetcontour import continuation as ct
 from hetcontour import diagrams as dg
 from hetcontour import vectorfield as vf
 from hetcontour.errors import (BracketError, CurveStall, Degenerate,
-                               InsufficientWinding, NoIntersection)
+                               NoIntersection)
 
 
 def circle_gap(radius):
@@ -108,15 +110,18 @@ def test_reversible_bracket_must_change_sign():
         ct.find_reversible_contour(sys_, (3.0, 3.1))
 
 
+def analytic_gaps(sys, p, k):
+    # gap at winding j = x - j/10: one zero per winding, at x = j/10
+    return tuple(p[0] - j / 10.0 for j in range(k + 1))
+
+
 @pytest.mark.parametrize("segment,samples,k_max", [
     (((-0.0531, 0.0), (0.45, 0.0)), 23, 5),
     # zeros at t = 0.2 k: most of them sit exactly on a sample
     (((0.0, 0.0), (0.5, 0.0)), 6, 4),
 ], ids=["between_samples", "on_samples"])
 def test_flashing_series_analytic(segment, samples, k_max):
-    # gap(point, k) = x - k/10: one zero per k, at x = k/10
-    gap = lambda sys, p, k: p[0] - k / 10.0
-    series = ct.flashing_series(None, gap, segment, k_max=k_max,
+    series = ct.flashing_series(None, analytic_gaps, segment, k_max=k_max,
                                 samples=samples)
     assert series.k_found == [0, 1, 2, 3, 4]
     for k, t, point, res in series.zeros:
@@ -126,11 +131,32 @@ def test_flashing_series_analytic(segment, samples, k_max):
     assert (series.truncated_reason is None) == (len(series.zeros) > k_max)
 
 
-def test_flashing_series_stops_at_insufficient_winding():
+def test_flashing_series_measures_each_sample_once():
+    # every sample is measured once, for all windings up to k_max; each k
+    # then measures only the Brent iterates of its own bracket
+    calls = []
+
     def gap(sys, p, k):
-        if k >= 2:
-            raise InsufficientWinding(k, 1)
-        return p[0] - k / 10.0
+        calls.append((tuple(p), k))
+        return analytic_gaps(sys, p, k)
+
+    segment = ((-0.0531, 0.0), (0.45, 0.0))
+    series = ct.flashing_series(None, gap, segment, k_max=5, samples=23)
+    assert series.k_found == [0, 1, 2, 3, 4]
+    p0, p1 = np.asarray(segment)
+    nodes = {tuple(p0 + t * (p1 - p0)) for t in np.linspace(0.0, 1.0, 23)}
+    assert sorted(c for c in calls if c[0] in nodes) == sorted(
+        (node, 5) for node in nodes)
+    iterates = [c for c in calls if c[0] not in nodes]
+    assert len(iterates) == len(set(iterates))
+    assert {k for _, k in iterates} == set(series.k_found)
+
+
+def test_flashing_series_stops_at_insufficient_winding():
+    # the branch never makes a second turn: no gap at windings 2 and up
+    def gap(sys, p, k):
+        return tuple(g if j < 2 else math.nan
+                     for j, g in enumerate(analytic_gaps(sys, p, k)))
 
     series = ct.flashing_series(None, gap, ((-0.0531, 0.0), (0.45, 0.0)),
                                 k_max=5, samples=23)
@@ -142,9 +168,9 @@ def test_flashing_series_ends_at_a_failure_inside_the_bracket():
     # the 1-turn gap changes sign between two samples but cannot be
     # measured next to its zero: no zero may be reported for k = 1
     def gap(sys, p, k):
-        if k == 1 and 0.0995 <= p[0] <= 0.1005:
+        if k >= 1 and 0.0995 <= p[0] <= 0.1005:
             raise NoIntersection("branch missed the section")
-        return p[0] - k / 10.0
+        return analytic_gaps(sys, p, k)
 
     series = ct.flashing_series(None, gap, ((-0.0531, 0.0), (0.45, 0.0)),
                                 k_max=5, samples=23)
@@ -153,3 +179,20 @@ def test_flashing_series_ends_at_a_failure_inside_the_bracket():
     assert "1-turn" in reason and "NoIntersection" in reason
     t = float(reason.split("t = ")[1].split()[0])
     assert 0.0995 <= -0.0531 + t * 0.5031 <= 0.1005
+
+
+def test_flashing_series_names_a_missing_winding_inside_the_bracket():
+    # next to its zero the branch has no hit at winding 1: the reason names
+    # the typed error, not the NaN
+    def gap(sys, p, k):
+        gaps = analytic_gaps(sys, p, k)
+        if 0.0995 <= p[0] <= 0.1005:
+            return gaps[:1] + (math.nan,) * k
+        return gaps
+
+    series = ct.flashing_series(None, gap, ((-0.0531, 0.0), (0.45, 0.0)),
+                                k_max=5, samples=23)
+    assert series.k_found == [0]
+    assert "1-turn" in series.truncated_reason
+    assert "InsufficientWinding: requested winding 1, achieved only 0" \
+        in series.truncated_reason

@@ -68,15 +68,34 @@ def _counted_poincare_map(monkeypatch, stub=None):
     return calls
 
 
+def test_find_cycle_integrates_each_point_once(wedge_setup, monkeypatch):
+    # the period is the return time of the solver's own last iterate, so
+    # no start is integrated twice, and the cycle is the one an extra
+    # integration at the root would give
+    scn, params, section, focus = wedge_setup
+    bracket = (1e-4 - focus[1], 1e-3 - focus[1])
+    calls = _counted_poincare_map(monkeypatch)
+    cyc = cy.find_cycle(scn.system, params, section, bracket)
+    assert len(calls) == len(set(calls))
+    monkeypatch.undo()
+    _, period = hi.poincare_map(scn.system, params, section,
+                                section.point_at(cyc.fixed_point), 500.0)
+    assert cyc == cy.LimitCycle(
+        section, cyc.fixed_point, period,
+        cy.multiplier(scn.system, params, section, cyc.fixed_point),
+        cy.Stability.STABLE)
+
+
 def test_fixed_points_scan_finds_the_cycle(wedge_setup, monkeypatch):
     scn, params, section, focus = wedge_setup
     calls = _counted_poincare_map(monkeypatch)
     found = cy.fixed_points(scn.system, params, section,
                             (1e-4 - focus[1], 1e-3 - focus[1]), samples=12)
     assert len(found) == 1
-    # 12 samples, the solver's iterates, 2 for the multiplier and 1 for
-    # the period: the cell's end values are not integrated again
-    assert len(calls) <= 18
+    # 12 samples, the solver's iterates and 2 for the multiplier: neither
+    # the cell's end values nor the root (for its period) are integrated
+    # again
+    assert len(calls) <= 17
 
 
 def test_fixed_points_take_a_zero_sample_once(monkeypatch):
@@ -89,8 +108,9 @@ def test_fixed_points_take_a_zero_sample_once(monkeypatch):
     assert [c.fixed_point for c in found] == [0.5]
     assert found[0].multiplier == pytest.approx(0.5)
     assert found[0].stability is cy.Stability.STABLE
-    # 5 samples, 2 for the multiplier, 1 for the period
-    assert len(calls) == 8
+    # 5 samples and 2 for the multiplier; the period is the zero sample's
+    assert len(calls) == 7
+    assert found[0].period == 1.0
 
 
 def test_flow_cycle_counts_change_into_wedge():
