@@ -6,7 +6,7 @@ s = +1 (monodromic) or s = -1 (non-monodromic).  Points whose inner base is
 negative miss the second section; that is reported as OutOfDomain, never
 clamped.  Connection conditions (homoclinic P_L / P_M and the k-turn
 heteroclinic series H^(k)) and the fold-of-cycles curve F are computed in
-the (beta1, beta2) plane.
+the (beta1, beta2) plane, in closed form but for non-monodromic H^(k>0).
 
 Fixed points and folds are counted exactly, on the at most four points
 between which P' - 1 and P(xi) - xi are monotone, not on a sample grid.
@@ -15,13 +15,19 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
+from bisect import bisect
 from dataclasses import dataclass, replace
+from itertools import accumulate, groupby
 
 import numpy as np
 
-from .continuation import K_MAX_DEFAULT, BifurcationCurve, CurveTag
+from .continuation import (K_MAX_DEFAULT, BifurcationCurve, CurveTag,
+                           flashing_series)
 from .errors import Degenerate, DomainError
 from .roots import grid_roots, sample, sign_changes
+
+XI_MIN, XI_MAX = 1e-12, 10.0    # the searched part of the domain
 
 
 class _OutOfDomain:
@@ -97,11 +103,11 @@ def eval_derivative(m, xi):
 
 
 def iterate(m, xi, k):
-    """k-fold composition; OUT_OF_DOMAIN propagates, negative xi stops."""
+    """k-fold composition; an OUT_OF_DOMAIN or negative iterate stops it."""
     for _ in range(k):
-        xi = eval_map(m, xi)
         if xi is OUT_OF_DOMAIN or xi < 0:
-            return OUT_OF_DOMAIN if xi is OUT_OF_DOMAIN else xi
+            break
+        xi = eval_map(m, xi)
     return xi
 
 
@@ -136,13 +142,17 @@ def condition_P_M(m):
 
 def condition_H_M(m, k):
     """k-turn heteroclinic from M to L: P^k(beta1) = 0."""
-    if k == 0:
-        # no saddle passage yet: the residual is the signed coordinate
-        return m.beta1
-    v = iterate(m, m.beta1, k) if m.beta1 >= 0 else OUT_OF_DOMAIN
-    if v is OUT_OF_DOMAIN:
-        return None
-    return v
+    v = _H_M_row(m, k)[k]
+    return None if math.isnan(v) else v
+
+
+def _H_M_row(m, k):
+    """H_M^(0..k), NaN where undefined: beta1 (before any saddle passage,
+    the signed coordinate), then its images, one ``iterate`` step each."""
+    if m.beta1 < 0:
+        return [m.beta1] + [math.nan] * k
+    return [_fin(v) for v in accumulate(
+        range(k), lambda xi, _: iterate(m, xi, 1), initial=m.beta1)]
 
 
 def condition_H_L(m, k):
@@ -156,13 +166,19 @@ def condition_H_L(m, k):
     return m.beta2 + m.sign * m.theta1 * v ** m.lam
 
 
-def fold_points(m, xi_max=10.0):
-    """All xi in the searched domain solving P'(xi) = 1, in increasing order.
+def fold_points(m, xi_max=XI_MAX):
+    """All xi in the searched domain solving P'(xi) = 1, in increasing
+    order; the fold bounding a two-fixed-point region is the larger."""
+    return [x for x, _ in grid_roots(*_fold_scan(m, xi_max), 1e-14)]
+
+
+def _fold_scan(m, xi_max):
+    """P' - 1, the ends and the turning point between which it is
+    monotone, and its values there.
 
     d log P'/dxi = ((lam-1) beta2 + s theta1 (lam mu-1) xi**lam) / (xi u),
     u the inner base, has at most one zero (none when lam mu = 1): P' - 1
-    has at most one root on each side of it, each bracketed exactly.  The
-    fold bounding a two-fixed-point region is the larger root.
+    has at most one root on each side of it, each bracketed exactly.
     """
     xs = _ends(m, xi_max)
     c = m.sign * m.theta1 * (m.lam * m.mu - 1)
@@ -171,10 +187,10 @@ def fold_points(m, xi_max=10.0):
     if xs and xs[0] < turn < xs[1]:
         xs.insert(1, turn)
     f = lambda x: _fin(eval_derivative(m, x)) - 1.0
-    return [x for x, _ in grid_roots(f, xs, sample(f, xs), 1e-14)]
+    return f, xs, sample(f, xs)
 
 
-def condition_F(m, xi_max=10.0):
+def condition_F(m, xi_max=XI_MAX):
     """Signed distance to the nearest fold of fixed points.
 
     P(xi) - xi evaluated at the P'(xi) = 1 point closest to balance;
@@ -217,16 +233,29 @@ def domain_interval(m):
 def _ends(m, xi_max):
     """[a, b], the ends of the searched part of the domain, or [].
 
-    a is 1e-12 above 0, or 1e-15 inside a lower domain edge; b is
-    ``xi_max``, or 1e-15 inside an upper domain edge below it.
+    a is XI_MIN, or a lower domain edge; b is ``xi_max``, or an upper
+    domain edge below it, each moved just inside by ``_inside``.
     """
     dom = domain_interval(m)
     if dom is None:
         return []
     lo, hi = dom
-    a = lo + 1e-15 if lo > 0 else 1e-12
-    b = hi - 1e-15 if hi < xi_max else xi_max
+    a = _inside(m, lo, 1.0) if lo > 0 else XI_MIN
+    b = _inside(m, hi, -1.0) if a < hi < xi_max else min(hi, xi_max)
     return [a, b] if a < b else []
+
+
+def _inside(m, edge, d):
+    """The domain edge ``edge`` refined by a Newton step on the inner base
+    (the power that computed it can leave it many ulps off), then moved in
+    direction d by the fewest ulps, in powers of two, at which the inner
+    base is positive, so that P and P' are defined there."""
+    c = m.sign * m.theta1
+    edge -= (m.beta2 + c * edge ** m.lam) / (c * m.lam * edge ** (m.lam - 1))
+    step = math.ulp(edge)
+    while m.beta2 + c * (edge + d * step) ** m.lam <= 0:
+        step *= 2
+    return edge + d * step
 
 
 def _displacement_scan(m, xi_max):
@@ -239,7 +268,7 @@ def _displacement_scan(m, xi_max):
     return f, xs, sample(f, xs)
 
 
-def fixed_points(m, xi_max=10.0):
+def fixed_points(m, xi_max=XI_MAX):
     """All fixed points of P in the searched domain, in increasing order.
 
     P(xi) - xi is monotone between the fold points, so the count is exact:
@@ -250,7 +279,7 @@ def fixed_points(m, xi_max=10.0):
     return [x for x, _ in grid_roots(*_displacement_scan(m, xi_max), 1e-15)]
 
 
-def fixed_point_count(m, xi_max=10.0, samples=None):
+def fixed_point_count(m, xi_max=XI_MAX, samples=None):
     """Number of fixed points in the searched domain: the sign changes, by
     the rule of ``fixed_points``, over its monotone pieces.  ``samples`` is
     ignored; it is kept only because ``perfbench/workloads.py`` passes it.
@@ -270,12 +299,11 @@ def _check_generic(m):
 
 def _add_curve(curves, tag, k, sweep, residual_fn):
     """Append the curve through the points ``sweep``, if there are any;
-    its residuals are ``residual_fn``'s, None read as 0."""
-    if sweep:
+    its residuals are ``residual_fn``'s, NaN where it is undefined."""
+    if len(sweep):
         res = [residual_fn(b1, b2) for b1, b2 in sweep]
         curves.append(BifurcationCurve(
-            tag, k, np.asarray(sweep),
-            np.asarray([0.0 if r is None else r for r in res]),
+            tag, k, np.asarray(sweep), np.asarray([_fin(r) for r in res]),
             ("range", "range")))
 
 
@@ -284,14 +312,63 @@ def has_fold_curve(m):
     return (m.lam - 1) * (m.mu - 1) < 0
 
 
+def _fold_curve(m, box, n):
+    """F's pieces in ``box``, as points evenly spaced in arclength.
+
+    At a fold point xi, P'(xi) = 1 gives the inner base u, and P(xi) = xi
+    then beta1.  Each run of 2000 log-spaced xi whose points lie in the box
+    is resampled to n points; of these, the runs are kept whose xi
+    ``fold_points`` brackets at their own (beta1, beta2), as it cannot for
+    a fold within roundoff of a domain edge.  The grid is streamed, so
+    only each run's xi and arclengths are held.
+    """
+    s, (b1lo, b1hi), (b2lo, b2hi) = m.sign, *box
+    lam, mu = float(m.lam), float(m.mu)     # Python floats raise on overflow
+    c, e = float(m.theta1 * m.theta2) * lam * mu, -1.0 / (mu - 1)
+
+    def curve(xi):
+        try:
+            u = (c * xi ** (lam - 1)) ** e
+            return xi - s * m.theta2 * u ** mu, u - s * m.theta1 * xi ** lam
+        except (OverflowError, ZeroDivisionError):
+            return math.nan, math.nan
+
+    def in_box(item):
+        _, (b1, b2) = item
+        return b1lo <= b1 <= b1hi and b2lo <= b2 <= b2hi
+
+    def seen(xi, b1, b2):
+        _, xs, vals = _fold_scan(m.at(b1, b2), XI_MAX)
+        j = bisect(xs, xi)
+        return 0 < j < len(xs) and vals[j - 1] * vals[j] < 0
+
+    xis = (XI_MIN * (XI_MAX / XI_MIN) ** (i / 1999) for i in range(2000))
+    for inside, run in groupby(((xi, curve(xi)) for xi in xis), in_box):
+        if not inside:
+            continue
+        xr, arc, prev = array("d"), array("d"), None
+        for xi, p in run:
+            arc.append(arc[-1] + math.dist(prev, p) if arc else 0.0)
+            xr.append(xi)
+            prev = p
+        if len(xr) < 2:
+            continue
+        ts = np.interp(np.linspace(0.0, arc[-1], n), arc, xr).tolist()
+        ps = [curve(t) for t in ts]
+        keep = [seen(t, *p) for t, p in zip(ts, ps)]
+        for k, r in groupby(range(n), keep.__getitem__):
+            r = list(r)
+            if k and len(r) > 1:
+                yield [ps[j] for j in r]
+
+
 def bifurcation_set(m, box=((-0.5, 0.5), (-0.5, 0.5)), n=101,
                     k_max=K_MAX_DEFAULT):
     """Connection and fold curves of the family (beta1, beta2) in ``box``.
 
-    P_L, P_M and H^(0) are closed-form; F is swept in beta2 solving
-    P'(xi)=1; H^(k), k >= 1, zeros are bracketed on beta1 lines per beta2
-    sample.  Residuals of the returned polylines are <= 1e-10 by
-    construction.
+    P_L, P_M, H^(0) and F (``_fold_curve``) are closed-form; zeros of the
+    non-monodromic H^(k), k >= 1, are bracketed on beta1 lines per beta2
+    sample.  Residuals are NaN where a condition is undefined.
     """
     _check_generic(m)
     (b1lo, b1hi), (b2lo, b2hi) = box
@@ -311,20 +388,9 @@ def bifurcation_set(m, box=((-0.5, 0.5), (-0.5, 0.5)), n=101,
                lambda b1, b2: condition_P_M(m.at(b1, b2)))
 
     if has_fold_curve(m):
-        branches = {}
-        for b2 in np.linspace(b2lo, b2hi, n):
-            probe = m.at(0.0, b2)
-            for i, xi in enumerate(fold_points(probe)):
-                # beta1 enters P - xi additively: solve directly
-                base = b2 + s * m.theta1 * xi ** m.lam
-                if base < 0:
-                    continue
-                b1 = xi - s * m.theta2 * base ** m.mu
-                if b1lo <= b1 <= b1hi:
-                    branches.setdefault(i, []).append((b1, b2))
-        for i in sorted(branches):
-            _add_curve(curves, CurveTag.F, 0, branches[i],
-                       lambda b1, b2: condition_F(m.at(b1, b2)) or 0.0)
+        for piece in _fold_curve(m, box, n):
+            _add_curve(curves, CurveTag.F, 0, piece,
+                       lambda b1, b2: condition_F(m.at(b1, b2)))
 
     # H^(0) are the lines beta2 = 0 (H_L) and beta1 = 0 (H_M)
     if b2lo <= 0.0 <= b2hi:
@@ -336,7 +402,8 @@ def bifurcation_set(m, box=((-0.5, 0.5), (-0.5, 0.5)), n=101,
                    [(0.0, b2) for b2 in np.linspace(b2lo, b2hi, n)],
                    lambda b1, b2: condition_H_M(m.at(b1, b2), 0))
 
-    for k in range(1, k_max + 1):
+    # monodromic H^(k>0) is >= 0 where defined, 0 only at the origin
+    for k in range(1, k_max + 1 if s < 0 else 1):
         for tag, cond in ((CurveTag.H_L, condition_H_L),
                           (CurveTag.H_M, condition_H_M)):
             pts = []
@@ -345,7 +412,7 @@ def bifurcation_set(m, box=((-0.5, 0.5), (-0.5, 0.5)), n=101,
                 if b1 is not None:
                     pts.append((b1, b2))
             _add_curve(curves, tag, k, pts,
-                       lambda b1, b2, c=cond, kk=k: c(m.at(b1, b2), kk) or 0.0)
+                       lambda b1, b2, c=cond, kk=k: c(m.at(b1, b2), kk))
     return curves
 
 
@@ -363,21 +430,10 @@ def flashing_series_map(m, segment, k_max=K_MAX_DEFAULT):
     """Ordered zeros of the k-turn conditions H_M^(k) along a (beta1,beta2)
     segment.
 
-    ``segment = ((b1,b2) start, (b1,b2) end)``; the condition is evaluated
-    at 2000 even steps of the segment parameter t in [0,1] and each sign
-    change is refined by Brent's method.  Returns [(k, t, (b1,b2)), ...]
-    for k = 0..k_max, truncated at the first k with no zero.
+    ``segment = ((b1,b2) start, (b1,b2) end)``.  This is ``flashing_series``
+    on the row H_M^(0..k_max), at 2000 steps in t in [0,1], to xtol 1e-15.
+    Returns [(k, t, (b1,b2)), ...], truncated at the first k with no zero.
     """
-    p0 = np.asarray(segment[0], float)
-    p1 = np.asarray(segment[1], float)
-    at = lambda t: p0 + t * (p1 - p0)
-
-    zeros = []
-    ts = np.linspace(0.0, 1.0, 2000)
-    for k in range(k_max + 1):
-        f = lambda t: _fin(condition_H_M(m.at(*at(t)), k))
-        hit = next(grid_roots(f, ts, sample(f, ts), 1e-15), None)
-        if hit is None:
-            break
-        zeros.append((k, hit[0], tuple(at(hit[0]))))
-    return zeros
+    series = flashing_series(None, lambda _, p, k: _H_M_row(m.at(*p), k),
+                             segment, k_max, samples=2000, xtol=1e-15)
+    return [(k, t, tuple(p)) for k, t, p, _ in series.zeros]

@@ -61,6 +61,24 @@ def test_model_bifurcation_set_of_second_subcase_has_fold():
             CurveTag.H_L, CurveTag.H_M} <= tags
 
 
+def test_monodromic_model_set_evaluates_no_k_turn_condition(monkeypatch):
+    # on a monodromic map H^(k), k >= 1, has no zero off the origin, so
+    # the bifurcation set does not search for one
+    calls = []
+
+    def counting(cond):
+        def counted(m, k):
+            calls.append(k)
+            return cond(m, k)
+        return counted
+
+    for name in ("condition_H_L", "condition_H_M"):
+        monkeypatch.setattr(mm, name, counting(getattr(mm, name)))
+    curves = dg.model_bifurcation_set(dg.scenario("mono_second"), k_max=2)
+    assert {c.k for c in curves} == {0}
+    assert calls and not [k for k in calls if k >= 1]
+
+
 def test_hausdorff_properties():
     rng = np.random.RandomState(7)
     a = rng.rand(40, 2)

@@ -1,5 +1,6 @@
 """One-dimensional model return map: monotonicity, conditions, curves."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -154,6 +155,16 @@ def test_fixed_point_pair_next_to_a_fold_is_counted(b1):
     assert len(mm.fixed_points(m, xi_max=5.0)) == 2
 
 
+MONO, NON_MONO = mm.Orientation.MONODROMIC, mm.Orientation.NON_MONODROMIC
+# both families, both orientations, and mu within 0.05 of 1, where the inner
+# base at a fold under- or overflows
+RESIDUAL_PANEL = [(2 / 3, 2.0, MONO), (2.0, 2 / 3, NON_MONO),
+                  (0.5, 3.0, NON_MONO), (3.0, 0.5, NON_MONO),
+                  (2.0, 0.95, MONO), (2.0, 0.95, NON_MONO),
+                  (0.6, 1.04, MONO), (0.6, 1.04, NON_MONO),
+                  (2.0, 2.0, MONO), (0.5, 0.5, NON_MONO)]
+
+
 def test_bifurcation_set_curve_inventory():
     # second-family indices produce a fold curve, first-family ones do not
     with_f = mm.bifurcation_set(mm.ModelMap(2.0 / 3.0, 2.0), k_max=1)
@@ -163,6 +174,57 @@ def test_bifurcation_set_curve_inventory():
     assert CurveTag.F not in {c.tag for c in without}
     for c in with_f + without:
         assert np.max(np.abs(c.residuals)) < 1e-10
+    # a residual is never hidden: every point satisfies its condition
+    for lam, mu, ori in RESIDUAL_PANEL:
+        m = mm.ModelMap(lam, mu, orientation=ori)
+        for c in mm.bifurcation_set(m, ((-0.3, 0.3), (-0.3, 0.3)), k_max=2):
+            assert np.all(np.abs(c.residuals) <= 1e-10), (lam, mu, ori, c.tag)
+
+
+@pytest.mark.parametrize("m, half_box, n", [
+    (mm.ModelMap(2 / 3, 2.0), 0.12, 61),    # the benchmark's fold map
+    (mm.ModelMap(2.0, 2 / 3), 0.12, 101),   # mono_second's map and box
+    (mm.ModelMap(0.5, 3.0), 0.3, 101),      # the CLI's default box
+])
+def test_fold_curve_has_no_chord(m, half_box, n):
+    # each piece of F is one geometric branch: no step between neighbours
+    # jumps across to another branch
+    box = ((-half_box, half_box), (-half_box, half_box))
+    folds = [c for c in mm.bifurcation_set(m, box, n=n, k_max=0)
+             if c.tag is CurveTag.F]
+    assert folds
+    for c in folds:
+        steps = np.hypot(*np.diff(c.points, axis=0).T)
+        assert steps.max() <= 3 * np.median(steps)
+        assert np.all(np.abs(c.residuals) <= 1e-10)
+
+
+def test_fold_next_to_an_upper_domain_edge_is_found():
+    # the domain ends at xi = 6.0, and P' = 1 with P(1.5) = 1.5: the search
+    # end must lie inside the edge, where P' and P are defined
+    m = mm.ModelMap(0.5, 2.0, orientation=NON_MONO, beta2=2.449489742783178)
+    roots = mm.fold_points(replace(m, beta1=3.0))
+    assert roots == [pytest.approx(1.5, abs=1e-12)]
+    for b1 in (3.001, 3.01):
+        assert mm.fixed_point_count(replace(m, beta1=b1)) == 2
+
+
+def test_monodromic_k_turn_conditions_are_nonnegative():
+    # P(xi) >= beta1 >= 0 wherever P^k(beta1) is defined, and H_L needs
+    # beta2 >= 0: no k-turn connection exists off the origin
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _ in range(300):
+        lam, mu = np.exp(rng.uniform(-1.5, 1.5, 2))
+        b1, b2 = rng.uniform(-0.3, 0.3, 2)
+        m = mm.ModelMap(lam, mu, beta1=b1, beta2=b2)
+        for k in range(1, 5):
+            for cond in (mm.condition_H_L, mm.condition_H_M):
+                v = cond(m, k)
+                if v is not None:
+                    assert v >= 0.0
+                    checked += 1
+    assert checked > 500
 
 
 @pytest.mark.parametrize("m, box", [
