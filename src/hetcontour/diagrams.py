@@ -124,10 +124,10 @@ def _splitting_function(scn, recipe_name, every_winding, tol=(1e-10, 1e-10)):
     return split
 
 
-def winding_gap_function(scn, recipe_name, tol=(1e-10, 1e-10)):
+def winding_gap_function(scn, recipe_name):
     """(sys, point, k) -> the gaps at windings 0..k from one branch pair,
     NaN at a winding with no hit, for flashing scans."""
-    return _splitting_function(scn, recipe_name, True, tol)
+    return _splitting_function(scn, recipe_name, True)
 
 
 def gap_function(scn, recipe_name, k=0):

@@ -5,8 +5,11 @@ excursions:  P(xi) = beta1 + s*theta2*(beta2 + s*theta1*xi**lam)**mu  with
 s = +1 (monodromic) or s = -1 (non-monodromic).  Points whose inner base is
 negative miss the second section; that is reported as OutOfDomain, never
 clamped.  Connection conditions (homoclinic P_L / P_M and the k-turn
-heteroclinic series H^(k)) and the fold-of-cycles curve F are computed in
-the (beta1, beta2) plane, in closed form but for non-monodromic H^(k>0).
+heteroclinic series H^(k)) and the fold-of-cycles curve F are drawn in the
+(beta1, beta2) plane by one arclength tracer, each from an exact
+parametrisation: closed form for P_L, P_M, F and H^(1), and for each
+non-monodromic H^(k), k >= 2, one Brent solve from H^(k-1) on an exact
+bracket.  No curve is found by a sampled search.
 
 Fixed points and folds are counted exactly, on the at most four points
 between which P' - 1 and P(xi) - xi are monotone, not on a sample grid.
@@ -17,15 +20,16 @@ import enum
 import math
 from array import array
 from bisect import bisect
-from dataclasses import dataclass, replace
-from itertools import accumulate, groupby
+from dataclasses import dataclass, field, replace
+from functools import cache
+from itertools import accumulate, chain, groupby, pairwise
 
 import numpy as np
 
 from .continuation import (K_MAX_DEFAULT, BifurcationCurve, CurveTag,
                            flashing_series)
 from .errors import Degenerate, DomainError
-from .roots import grid_roots, sample, sign_changes
+from .roots import brent, grid_roots, sample, sign_changes
 
 XI_MIN, XI_MAX = 1e-12, 10.0    # the searched part of the domain
 
@@ -64,19 +68,18 @@ class ModelMap:
     orientation: Orientation = Orientation.MONODROMIC
     beta1: float = 0.0
     beta2: float = 0.0
+    sign: float = field(init=False)     # s, +1.0 or -1.0
 
     def __post_init__(self):
         if self.lam <= 0 or self.mu <= 0:
             raise DomainError("saddle indices must be positive")
         if self.theta1 <= 0 or self.theta2 <= 0:
             raise DomainError("theta coefficients must be positive")
-
-    @property
-    def sign(self):
-        return float(self.orientation.value)
+        object.__setattr__(self, "sign", float(self.orientation.value))
 
     def at(self, beta1, beta2):
-        return replace(self, beta1=float(beta1), beta2=float(beta2))
+        return ModelMap(self.lam, self.mu, self.theta1, self.theta2,
+                        self.orientation, float(beta1), float(beta2))
 
 
 def eval_map(m, xi):
@@ -297,13 +300,13 @@ def _check_generic(m):
             f"indices degenerate (lam={m.lam}, mu={m.mu})")
 
 
-def _add_curve(curves, tag, k, sweep, residual_fn):
-    """Append the curve through the points ``sweep``, if there are any;
+def _add_curve(curves, tag, k, pieces, residual_fn):
+    """Append a curve through each nonempty piece of points in ``pieces``;
     its residuals are ``residual_fn``'s, NaN where it is undefined."""
-    if len(sweep):
-        res = [residual_fn(b1, b2) for b1, b2 in sweep]
+    for piece in filter(len, pieces):
+        res = [residual_fn(b1, b2) for b1, b2 in piece]
         curves.append(BifurcationCurve(
-            tag, k, np.asarray(sweep), np.asarray([_fin(r) for r in res]),
+            tag, k, np.asarray(piece), np.asarray([_fin(r) for r in res]),
             ("range", "range")))
 
 
@@ -312,115 +315,200 @@ def has_fold_curve(m):
     return (m.lam - 1) * (m.mu - 1) < 0
 
 
-def _fold_curve(m, box, n):
-    """F's pieces in ``box``, as points evenly spaced in arclength.
+def _trace(curve, box, n, keep=None):
+    """The pieces in ``box`` of the curve t -> (beta1, beta2), each as n
+    points evenly spaced in arclength.
 
-    At a fold point xi, P'(xi) = 1 gives the inner base u, and P(xi) = xi
-    then beta1.  Each run of 2000 log-spaced xi whose points lie in the box
-    is resampled to n points; of these, the runs are kept whose xi
-    ``fold_points`` brackets at their own (beta1, beta2), as it cannot for
-    a fold within roundoff of a domain edge.  The grid is streamed, so
-    only each run's xi and arclengths are held.
+    t runs over 0, where the curves from the origin start, and 2000
+    log-spaced values in [XI_MIN, XI_MAX]; a point whose computation
+    overflows or divides by zero is NaN, and NaN is outside the box.  Each
+    run of grid points in the box is extended by Brent's method to where
+    the curve crosses the box edge, then resampled to n points, and of
+    these the runs of finite points that pass ``keep(t, beta1, beta2)``
+    (if given) are kept.  The grid is streamed, so only each run's t and
+    arclengths are held.
     """
-    s, (b1lo, b1hi), (b2lo, b2hi) = m.sign, *box
+    (b1lo, b1hi), (b2lo, b2hi) = box
+
+    def at(t):
+        """(t, point, its excess over the box: > 0 outside, NaN if NaN)"""
+        try:
+            b1, b2 = curve(t)
+        except (OverflowError, ZeroDivisionError):
+            b1 = b2 = math.nan
+        g = max(b1lo - b1, b1 - b1hi, b2lo - b2, b2 - b2hi)
+        return t, (b1, b2), math.nan if math.isnan(b1 + b2) else g
+
+    def add(a, b=None):
+        """Append grid item a, or the crossing of the edge from a to b."""
+        nonlocal prev
+        if b is not None:
+            try:
+                a = at(brent(lambda t: at(t)[2], a[0], b[0], a[2], b[2],
+                             0.0)[0])
+            except DomainError:     # b is outside by being undefined
+                return
+        arc.append(arc[-1] + math.dist(prev, a[1]) if arc else 0.0)
+        tr.append(a[0])
+        prev = a[1]
+
+    tr = arc = prev = None
+    ts = (XI_MIN * (XI_MAX / XI_MIN) ** (i / 1999) for i in range(2000))
+    out = (math.nan, None, math.nan)
+    for a, b in pairwise(chain([out], map(at, chain([0.0], ts)), [out])):
+        if b[2] <= 0:
+            if tr is None:
+                tr, arc = array("d"), array("d")
+                add(b, a)
+            add(b)
+        elif tr is not None:
+            add(a, b)
+            run_t, run_arc, tr = tr, arc, None
+            if len(run_t) < 2:
+                continue
+            ts_run = np.interp(np.linspace(0.0, run_arc[-1], n), run_arc,
+                               run_t).tolist()
+            ps = [at(t)[1] for t in ts_run]
+            ok = [math.isfinite(p[0]) and (keep is None or keep(t, *p))
+                  for t, p in zip(ts_run, ps)]
+            for k, r in groupby(range(n), ok.__getitem__):
+                r = list(r)
+                if k and len(r) > 1:
+                    yield [ps[j] for j in r]
+
+
+def _fold_curve(m):
+    """F by its fold point xi, and the test that keeps a point.
+
+    At a fold point, P'(xi) = 1 gives the inner base u, and P(xi) = xi
+    then beta1.  A point is kept where ``fold_points`` brackets its xi at
+    its own (beta1, beta2), as it cannot for a fold within roundoff of a
+    domain edge.
+    """
+    s = m.sign
     lam, mu = float(m.lam), float(m.mu)     # Python floats raise on overflow
     c, e = float(m.theta1 * m.theta2) * lam * mu, -1.0 / (mu - 1)
 
     def curve(xi):
-        try:
-            u = (c * xi ** (lam - 1)) ** e
-            return xi - s * m.theta2 * u ** mu, u - s * m.theta1 * xi ** lam
-        except (OverflowError, ZeroDivisionError):
-            return math.nan, math.nan
-
-    def in_box(item):
-        _, (b1, b2) = item
-        return b1lo <= b1 <= b1hi and b2lo <= b2 <= b2hi
+        u = (c * xi ** (lam - 1)) ** e
+        return xi - s * m.theta2 * u ** mu, u - s * m.theta1 * xi ** lam
 
     def seen(xi, b1, b2):
         _, xs, vals = _fold_scan(m.at(b1, b2), XI_MAX)
         j = bisect(xs, xi)
         return 0 < j < len(xs) and vals[j - 1] * vals[j] < 0
 
-    xis = (XI_MIN * (XI_MAX / XI_MIN) ** (i / 1999) for i in range(2000))
-    for inside, run in groupby(((xi, curve(xi)) for xi in xis), in_box):
-        if not inside:
-            continue
-        xr, arc, prev = array("d"), array("d"), None
-        for xi, p in run:
-            arc.append(arc[-1] + math.dist(prev, p) if arc else 0.0)
-            xr.append(xi)
-            prev = p
-        if len(xr) < 2:
-            continue
-        ts = np.interp(np.linspace(0.0, arc[-1], n), arc, xr).tolist()
-        ps = [curve(t) for t in ts]
-        keep = [seen(t, *p) for t, p in zip(ts, ps)]
-        for k, r in groupby(range(n), keep.__getitem__):
-            r = list(r)
-            if k and len(r) > 1:
-                yield [ps[j] for j in r]
+    return curve, seen
+
+
+def _k_turn_curves(m):
+    """(tag, t, k) -> (beta1, beta2, confirmed) on H_L^(k) or H_M^(k),
+    k >= 1, of a non-monodromic map, memoised.
+
+    H_L^(1) is at the domain edge t: beta2 = theta1 t^lam, P(0) = t.
+    H_M^(1) is at beta1 = t, where P(t) = 0.  H^(k) solves its condition
+    from H^(k-1), where the k-th iterate has just crossed, to the
+    homoclinic curve on which the critical orbit is stationary: P_L
+    (P(0) = 0) along beta1 for H_L, P_M (P(beta1) = beta1) along beta2
+    for H_M.  P^k is monotone on that line, so the zero is unique.
+    """
+    lam, mu, t1, t2 = float(m.lam), float(m.mu), m.theta1, m.theta2
+    kinds = {   # H^(1); the free coordinate and its value on the loop
+        CurveTag.H_L: (lambda t: (t + t2 * (t1 * t ** lam) ** mu,
+                                  t1 * t ** lam),
+                       0, lambda p: t2 * p[1] ** mu, condition_H_L),
+        CurveTag.H_M: (lambda t: (t, t1 * t ** lam + (t / t2) ** (1 / mu)),
+                       1, lambda p: t1 * p[0] ** lam, condition_H_M)}
+
+    @cache
+    def h(tag, t, k):
+        first, j, loop, cond = kinds[tag]
+        if k == 1:
+            return (*first(t), True)
+        p = h(tag, t, k - 1)
+        return _next_turn(m, cond, k, p, j, loop(p))
+
+    return h
+
+
+def _next_turn(m, cond, k, p, j, loop):
+    """The zero of ``cond(., k)`` on the line from the point p to where
+    its coordinate j is ``loop``, as (beta1, beta2, confirmed): confirmed
+    if p was, the bracket is strict and |cond| <= 1e-10 there.  Without a
+    strict bracket the end nearer a zero stands in, unconfirmed.  Each end
+    is valued once, moved inside by ``_defined`` if undefined."""
+    at = lambda x: (x, p[1]) if j == 0 else (p[0], x)
+    f = lambda x: _fin(cond(m.at(*at(x)), k))
+    ends = _defined(f, p[j], loop), _defined(f, loop, p[j])
+    if None in ends:
+        return math.nan, math.nan, False
+    (a, fa), (b, fb) = ends
+    if not (fa < 0 < fb or fb < 0 < fa):
+        return (*at(a if abs(fa) <= abs(fb) else b), False)
+    try:
+        x, fx = brent(f, a, b, fa, fb, 0.0)
+    except DomainError:
+        return math.nan, math.nan, False
+    return (*at(x), p[2] and abs(fx) <= 1e-10)
+
+
+def _defined(f, x, other):
+    """(x, f(x)), x moved toward ``other`` by the fewest ulps, in powers
+    of two, at which f is not NaN; None if that passes ``other`` (or x
+    is NaN)."""
+    x0, d, step, fx = x, math.copysign(1.0, other - x), math.ulp(x), f(x)
+    while math.isnan(fx):
+        x = x0 + d * step
+        if not d * (other - x) > 0:
+            return None
+        fx, step = f(x), 2 * step
+    return x, fx
 
 
 def bifurcation_set(m, box=((-0.5, 0.5), (-0.5, 0.5)), n=101,
                     k_max=K_MAX_DEFAULT):
     """Connection and fold curves of the family (beta1, beta2) in ``box``.
 
-    P_L, P_M, H^(0) and F (``_fold_curve``) are closed-form; zeros of the
-    non-monodromic H^(k), k >= 1, are bracketed on beta1 lines per beta2
-    sample.  Residuals are NaN where a condition is undefined.
+    H^(0) are the lines beta2 = 0 (H_L) and beta1 = 0 (H_M).  Every other
+    curve is traced by ``_trace``: P_L by beta2, P_M by beta1, F by its
+    fold point (``_fold_curve``) and, for s = -1, each H^(k), k >= 1, by
+    ``_k_turn_curves``; n is the number of points per piece.  A
+    monodromic H^(k>0) is >= 0 where defined and 0 only at the origin, so
+    none is drawn.  Residuals are NaN where a condition is undefined.
     """
     _check_generic(m)
     (b1lo, b1hi), (b2lo, b2hi) = box
-    s = m.sign
+    s, lam, mu = m.sign, float(m.lam), float(m.mu)
     curves = []
-
-    b2s = np.linspace(max(0.0, b2lo), b2hi, n)
-    sweep = [(-s * m.theta2 * b2 ** m.mu, b2) for b2 in b2s
-             if b1lo <= -s * m.theta2 * b2 ** m.mu <= b1hi]
-    _add_curve(curves, CurveTag.P_L, 0, sweep,
+    _add_curve(curves, CurveTag.P_L, 0,
+               _trace(lambda t: (-s * m.theta2 * t ** mu, t), box, n),
                lambda b1, b2: condition_P_L(m.at(b1, b2)))
-
-    b1s = np.linspace(max(0.0, b1lo), b1hi, n)
-    sweep = [(b1, -s * m.theta1 * b1 ** m.lam) for b1 in b1s
-             if b2lo <= -s * m.theta1 * b1 ** m.lam <= b2hi]
-    _add_curve(curves, CurveTag.P_M, 0, sweep,
+    _add_curve(curves, CurveTag.P_M, 0,
+               _trace(lambda t: (t, -s * m.theta1 * t ** lam), box, n),
                lambda b1, b2: condition_P_M(m.at(b1, b2)))
-
     if has_fold_curve(m):
-        for piece in _fold_curve(m, box, n):
-            _add_curve(curves, CurveTag.F, 0, piece,
-                       lambda b1, b2: condition_F(m.at(b1, b2)))
+        curve, seen = _fold_curve(m)
+        _add_curve(curves, CurveTag.F, 0, _trace(curve, box, n, seen),
+                   lambda b1, b2: condition_F(m.at(b1, b2)))
 
-    # H^(0) are the lines beta2 = 0 (H_L) and beta1 = 0 (H_M)
     if b2lo <= 0.0 <= b2hi:
         _add_curve(curves, CurveTag.H_L, 0,
-                   [(b1, 0.0) for b1 in np.linspace(b1lo, b1hi, n)],
+                   [[(b1, 0.0) for b1 in np.linspace(b1lo, b1hi, n)]],
                    lambda b1, b2: condition_H_L(m.at(b1, b2), 0))
     if b1lo <= 0.0 <= b1hi:
         _add_curve(curves, CurveTag.H_M, 0,
-                   [(0.0, b2) for b2 in np.linspace(b2lo, b2hi, n)],
+                   [[(0.0, b2) for b2 in np.linspace(b2lo, b2hi, n)]],
                    lambda b1, b2: condition_H_M(m.at(b1, b2), 0))
 
-    # monodromic H^(k>0) is >= 0 where defined, 0 only at the origin
+    h = _k_turn_curves(m)
     for k in range(1, k_max + 1 if s < 0 else 1):
         for tag, cond in ((CurveTag.H_L, condition_H_L),
                           (CurveTag.H_M, condition_H_M)):
-            pts = []
-            for b2 in np.linspace(b2lo, b2hi, n):
-                b1 = _solve_b1(m, cond, k, b2, b1lo, b1hi)
-                if b1 is not None:
-                    pts.append((b1, b2))
-            _add_curve(curves, tag, k, pts,
-                       lambda b1, b2, c=cond, kk=k: c(m.at(b1, b2), kk))
+            _add_curve(curves, tag, k, _trace(
+                lambda t, tag=tag, k=k: h(tag, t, k)[:2], box, n,
+                lambda t, b1, b2, tag=tag, k=k: h(tag, t, k)[2]),
+                lambda b1, b2, c=cond, k=k: c(m.at(b1, b2), k))
     return curves
-
-
-def _solve_b1(m, cond, k, b2, b1lo, b1hi):
-    f = lambda b1: _fin(cond(m.at(b1, b2), k))
-    b1s = np.linspace(b1lo, b1hi, 400)
-    return next((b1 for b1, _ in grid_roots(f, b1s, sample(f, b1s), 1e-14)),
-                None)
 
 
 # -- flashing series at the map level --------------------------------------

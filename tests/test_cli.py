@@ -28,14 +28,22 @@ def test_melnikov_command_writes_manifest(tmp_path, capsys):
 
 
 def test_identical_runs_are_byte_identical(tmp_path):
-    outs = []
-    for name in ("one", "two"):
-        d = tmp_path / name
-        run(["melnikov", "--case", "axis", "--c", "1/2",
-             "--out", str(d), "--format", "json"])
-        outs.append(((d / "manifest.json").read_bytes(),
-                     (d / "melnikov.json").read_bytes()))
-    assert outs[0] == outs[1]
+    # the modelmap run draws the k-turn series H^(1..3), which only a
+    # non-monodromic map has
+    for i, argv in enumerate((
+            ["melnikov", "--case", "axis", "--c", "1/2", "--format", "json"],
+            ["modelmap", "--orientation", "non-monodromic", "--lambda", "2",
+             "--mu", "0.6667", "--kmax", "3", "--n", "31",
+             "--format", "all"])):
+        outs = []
+        for name in ("one", "two"):
+            d = tmp_path / f"{i}-{name}"
+            assert run(argv + ["--out", str(d)]) == cli.EXIT_OK
+            outs.append({f.name: f.read_bytes() for f in d.iterdir()})
+        assert len(outs[0]) > 1 and outs[0] == outs[1]
+    rows = outs[0]["modelmap.csv"].decode().splitlines()[1:]
+    tags = {tuple(r.split(",")[:2]) for r in rows}
+    assert {(t, str(k)) for t in ("H_L", "H_M") for k in (1, 2, 3)} <= tags
 
 
 def test_modelmap_csv_schema_and_svg(tmp_path, capsys):

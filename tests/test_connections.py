@@ -63,7 +63,7 @@ def test_winding_count_tolerance_stable():
         with pytest.raises(InsufficientWinding):
             split(scn.system, point, 3)
         # the flashing row of the same branch: a gap at 1 turn, none at 3
-        row = dg.winding_gap_function(scn, "LM_low", tol=tol)(
+        row = dg._splitting_function(scn, "LM_low", True, tol)(
             scn.system, point, 3)
         assert np.isfinite(row[1]) and np.isnan(row[3])
 

@@ -47,7 +47,7 @@ def test_map_strictly_increasing_on_domain(lam, mu, orient, b1, b2, x0, dx):
 def test_dual_is_an_involution(lam, mu, orient, b1, b2):
     m = _make(lam, mu, orient, b1, b2)
     d = mm.dual(m)
-    assert d.orientation is not m.orientation
+    assert d.orientation is not m.orientation and d.sign == -m.sign
     assert mm.dual(d) == m
 
 
@@ -175,28 +175,105 @@ def test_bifurcation_set_curve_inventory():
     for c in with_f + without:
         assert np.max(np.abs(c.residuals)) < 1e-10
     # a residual is never hidden: every point satisfies its condition
-    for lam, mu, ori in RESIDUAL_PANEL:
-        m = mm.ModelMap(lam, mu, orientation=ori)
-        for c in mm.bifurcation_set(m, ((-0.3, 0.3), (-0.3, 0.3)), k_max=2):
-            assert np.all(np.abs(c.residuals) <= 1e-10), (lam, mu, ori, c.tag)
+    for k_max in (2, 3):
+        for lam, mu, ori in RESIDUAL_PANEL:
+            m = mm.ModelMap(lam, mu, orientation=ori)
+            for c in mm.bifurcation_set(m, ((-0.3, 0.3), (-0.3, 0.3)),
+                                        k_max=k_max):
+                assert np.all(np.abs(c.residuals) <= 1e-10), \
+                    (lam, mu, ori, c.tag, c.k)
 
 
 @pytest.mark.parametrize("m, half_box, n", [
     (mm.ModelMap(2 / 3, 2.0), 0.12, 61),    # the benchmark's fold map
     (mm.ModelMap(2.0, 2 / 3), 0.12, 101),   # mono_second's map and box
     (mm.ModelMap(0.5, 3.0), 0.3, 101),      # the CLI's default box
+    # P_L leaves the box at beta2 = 0.09, a third of the box
+    (mm.ModelMap(3.0, 0.5), 0.3, 101),
+    (mm.ModelMap(2.0, 2 / 3, orientation=NON_MONO), 0.12, 101),
+    (mm.ModelMap(0.5, 3.0, orientation=NON_MONO), 0.3, 101),
 ])
 def test_fold_curve_has_no_chord(m, half_box, n):
-    # each piece of F is one geometric branch: no step between neighbours
-    # jumps across to another branch
+    # each piece of F, P_L, P_M and H^(k) is one geometric branch: no step
+    # between neighbours jumps across to another branch or leaves a gap
     box = ((-half_box, half_box), (-half_box, half_box))
-    folds = [c for c in mm.bifurcation_set(m, box, n=n, k_max=0)
-             if c.tag is CurveTag.F]
-    assert folds
-    for c in folds:
+    curves = mm.bifurcation_set(m, box, n=n, k_max=3)
+    assert {CurveTag.F, CurveTag.P_L, CurveTag.P_M} <= {c.tag for c in curves}
+    if m.sign < 0:
+        # the k-turn series in full, also the H_L^(k) of (2, 2/3), which
+        # are nearly flat in beta2
+        for tag in (CurveTag.H_L, CurveTag.H_M):
+            for k in (1, 2, 3):
+                assert sum(len(c.points) for c in curves
+                           if (c.tag, c.k) == (tag, k)) >= 90, (tag, k)
+    for c in curves:
         steps = np.hypot(*np.diff(c.points, axis=0).T)
-        assert steps.max() <= 3 * np.median(steps)
+        assert steps.max() <= 3 * np.median(steps), (c.tag, c.k)
         assert np.all(np.abs(c.residuals) <= 1e-10)
+
+
+def _edge_distance(p, half_box):
+    return abs(half_box - max(abs(p[0]), abs(p[1])))
+
+
+def test_curves_leaving_the_box_end_on_its_edge():
+    # P_L, P_M and H^(1) run from the origin out of the box; F of the
+    # benchmark's fold map leaves it three times
+    for lam, mu, ori in RESIDUAL_PANEL:
+        m = mm.ModelMap(lam, mu, orientation=ori)
+        for c in mm.bifurcation_set(m, ((-0.3, 0.3), (-0.3, 0.3)), k_max=1):
+            if c.tag in (CurveTag.P_L, CurveTag.P_M) or c.k == 1:
+                assert _edge_distance(c.points[-1], 0.3) <= 1e-12, \
+                    (lam, mu, ori, c.tag, c.k)
+    folds = [c.points for c in mm.bifurcation_set(
+        mm.ModelMap(2 / 3, 2.0), ((-0.12, 0.12), (-0.12, 0.12)), n=61,
+        k_max=0) if c.tag is CurveTag.F]
+    ends = [p for f in folds for p in (f[0], f[-1])]
+    assert sum(_edge_distance(p, 0.12) <= 1e-12 for p in ends) == 3
+
+
+def _polyline_distance(p, pts):
+    a, b = pts[:-1], pts[1:]
+    d = b - a
+    u = np.clip(np.einsum("ij,ij->i", p - a, d)
+                / np.einsum("ij,ij->i", d, d), 0.0, 1.0)
+    return np.hypot(*(a + u[:, None] * d - p).T).min()
+
+
+def test_k_turn_curve_meets_the_map_level_series():
+    # the map-level k = 2 zero lies 1.9e-6 in beta1 below the domain edge
+    # 0.0625 at beta2 = 0.25, beyond which the condition is undefined
+    m = mm.ModelMap(0.5, 0.5, orientation=NON_MONO)
+    zeros = mm.flashing_series_map(m, ((-0.01, 0.25), (0.068, 0.25)),
+                                   k_max=2)
+    curves = mm.bifurcation_set(m, ((-0.3, 0.3), (-0.3, 0.3)), k_max=2)
+    for k, _, p in zeros[1:]:
+        h_m = [c.points for c in curves if (c.tag, c.k) == (CurveTag.H_M, k)]
+        assert h_m, k
+        assert min(_polyline_distance(np.asarray(p), c) for c in h_m) <= 1e-5
+
+
+@pytest.mark.parametrize("lam, mu", [(2.0, 2 / 3), (0.5, 0.5), (0.6, 1.04)])
+def test_k_turn_series_nests_inside_its_bracket(lam, mu):
+    # at one t, the free coordinate of H^(k) lies between that of H^(k-1)
+    # and the homoclinic loop's (P_L for H_L, P_M for H_M)
+    m = mm.ModelMap(lam, mu, orientation=NON_MONO)
+    h = mm._k_turn_curves(m)
+    checked = 0
+    for t in np.geomspace(1e-6, 0.5, 60).tolist():
+        for tag, j in ((CurveTag.H_L, 0), (CurveTag.H_M, 1)):
+            for k in (2, 3, 4):
+                b1, b2, ok = h(tag, t, k)
+                if not ok:
+                    continue
+                prev = h(tag, t, k - 1)
+                assert prev[1 - j] == (b1, b2)[1 - j]
+                loop = b2 ** mu if j == 0 else b1 ** lam
+                lo, hi = sorted((prev[j], loop))
+                x = (b1, b2)[j]
+                assert lo - 4 * math.ulp(lo) <= x <= hi + 4 * math.ulp(hi)
+                checked += 1
+    assert checked > 50
 
 
 def test_fold_next_to_an_upper_domain_edge_is_found():
