@@ -105,7 +105,8 @@ def fixed_points(sys, params, section, bracket, samples=40, max_time=500.0,
 
     P(x) - x is sampled at ``samples`` even steps.  A zero sample is one
     cycle, a cell of strictly opposite end signs holds one (solved from the
-    held end values), and a sample with no return brackets nothing.
+    held end values), and a sample with no return (its orbit escapes, a
+    sink captures it, or ``max_time`` runs out) brackets nothing.
     """
     g, periods = _displacement(sys, params, section, max_time, tol)
     xs = np.linspace(bracket[0], bracket[1], samples)

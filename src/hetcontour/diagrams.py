@@ -240,7 +240,8 @@ def flow_cycle_count(scn, point):
     sampled at ``CYCLE_SAMPLES`` log-spaced heights above the lower contour
     edge (cycles near a contour live at exponentially small heights).  A
     zero displacement sample counts one cycle, so does each cell of strictly
-    opposite end signs, and a sample whose orbit escapes brackets nothing.
+    opposite end signs, and a sample whose orbit cannot return (it escapes,
+    or a sink captures it) brackets nothing.
     """
     if scn.focus_seed is None or scn.cycle_bracket is None:
         raise NotFound(f"scenario {scn.name} has no cycle-counting window")

@@ -7,15 +7,19 @@ dissipative saddle.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import Degenerate, NoConvergence, NotASaddle
-from .vectorfield import check_state
+from .roots import RTOL, brent
+from .vectorfield import MAX_DEGREE, check_state
 
 HYPERBOLICITY_CUTOFF = 1e-8
 INDEX_DEGENERACY_CUTOFF = 1e-10
+TRAP_NEWTON_STEP = 1e-2     # largest |J^-1 F| / (1 + |z|) of a trap search
+TRAP_NEWTON_ITERATIONS = 8
 
 
 class EquilibriumType(enum.Enum):
@@ -120,6 +124,81 @@ def _classify(J):
         return EquilibriumType.SADDLE
     return (EquilibriumType.STABLE_NODE if re[0] < 0
             else EquilibriumType.UNSTABLE_NODE)
+
+
+def sink_trap(sys, params, z, sections=()):
+    """The stable node or focus q whose certified trap holds ``z`` and
+    passes within r* of no section line, else None.
+
+    q is ``TRAP_NEWTON_ITERATIONS`` closed-form Newton steps from ``z``,
+    each from a point where tr J < 0 < det J and at most
+    ``TRAP_NEWTON_STEP`` long, so a rejected ``z`` costs one field build.
+    With A = J(q), A^T P + P A = -I and |F(q + e) - A e| <= sum C_k |e|^k,
+    2 lambda_max(P) sum C_k r*^(k-1) = 1/2 gives dV/dt <= -|e|^2 / 2 for
+    V = e^T P e on the trap V <= lambda_min(P) r*^2, so every orbit in it
+    stays there and tends to q (Khalil, *Nonlinear Systems*, 3rd ed., 8.2).
+    """
+    rhs, jacobian = sys.fields(params)
+    # closed-form steps, not find_equilibrium: a process's first LAPACK
+    # solve alone adds about 0.2 MiB of resident memory
+    q = (float(z[0]), float(z[1]))
+    for i in range(TRAP_NEWTON_ITERATIONS + 1):
+        if i:
+            q = (q[0] - sx, q[1] - sy)
+        (a, b), (c, d) = A = jacobian(q[0], q[1]).tolist()
+        det = a * d - b * c
+        if not a + d < 0 < det:
+            return None
+        fx, fy = rhs(0.0, q)
+        sx, sy = (d * fx - b * fy) / det, (a * fy - c * fx) / det
+        if math.hypot(sx, sy) > TRAP_NEWTON_STEP * (1 + math.hypot(*q)):
+            return None
+    (p11, p12, p22), lmax, radius = _lyapunov_trap(
+        A, _remainder_bounds(sys, params, q))
+    level = (p11 + p22 - lmax) * radius * radius   # lambda_min r*^2
+    ex, ey = z[0] - q[0], z[1] - q[1]
+    # with Newton's residual F(q), dV/dt <= -|e|^2/2 + 2 lmax |e| |F(q)|
+    if (p11 * ex * ex + 2 * p12 * ex * ey + p22 * ey * ey > level
+            or 4 * lmax * math.hypot(fx, fy) >= math.sqrt(level / lmax)
+            or any(abs(s.offset(q)) <= radius for s in sections)):
+        return None
+    return q
+
+
+def _lyapunov_trap(A, bounds):
+    """``((P11, P12, P22), lambda_max(P), r*)`` for a sink's Jacobian ``A``
+    and remainder bounds ``C_k`` (index k); r* = inf for a linear field."""
+    (a, b), (c, d) = A
+    # A^T P + P A = -I: three linear equations in P11, P12, P22, by Cramer
+    t2d = 2 * (a + d) * (a * d - b * c)
+    P = (-(d * (a + d) - b * c + c * c) / t2d, (a * c + b * d) / t2d,
+         -(a * (a + d) - b * c + b * b) / t2d)
+    lmax = (P[0] + P[2]) / 2 + math.hypot((P[0] - P[2]) / 2, P[1])
+    terms = [(k, C) for k, C in enumerate(bounds) if C > 0]
+    if not terms:
+        return P, lmax, math.inf
+    g = lambda r: 2 * lmax * sum(C * r ** (k - 1) for k, C in terms) - 0.5
+    # one term alone is 1/2 at top / 2; r* is the low end of brent's bracket
+    top = 2 * min((4 * lmax * C) ** (-1 / (k - 1)) for k, C in terms)
+    root, _ = brent(g, 0.0, top, -0.5, g(top), 1e-9 * top)
+    return P, lmax, root - 1e-9 * top - RTOL * root
+
+
+def _remainder_bounds(sys, params, q):
+    """``C_k`` (index k >= 2), |F(q + e) - F(q) - J(q) e| <= sum C_k |e|^k:
+    the monomials' absolute Taylor coefficients at q, by |e_x^i e_y^j| <=
+    |e|^(i + j)."""
+    p = sys.full_params(params)
+    per = np.zeros((2, MAX_DEGREE + 1))
+    for row, terms in enumerate((sys.x_terms, sys.y_terms)):
+        for t in terms:
+            c = float(t.coeff.evaluate(p))
+            for a in range(t.px + 1):
+                for b in range(max(0, 2 - a), t.py + 1):
+                    per[row, a + b] += abs(
+                        c * math.comb(t.px, a) * math.comb(t.py, b)
+                        * q[0] ** (t.px - a) * q[1] ** (t.py - b))
+    return np.hypot(*per).tolist()
 
 
 def saddle_data(sys, params, point, check_residual=1e-10):

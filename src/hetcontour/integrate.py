@@ -17,21 +17,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import equilibria as eq
 from .errors import DomainError, NoReturn, StiffnessError, TangencyError
 from .roots import EPS, brent
 
 DEFAULT_TOL = (1e-10, 1e-10)
 BLOWUP_RADIUS = 1e6
+ESCAPE_FACTOR = 10.0        # escape radius / (1 + extent of the geometry)
 TRANSVERSALITY_MIN = 1e-8   # least normal speed of a transversal crossing
 
 
 class Termination(enum.Enum):
     """Why an integration ended.
 
-    ``integrate`` ends on TIME_LIMIT, EVENT, BLOWUP or EQUILIBRIUM_APPROACH.
-    ``manifolds.grow_branch`` adds ARCLENGTH_CAP, SETTLED for a branch
-    whose latest chunk added next to no arclength, and ENOUGH_HITS for a
-    branch whose section hits so far are all its caller asked for.
+    ``integrate`` ends on TIME_LIMIT, EVENT, BLOWUP (left the call's escape
+    disc) or EQUILIBRIUM_APPROACH.  ``manifolds.grow_branch`` adds
+    ARCLENGTH_CAP, SETTLED for a branch that has come to rest on an
+    attractor, and ENOUGH_HITS for a branch whose section hits so far are
+    all its caller asked for.
     """
 
     TIME_LIMIT = "time_limit"
@@ -79,6 +82,11 @@ class CrossSection:
     def point_at(self, coord):
         return (self.base[0] + coord * self.tangent[0],
                 self.base[1] + coord * self.tangent[1])
+
+
+def escape_radius(*points):
+    """Radius ``ESCAPE_FACTOR (1 + max |p|)`` of a call's escape disc."""
+    return ESCAPE_FACTOR * (1.0 + max(math.hypot(p[0], p[1]) for p in points))
 
 
 # Dormand-Prince 5(4): stages, fifth-order weights and the error weights
@@ -426,7 +434,10 @@ def poincare_map(sys, params, section, x0_on_section, max_time,
     Returns ``(coordinate, return_time)`` of the first crossing in the
     geometric direction in which the flow leaves ``x0``.  A flow whose
     normal speed is within ``TRANSVERSALITY_MIN`` of zero at either end
-    raises TangencyError; no return within ``max_time`` raises NoReturn.
+    raises TangencyError.  The orbit runs in windows doubling from
+    ``max_time / 16``; NoReturn says why it cannot return: it left the disc
+    of ``escape_radius(x0, section.base)``, a sink's trap caught it at a
+    window end (``equilibria.sink_trap``), or ``max_time`` ran out.
     """
     x0 = np.asarray(x0_on_section, float)
     if abs(section.offset(x0)) >= ARM_OFFSET:
@@ -440,10 +451,24 @@ def poincare_map(sys, params, section, x0_on_section, max_time,
 
     # the event is held at the departure sign until the orbit has left the
     # section (``_section_event``), so the start is not found as a return
-    traj = integrate(sys, p, x0, (0.0, max_time), tol=tol, events=[section],
-                     directions=[direction], terminal=[0])
-    if traj.termination is not Termination.EVENT:
-        raise NoReturn(f"no return within t={max_time} ({traj.termination})")
+    radius = escape_radius(x0, section.base)
+    t, z, window = 0.0, x0, max_time / 16
+    while True:
+        t_end = min(t + window, max_time)
+        traj = integrate(sys, p, z, (t, t_end), tol=tol, events=[section],
+                         directions=[direction], terminal=[0],
+                         blowup_radius=radius)
+        if traj.termination is Termination.EVENT:
+            break
+        if traj.termination is Termination.BLOWUP:
+            raise NoReturn(f"escaped past |z| = {radius:.6g}")
+        if t_end >= max_time:
+            raise NoReturn(f"no return by t = {max_time}")
+        t, z, window = t_end, traj.end, 2 * window
+        sink = eq.sink_trap(sys, p, z, [section])
+        if sink is not None:
+            raise NoReturn(f"captured by the sink at ({sink[0]:.6g}, "
+                           f"{sink[1]:.6g}) by t = {t:.6g}")
     z_ret = traj.end
     fr = sys.rhs(z_ret[0], z_ret[1], p)
     v_ret = fr[0] * section.normal[0] + fr[1] * section.normal[1]

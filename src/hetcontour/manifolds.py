@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import equilibria as eq
 from . import integrate as hi
 from .errors import BlowupAtSeed
 
@@ -57,10 +58,12 @@ def grow_branch(sys, params, saddle, kind, side, arclength_cap=20.0,
     says why it ended: ARCLENGTH_CAP, TIME_LIMIT at ``time_cap``, EVENT at a
     terminal event hit, BLOWUP, EQUILIBRIUM_APPROACH to any of the
     registered ``equilibria``, SETTLED when a full chunk adds next to no
-    arclength, and no more than the chunk before it (the branch has come to
-    rest on an attractor), or ENOUGH_HITS at the end of a chunk with event
-    hits where ``until(curve so far)`` holds: every step and hit up to it
-    is that of a branch grown on.
+    arclength, and no more than the chunk before it, or ends in a sink's
+    trap that meets none of the ``events`` (the branch has come to rest on
+    an attractor), or ENOUGH_HITS at the end of a chunk with event hits
+    where ``until(curve so far)`` holds: every step and hit up to it is
+    that of a branch grown on.  With ``events`` BLOWUP is at the
+    ``hi.escape_radius`` of the saddle and section bases, else at 1e6.
     """
     x0, delta = seed_point(saddle, kind, side, delta)
     sign = 1.0 if kind is Kind.UNSTABLE else -1.0
@@ -75,6 +78,8 @@ def grow_branch(sys, params, saddle, kind, side, arclength_cap=20.0,
     termination = hi.Termination.TIME_LIMIT
     terminal_index = None
     prev_seg = np.inf
+    radius = (hi.escape_radius(saddle.location, *(s.base for s in events))
+              if events else hi.BLOWUP_RADIUS)
     # first chunk covers the slow escape from the linear zone
     t_chunk = max(chunk, 3.0 / max(rate, 1e-6))
     while True:
@@ -82,7 +87,8 @@ def grow_branch(sys, params, saddle, kind, side, arclength_cap=20.0,
         traj = hi.integrate(sys, p, z_now, (t_now, t_next), tol=tol,
                             events=events, directions=directions,
                             terminal=terminal, equilibria=equilibria,
-                            equilibrium_radius=equilibrium_radius)
+                            equilibrium_radius=equilibrium_radius,
+                            blowup_radius=radius)
         pieces.append(traj)
         hits.extend(traj.event_hits)
         seg = float(np.sum(np.linalg.norm(np.diff(traj.xy, axis=0), axis=1)))
@@ -103,7 +109,8 @@ def grow_branch(sys, params, saddle, kind, side, arclength_cap=20.0,
         # a branch still escaping a slow saddle gains arclength from chunk
         # to chunk, so only a chunk adding no more than the one before counts
         if len(pieces) > 2 and seg <= min(
-                prev_seg, SETTLED_ATOLS * tol[0] * (1.0 + np.linalg.norm(z_now))):
+                prev_seg, SETTLED_ATOLS * tol[0] * (1.0 + np.linalg.norm(z_now))) \
+                or events and eq.sink_trap(sys, p, z_now, events) is not None:
             termination = hi.Termination.SETTLED
             break
         if abs(t_now) >= time_cap:

@@ -234,3 +234,23 @@ def test_classify_contour_matches_model_indices(scenario, system, params,
     assert (m.orientation is mm.Orientation.MONODROMIC) is monodromic
     assert (m.lam, m.mu) == pytest.approx(PINNED_INDICES[scenario], abs=1e-4)
     assert (m.lam, m.mu) == pytest.approx((L.index, M.index), abs=1e-10)
+
+
+def test_chunk_end_sink_checks_make_no_newton_solve(monkeypatch):
+    # one LM_low gap on heart: three of its chunks end on TIME_LIMIT, and
+    # each chunk-end sink check stops at the cheap filter
+    scn = dg.scenario("heart")
+    steps, solves = [], []
+    integrate, find = hi.integrate, eq.find_equilibrium
+
+    def counted(*args, **kwargs):
+        traj = integrate(*args, **kwargs)
+        steps.append(len(traj.t) - 1)
+        return traj
+    monkeypatch.setattr(hi, "integrate", counted)
+    monkeypatch.setattr(eq, "find_equilibrium",
+                        lambda *a, **k: solves.append(a) or find(*a, **k))
+    split = dg._splitting_function(scn, "LM_low", False)
+    split(scn.system, (0.422438, -0.452011), 0)
+    assert len(solves) == 2          # the spec's two saddles
+    assert sum(steps) == 314

@@ -8,7 +8,7 @@ from hetcontour import cycles as cy
 from hetcontour import diagrams as dg
 from hetcontour import equilibria as eq
 from hetcontour import integrate as hi
-from hetcontour.errors import NoCycleInBracket
+from hetcontour.errors import NoCycleInBracket, NoReturn
 
 
 @pytest.fixture(scope="module")
@@ -134,3 +134,35 @@ def test_flow_cycle_count_counts_a_zero_sample(monkeypatch):
     monkeypatch.setattr(cy, "return_map", lambda sys, params, section, x,
                         **kwargs: x + abs(x - xs[5]))
     assert dg.flow_cycle_count(scn, point) == 1
+
+
+def _count_rk_steps(monkeypatch):
+    steps = []
+    integrate = hi.integrate
+
+    def counted(*args, **kwargs):
+        traj = integrate(*args, **kwargs)
+        steps.append(len(traj.t) - 1)
+        return traj
+    monkeypatch.setattr(hi, "integrate", counted)
+    return steps
+
+
+def test_cycle_count_stops_samples_that_cannot_return(monkeypatch):
+    # at 58.92 deg on the mono_first ring, 3 of the 14 samples fall into the
+    # stable node near (4/3, -4/9) and 5 escape: followed to max_time and
+    # to |z| = 1e6 they made the count cost 4 760 RK steps
+    scn = dg.scenario("mono_first")
+    th = math.radians(58.92)
+    point = (2e-3 * math.cos(th), 2e-3 * math.sin(th))
+    steps = _count_rk_steps(monkeypatch)
+    assert dg.flow_cycle_count(scn, point) == 0
+    assert sum(steps) <= 2500
+    monkeypatch.undo()
+    params = dg._params_at(scn, point)
+    focus, _ = eq.find_equilibrium(scn.system, params, scn.focus_seed)
+    section = hi.CrossSection.at(tuple(focus), (1.0, 0.0))
+    lowest = scn.cycle_bracket[0] - focus[1]
+    with pytest.raises(NoReturn, match=r"captured by the sink at "
+                                       r"\(1\.33283, -0\.444022\) by t = 31\.25"):
+        cy.return_map(scn.system, params, section, lowest, tol=dg.CYCLE_TOL)

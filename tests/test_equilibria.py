@@ -5,11 +5,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetcontour import equilibria as eq
+from hetcontour import integrate as hi
 from hetcontour import vectorfield as vf
+from hetcontour.affine import AffineExpr
 from hetcontour.errors import DomainError, NoConvergence, NotASaddle
 
 
@@ -148,3 +154,119 @@ def test_find_equilibrium_builds_the_field_once(monkeypatch):
 def test_find_equilibrium_rejects_a_non_finite_state(mono):
     with pytest.raises(DomainError, match="non-finite state"):
         eq.find_equilibrium(mono, mono.full_params(), (math.nan, 0.0))
+
+
+# -- the certified sink trap ------------------------------------------------
+
+
+def _field_about(q, A, higher):
+    """Constant-coefficient system with F(q + e) = A e + sum c e_x^a e_y^b,
+    ``higher`` mapping (a, b) to the pair (c_f, c_g)."""
+    q = [Fraction(v) for v in q]
+    terms = ({}, {})
+    parts = dict(higher)
+    parts[(1, 0)] = (A[0][0], A[1][0])
+    parts[(0, 1)] = (A[0][1], A[1][1])
+    for (a, b), pair in parts.items():
+        # e_x^a e_y^b = (x - q_x)^a (y - q_y)^b, expanded binomially
+        for i in range(a + 1):
+            for j in range(b + 1):
+                w = (math.comb(a, i) * (-q[0]) ** (a - i)
+                     * math.comb(b, j) * (-q[1]) ** (b - j))
+                for acc, c in zip(terms, pair):
+                    acc[(i, j)] = acc.get((i, j), 0) + Fraction(c) * w
+    f, g = ([vf.MonomialTerm(AffineExpr.constant(c), i, j)
+             for (i, j), c in acc.items() if c != 0] for acc in terms)
+    return vf.ParametricSystem("about_q", [], f, g)
+
+
+def _trap_of(sys_, q):
+    A = sys_.jacobian(*q, {}).tolist()
+    return eq._lyapunov_trap(A, eq._remainder_bounds(sys_, {}, q))
+
+
+unit = st.floats(-1.0, 1.0)
+coeff = st.builds(lambda m, s: m * s, st.floats(0.05, 1.0),
+                  st.sampled_from((-1.0, 1.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(unit, unit), st.floats(0.2, 3.0), st.floats(0.2, 3.0),
+       st.floats(-2.0, 2.0), st.floats(-0.7, 0.7), st.floats(-0.7, 0.7),
+       st.lists(st.tuples(coeff, coeff), min_size=7, max_size=7),
+       st.booleans())
+def test_certified_trap_keeps_and_attracts_its_orbits(q, r1, r2, omega, v, w,
+                                                     coeffs, cubic):
+    # A = V B V^-1 with tr B < 0 < det B: a stable node or focus
+    V = np.array([[1.0, v], [w, 1.0]])
+    B = np.array([[-r1, omega], [-omega, -r2]])
+    A = (V @ B @ np.linalg.inv(V)).tolist()
+    monomials = [(2, 0), (1, 1), (0, 2)] + cubic * [(3, 0), (2, 1), (1, 2),
+                                                   (0, 3)]
+    higher = dict(zip(monomials, coeffs))
+    sys_ = _field_about(q, A, higher)
+    (p11, p12, p22), lmax, radius = _trap_of(sys_, q)
+    P = np.array([[p11, p12], [p12, p22]])
+    An = np.array(A)
+    assert np.allclose(An.T @ P + P @ An, -np.eye(2), atol=1e-9)
+    lmin = p11 + p22 - lmax
+    assert 0 < lmin <= lmax and 0 < radius < math.inf
+    level = lmin * radius * radius
+    # V decays at least as fast as exp(-t / (2 lmax)): by t_end every orbit
+    # from the ellipse is within 1e-7 of q
+    t_end = 2 * lmax * math.log(level / (lmin * 1e-14)) + 1.0
+    for angle in np.linspace(0.0, 2 * math.pi, 8, endpoint=False):
+        u = np.array([math.cos(angle), math.sin(angle)])
+        e = u * math.sqrt(level / (u @ P @ u))
+        traj = hi.integrate(sys_, {}, np.asarray(q) + e, (0.0, t_end),
+                            equilibria=[q], equilibrium_radius=1e-7)
+        dist = np.hypot(*(traj.xy - np.asarray(q)).T)
+        assert dist.max() <= radius * (1 + 1e-9)
+        assert dist[-1] < 1e-6
+    # a point well inside the ellipse is in the trap of q
+    z = np.asarray(q) + min(1e-3, 0.5 * math.sqrt(level / lmax)) * np.array(
+        [0.6, -0.8])
+    assert np.allclose(eq.sink_trap(sys_, {}, z), q, atol=1e-10)
+
+
+@pytest.mark.parametrize("A", [((1.0, 0.0), (0.0, -1.0)),    # saddle
+                               ((1.0, 0.0), (0.0, 2.0)),     # unstable node
+                               ((0.5, 1.0), (-1.0, 0.5))])   # unstable focus
+def test_no_trap_about_a_saddle_or_a_source(A):
+    sys_ = _field_about((0.3, -0.2), A, {(2, 0): (1.0, 0.5)})
+    assert eq.sink_trap(sys_, {}, (0.3001, -0.2)) is None
+
+
+def test_no_trap_that_a_section_runs_through():
+    q = (0.3, -0.2)
+    sys_ = _field_about(q, ((-1.0, 2.0), (-2.0, -1.0)),
+                        {(2, 0): (1.0, 0.5), (1, 2): (-0.5, 0.25)})
+    radius = _trap_of(sys_, q)[2]
+    z = (q[0] + 1e-4, q[1])
+    far = hi.CrossSection.at((q[0], q[1] + 1.5 * radius), (0.0, 1.0))
+    through = hi.CrossSection.at(q, (1.0, 1.0))
+    near = hi.CrossSection.at((q[0] + 0.5 * radius, q[1]), (1.0, 0.0))
+    assert np.allclose(eq.sink_trap(sys_, {}, z, [far]), q, atol=1e-12)
+    assert eq.sink_trap(sys_, {}, z, [far, through]) is None
+    assert eq.sink_trap(sys_, {}, z, [near]) is None
+
+
+def test_cheap_filter_makes_no_newton_step(monkeypatch):
+    q = (0.3, -0.2)
+    sink = _field_about(q, ((-1.0, 2.0), (-2.0, -1.0)), {(2, 0): (1.0, 0.5)})
+    saddle = _field_about(q, ((1.0, 0.0), (0.0, -1.0)), {(2, 0): (1.0, 0.5)})
+    evaluated = []
+    fields = vf.ParametricSystem.fields
+
+    def counted(self, params):
+        rhs, jacobian = fields(self, params)
+        return rhs, lambda x, y: evaluated.append((x, y)) or jacobian(x, y)
+    monkeypatch.setattr(vf.ParametricSystem, "fields", counted)
+    # a Newton step far above TRAP_NEWTON_STEP, and det J < 0: one
+    # Jacobian each
+    assert eq.sink_trap(sink, {}, (q[0] + 0.2, q[1])) is None
+    assert eq.sink_trap(saddle, {}, (q[0] + 1e-4, q[1])) is None
+    assert len(evaluated) == 2
+    evaluated.clear()
+    assert eq.sink_trap(sink, {}, (q[0] + 1e-4, q[1])) is not None
+    assert len(evaluated) == eq.TRAP_NEWTON_ITERATIONS + 1

@@ -6,7 +6,7 @@ from scipy.integrate import solve_ivp
 
 from hetcontour import integrate as hi
 from hetcontour import vectorfield as vf
-from hetcontour.errors import DomainError, StiffnessError
+from hetcontour.errors import DomainError, NoReturn, StiffnessError
 
 
 def rk4_oracle(sys_, params, x0, t_end, dt=1e-5):
@@ -213,3 +213,49 @@ def test_poincare_requires_point_on_section():
     sec = hi.CrossSection.at((0.5, 0.0), (0.0, 1.0))
     with pytest.raises(DomainError):
         hi.poincare_map(sys_, sys_.full_params(), sec, (0.5, 0.5), 10.0)
+
+
+def _linear(name, fx, fy):
+    """x' = fx[0] x + fx[1] y, y' = fy[0] x + fy[1] y."""
+    term = lambda c, px, py: {"coeff": c, "px": px, "py": py}
+    return vf.from_dict({
+        "name": name, "parameters": [],
+        "x_dot": [term(c, 1 - i, i) for i, c in enumerate(fx) if c != "0"],
+        "y_dot": [term(c, 1 - i, i) for i, c in enumerate(fy) if c != "0"]})
+
+
+def test_far_excursion_inside_the_escape_disc_returns():
+    # x' = -16 y, y' = x / 16: from (0, 1) the orbit swings out to |x| = 16,
+    # 8 times the extent 1 + max |p| of the call's start and section base,
+    # and comes back after 2 pi, inside the escape radius 20
+    sys_ = _linear("ellipse", ("0", "-16"), ("1/16", "0"))
+    sec = hi.CrossSection.at((0.0, 0.0), (1.0, 0.0))
+    x0 = (0.0, 1.0)
+    assert hi.escape_radius(x0, sec.base) == 20.0
+    coord, period = hi.poincare_map(sys_, {}, sec, x0, 500.0)
+    # one run to max_time out to the default radius
+    traj = hi.integrate(sys_, {}, x0, (0.0, 500.0), events=[sec],
+                        directions=[-1], terminal=[0])
+    assert np.abs(traj.xy[:, 0]).max() > 15.99
+    assert (coord, period) == (sec.coord(traj.end), float(traj.t[-1]))
+    assert period == pytest.approx(2 * np.pi, rel=1e-8)
+
+
+def test_no_return_names_its_reason():
+    # the saddle x' = x, y' = -y carries (1, 0.5) off the section x = 1
+    saddle = _linear("saddle", ("1", "0"), ("0", "-1"))
+    sec = hi.CrossSection.at((1.0, 0.0), (1.0, 0.0))
+    with pytest.raises(NoReturn, match=r"escaped past \|z\| = 21\.1803"):
+        hi.poincare_map(saddle, {}, sec, (1.0, 0.5), 500.0)
+    # a period of 2 pi is not over by t = 1
+    ellipse = _linear("ellipse", ("0", "-16"), ("1/16", "0"))
+    sec = hi.CrossSection.at((0.0, 0.0), (1.0, 0.0))
+    with pytest.raises(NoReturn, match=r"no return by t = 1\.0$"):
+        hi.poincare_map(ellipse, {}, sec, (0.0, 1.0), 1.0)
+
+
+def test_bare_integrate_runs_out_to_the_default_radius():
+    saddle = _linear("saddle", ("1", "0"), ("0", "-1"))
+    traj = hi.integrate(saddle, {}, (1.0, 0.0), (0.0, 100.0))
+    assert traj.termination is hi.Termination.BLOWUP
+    assert np.hypot(*traj.end) == pytest.approx(hi.BLOWUP_RADIUS, rel=1e-12)

@@ -139,3 +139,52 @@ def test_branch_escaping_slow_saddle_is_not_settled(monkeypatch):
                         arclength_cap=1.0, tol=(1e-8, 1e-8))
     assert br.curve.termination is hi.Termination.ARCLENGTH_CAP
     assert len(chunks) > 2
+
+
+@pytest.fixture(scope="module")
+def escaping():
+    # x' = x, y' = -y: the unstable branches run along y = 0 to infinity
+    sys_ = vf.from_dict({
+        "name": "escaping", "parameters": [],
+        "x_dot": [{"coeff": "1", "px": 1, "py": 0}],
+        "y_dot": [{"coeff": "-1", "px": 0, "py": 1}]})
+    return sys_, eq.saddle_data(sys_, {}, (0.0, 0.0))
+
+
+def test_section_seeking_branch_ends_on_its_escape_radius(escaping):
+    sys_, sad = escaping
+    sec = hi.CrossSection.at((0.0, 1.0), (0.0, 1.0))   # y = 1, never met
+    radius = hi.escape_radius(sad.location, sec.base)
+    assert radius == 20.0
+    br = mf.grow_branch(sys_, {}, sad, mf.Kind.UNSTABLE, 1,
+                        arclength_cap=np.inf, events=[sec])
+    assert br.curve.termination is hi.Termination.BLOWUP
+    r = np.hypot(*br.points.T)
+    assert r[-1] == pytest.approx(radius, rel=1e-12) and r[-2] < radius
+
+
+def test_branch_without_events_runs_out_to_the_default_radius(escaping):
+    sys_, sad = escaping
+    br = mf.grow_branch(sys_, {}, sad, mf.Kind.UNSTABLE, 1,
+                        arclength_cap=np.inf)
+    assert br.curve.termination is hi.Termination.BLOWUP
+    assert np.hypot(*br.points[-1]) == pytest.approx(hi.BLOWUP_RADIUS,
+                                                     rel=1e-12)
+
+
+def test_branch_into_a_sink_trap_settles_within_four_chunks(monkeypatch):
+    # with criterion 3's section y = -gamma/2, the side -1 branch of the
+    # origin spirals into the stable focus (-1, 0) without meeting it; the
+    # arclength test alone ends it after 11 chunks
+    sys_ = vf.builtin("revers_gamma")
+    gamma = 2.5315
+    params = sys_.full_params({"gamma": gamma})
+    sad = eq.saddle_data(sys_, params, (0.0, 0.0))
+    sec = hi.CrossSection.at((0.0, -gamma / 2), (0.0, 1.0))
+    chunks = _count_chunks(monkeypatch)
+    br = mf.grow_branch(sys_, params, sad, mf.Kind.UNSTABLE, -1,
+                        arclength_cap=30.0, events=[sec], directions=[0],
+                        terminal=[0], tol=(1e-10, 1e-10))
+    assert br.curve.termination is hi.Termination.SETTLED
+    assert br.curve.event_hits == []
+    assert len(chunks) <= 4
