@@ -1,9 +1,15 @@
-"""Exact affine expressions over named parameters.
+"""Exact affine expressions and the bivariate polynomials built from them.
 
-Coefficients of the polynomial vector fields are affine combinations of
-parameters with rational constants, e.g. ``"a + 2*b"``, ``"-(2*a+2*b+c)"``,
-``"3/2"``.  They are stored exactly (``fractions.Fraction``) so that
-invariance checks can be carried out without floating point.
+This is the package's one exact-algebra module.  Coefficients of the
+polynomial vector fields are affine combinations of parameters with rational
+constants, e.g. ``"a + 2*b"``, ``"-(2*a+2*b+c)"``, ``"3/2"``.  They are
+stored exactly (``fractions.Fraction``) so that invariance checks can be
+carried out without floating point.  A polynomial is a dict
+``{(px, py): coefficient}`` whose coefficients are Fractions or
+:class:`AffineExpr`; the ``poly_*`` functions take either.  One expression
+walker, :func:`parse_poly`, reads coefficients, polynomials and numbers.
+Evaluation adds the parameter terms in sorted name order, so a float sum
+does not depend on the order the terms were written in.
 """
 from __future__ import annotations
 
@@ -13,6 +19,7 @@ from fractions import Fraction
 from .errors import ParseError
 
 _CONST = ""  # key of the constant term
+MAX_POWER = 64  # largest exponent the walker expands
 
 
 class AffineExpr:
@@ -21,9 +28,7 @@ class AffineExpr:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = dict(terms or {})
-        for k in [k for k, v in self.terms.items() if v == 0]:
-            del self.terms[k]
+        self.terms = {k: v for k, v in (terms or {}).items() if v != 0}
 
     @classmethod
     def constant(cls, value):
@@ -34,17 +39,39 @@ class AffineExpr:
         return cls({name: Fraction(coeff)})
 
     def __add__(self, other):
+        if not isinstance(other, AffineExpr):
+            other = AffineExpr.constant(other)
         out = dict(self.terms)
         for k, v in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + v
+            out[k] = out.get(k, 0) + v
         return AffineExpr(out)
 
-    def __sub__(self, other):
-        return self + (other * Fraction(-1))
+    __radd__ = __add__
 
-    def __mul__(self, scalar):
-        scalar = Fraction(scalar)
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __neg__(self):
+        return self * -1
+
+    def __mul__(self, other):
+        """Scale by a number or by a constant AffineExpr, from either side."""
+        if isinstance(other, AffineExpr):
+            if self.is_constant:
+                self, other = other, self
+            if not other.is_constant:
+                raise ParseError(f"non-affine product {self} * {other}")
+            other = other.const
+        scalar = Fraction(other)
         return AffineExpr({k: v * scalar for k, v in self.terms.items()})
+
+    __rmul__ = __mul__
+
+    def __bool__(self):
+        return bool(self.terms)
 
     def __eq__(self, other):
         return isinstance(other, AffineExpr) and self.terms == other.terms
@@ -56,21 +83,25 @@ class AffineExpr:
     def is_constant(self):
         return all(k == _CONST for k in self.terms)
 
+    @property
+    def const(self):
+        return self.terms.get(_CONST, Fraction(0))
+
     def param_names(self):
-        return {k for k in self.terms if k != _CONST}
+        """The parameter names, sorted: the order every sum adds them in."""
+        return sorted(k for k in self.terms if k != _CONST)
 
     def evaluate(self, params):
-        """Evaluate with a mapping of parameter values (float or Fraction)."""
-        total = self.terms.get(_CONST, Fraction(0))
-        acc = float(total)
-        exact = isinstance(total, Fraction) and all(
-            isinstance(params.get(k), Fraction) for k in self.param_names())
-        if exact:
-            tot = total
-            for k in self.param_names():
-                tot += self.terms[k] * params[k]
-            return tot
-        for k in self.param_names():
+        """Evaluate with a mapping of parameter values (float or Fraction).
+
+        All-Fraction values give the exact value; otherwise the float sum is
+        taken term by term in :meth:`param_names` order.
+        """
+        names = self.param_names()
+        if all(isinstance(params.get(k), Fraction) for k in names):
+            return self.const + sum(self.terms[k] * params[k] for k in names)
+        acc = float(self.const)
+        for k in names:
             acc += float(self.terms[k]) * float(params[k])
         return acc
 
@@ -97,54 +128,113 @@ class AffineExpr:
         return out
 
 
-def parse_affine(text, path=None):
-    """Parse an affine-expression string into an :class:`AffineExpr`.
+# -- exact bivariate polynomials ------------------------------------------
 
-    Only ``+ - * /`` with rational literals and parameter names are allowed;
-    products of two parameters are rejected.
+
+def _clean(p):
+    return {m: c for m, c in p.items() if c}
+
+
+def poly_add(p, q):
+    out = dict(p)
+    for m, c in q.items():
+        out[m] = out.get(m, 0) + c
+    return _clean(out)
+
+
+def poly_scale(p, s):
+    return _clean({m: c * s for m, c in p.items()})
+
+
+def poly_mul(p, q):
+    out = {}
+    for (ax, ay), ac in p.items():
+        for (bx, by), bc in q.items():
+            m = (ax + bx, ay + by)
+            out[m] = out.get(m, 0) + ac * bc
+    return _clean(out)
+
+
+def poly_dx(p):
+    return _clean({(mx - 1, my): c * mx for (mx, my), c in p.items() if mx > 0})
+
+
+def poly_dy(p):
+    return _clean({(mx, my - 1): c * my for (mx, my), c in p.items() if my > 0})
+
+
+# -- the expression walker ------------------------------------------------
+
+
+def parse_poly(text, variables=(), path=None):
+    """Parse ``text`` into ``{(px, py): AffineExpr}``.
+
+    ``variables`` names the polynomial variables, ``()`` or ``("x", "y")``;
+    every other name is a parameter.  Only ``+ - * /`` and ``**`` by an
+    integer literal in 0..MAX_POWER are allowed, over finite numeric literals.
+    A product of two parameters, division by anything but a nonzero
+    constant, and any other syntax are :class:`ParseError`.
     """
-    try:
-        tree = ast.parse(text, mode="eval")
-    except SyntaxError as exc:
-        raise ParseError(f"invalid expression {text!r}: {exc.msg}", path)
-    return _eval_node(tree.body, text, path)
+    def fail(what):
+        raise ParseError(f"{what} in {text!r}", path)
 
+    def product(left, right):
+        if not (all(c.is_constant for c in left.values())
+                or all(c.is_constant for c in right.values())):
+            fail("non-affine product")
+        return poly_mul(left, right)
 
-def _eval_node(node, text, path):
-    if isinstance(node, ast.Constant):
-        if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
-            raise ParseError(f"non-numeric literal in {text!r}", path)
-        if isinstance(node.value, float):
-            return AffineExpr.constant(Fraction(str(node.value)))
-        return AffineExpr.constant(node.value)
-    if isinstance(node, ast.Name):
-        return AffineExpr.param(node.id)
-    if isinstance(node, ast.UnaryOp):
-        inner = _eval_node(node.operand, text, path)
-        if isinstance(node.op, ast.USub):
-            return inner * -1
-        if isinstance(node.op, ast.UAdd):
-            return inner
-        raise ParseError(f"unsupported operator in {text!r}", path)
-    if isinstance(node, ast.BinOp):
-        left = _eval_node(node.left, text, path)
-        right = _eval_node(node.right, text, path)
+    def ev(node):
+        if isinstance(node, ast.Constant):
+            value = node.value
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                fail("non-numeric literal")
+            # decimal literals are exact; inf (1e400) raises ValueError
+            return _clean({(0, 0): AffineExpr.constant(Fraction(str(value)))})
+        if isinstance(node, ast.Name):
+            if node.id in variables:
+                return {(1, 0) if node.id == variables[0] else (0, 1):
+                        AffineExpr.constant(1)}
+            return {(0, 0): AffineExpr.param(node.id)}
+        if isinstance(node, ast.UnaryOp) and isinstance(
+                node.op, (ast.USub, ast.UAdd)):
+            inner = ev(node.operand)
+            return poly_scale(inner, -1) if isinstance(node.op, ast.USub) \
+                else inner
+        if not isinstance(node, ast.BinOp):
+            fail("unsupported syntax")
+        left, right = ev(node.left), ev(node.right)
         if isinstance(node.op, ast.Add):
-            return left + right
+            return poly_add(left, right)
         if isinstance(node.op, ast.Sub):
-            return left - right
+            return poly_add(left, poly_scale(right, -1))
         if isinstance(node.op, ast.Mult):
-            if left.is_constant:
-                return right * left.terms.get(_CONST, Fraction(0))
-            if right.is_constant:
-                return left * right.terms.get(_CONST, Fraction(0))
-            raise ParseError(f"non-affine product in {text!r}", path)
+            return product(left, right)
         if isinstance(node.op, ast.Div):
-            if not right.is_constant:
-                raise ParseError(f"division by a parameter in {text!r}", path)
-            denom = right.terms.get(_CONST, Fraction(0))
-            if denom == 0:
-                raise ParseError(f"division by zero in {text!r}", path)
-            return left * (Fraction(1) / denom)
-        raise ParseError(f"unsupported operator in {text!r}", path)
-    raise ParseError(f"unsupported syntax in {text!r}", path)
+            denom = right.get((0, 0), AffineExpr())
+            if set(right) - {(0, 0)} or not denom.is_constant:
+                fail("division by a non-constant")
+            if not denom:
+                fail("division by zero")
+            return poly_scale(left, 1 / denom.const)
+        if isinstance(node.op, ast.Pow):
+            n = node.right
+            if not (isinstance(n, ast.Constant) and type(n.value) is int
+                    and 0 <= n.value <= MAX_POWER):
+                fail(f"power that is not an integer literal in 0..{MAX_POWER}")
+            out = {(0, 0): AffineExpr.constant(1)}
+            for _ in range(n.value):
+                out = product(out, left)
+            return out
+        fail("unsupported operator")
+
+    try:
+        return ev(ast.parse(text, mode="eval").body)
+    except (SyntaxError, ValueError, RecursionError) as exc:
+        raise ParseError(f"invalid expression {text!r}: "
+                         f"{getattr(exc, 'msg', exc)}", path)
+
+
+def parse_affine(text, path=None):
+    """Parse an affine-expression string into an :class:`AffineExpr`."""
+    return parse_poly(text, path=path).get((0, 0), AffineExpr())

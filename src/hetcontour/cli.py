@@ -15,7 +15,6 @@ import argparse
 import hashlib
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,8 @@ from . import melnikov as mel
 from . import modelmap as mm
 from . import synthesis as sy
 from . import vectorfield as vf
-from .errors import HetContourError
+from .affine import parse_affine
+from .errors import HetContourError, ParseError
 
 EXIT_OK, EXIT_HARD, EXIT_PARTIAL = 0, 1, 2
 
@@ -144,13 +144,24 @@ def _curve_polyline(c, dash_for_model=False):
 # -- shared argument handling ----------------------------------------------
 
 
+def _number(text, flag):
+    """The float value of a constant expression such as ``3/2`` or ``1e-3``."""
+    value = parse_affine(text, flag)
+    if not value.is_constant:
+        raise ParseError(f"{text!r} is not a number", flag)
+    try:
+        return float(value.const)
+    except OverflowError:
+        raise ParseError(f"{text!r} overflows a float", flag)
+
+
 def _parse_params(pairs):
     params = {}
     for item in pairs or ():
         if "=" not in item:
             raise SystemExit(f"--params expects k=v, got {item!r}")
         k, v = item.split("=", 1)
-        params[k] = float(Fraction(v))
+        params[k] = _number(v, f"--params {k}")
     return params
 
 
@@ -301,7 +312,7 @@ def cmd_melnikov(args):
     conn = {"parabola": mel.Connection.PARABOLA,
             "axis": mel.Connection.X_AXIS}[args.case]
     prob = mel.MelnikovProblem(a=args.a, b=args.b,
-                               c=float(Fraction(args.c)), connection=conn,
+                               c=_number(args.c, "--c"), connection=conn,
                                tolerance=args.tol_abs)
     res = mel.melnikov_integral(prob)
     print(f"M(0) = {_f(res.value)} +/- {res.error_estimate:.2e}")
@@ -368,7 +379,7 @@ def build_parser():
     sp.add_argument("--seed", type=int, default=0,
                     help="random seed for the equilibrium-search grid jitter")
     sp.add_argument("--params", nargs="*", metavar="K=V", default=[],
-                    help="parameter overrides (values may be fractions)")
+                    help="parameter overrides k=v, v a number such as 3/2")
     sp.add_argument("--tol-abs", type=float, default=1e-10)
     sp.add_argument("--tol-rel", type=float, default=1e-10)
     _add_output(sp)
@@ -387,7 +398,7 @@ def build_parser():
 
     sp = sub.add_parser("melnikov", help="first-order splitting integral")
     sp.add_argument("--case", choices=("parabola", "axis"), required=True)
-    sp.add_argument("--c", default="3/2", help="value or fraction, e.g. 1/2")
+    sp.add_argument("--c", default="3/2", help="a number such as 1/2")
     sp.add_argument("--a", type=float, default=1.0)
     sp.add_argument("--b", type=float, default=-3.0)
     sp.add_argument("--tol-abs", type=float, default=1e-10,

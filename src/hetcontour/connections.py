@@ -16,6 +16,14 @@ from . import manifolds as mf
 from .errors import (HetContourError, InsufficientWinding, NoContour,
                      NoIntersection)
 
+WINDING_REFINE = 4     # angle samples per integrator step in a winding count
+# a contour probe integrates PROBE_CHUNK-long chunks up to |t| = PROBE_T_MAX;
+# a chunk that keeps within PROBE_CLOSE times the contour's extent of the
+# contour counts as accumulation
+PROBE_T_MAX = 200.0
+PROBE_CHUNK = 15.0
+PROBE_CLOSE = 0.03
+
 
 @dataclass(frozen=True)
 class ConnectionSpec:
@@ -45,12 +53,12 @@ class ContourClass:
     probe_agrees: bool | None
 
 
-def _winding_at(traj, center, times, refine=4):
+def _winding_at(traj, center, times):
     """Accumulated |angle| around ``center`` at each of ``times``."""
     ts = traj.t
-    # each step split as np.linspace(a, b, refine + 1)[1:] splits it
+    # each step split as np.linspace(a, b, WINDING_REFINE + 1)[1:] splits it
     a, b = ts[:-1, None], ts[1:, None]
-    grid = np.arange(1, refine + 1) * ((b - a) / refine) + a
+    grid = np.arange(1, WINDING_REFINE + 1) * ((b - a) / WINDING_REFINE) + a
     grid[:, -1] = ts[1:]
     fine = np.concatenate([ts[:1], grid.ravel()])
     pts = traj.interpolant(fine)
@@ -180,8 +188,7 @@ def classify_contour(sys, params, saddle_L, saddle_M, probe=True,
                         (float(s_L), float(s_M)), agrees)
 
 
-def _probe_accumulates(sys, params, seed, contour, tol, t_max=200.0,
-                       chunk=15.0, close=None):
+def _probe_accumulates(sys, params, seed, contour, tol):
     """True if a probe orbit ends up tracking the whole contour.
 
     A forward or backward chunk counts as accumulation when *all* of its
@@ -189,13 +196,14 @@ def _probe_accumulates(sys, params, seed, contour, tol, t_max=200.0,
     passing close to one saddle corner does not qualify.
     """
     scale = max(np.ptp(contour[:, 0]), np.ptp(contour[:, 1]))
-    close = close if close is not None else 0.03 * scale
+    close = PROBE_CLOSE * scale
     for sign in (1.0, -1.0):
         t_now, z_now = 0.0, np.asarray(seed, float)
-        while abs(t_now) < t_max:
+        while abs(t_now) < PROBE_T_MAX:
             try:
                 traj = hi.integrate(sys, params, z_now,
-                                    (t_now, t_now + sign * chunk), tol=tol)
+                                    (t_now, t_now + sign * PROBE_CHUNK),
+                                    tol=tol)
             except HetContourError:
                 break
             d = np.min(

@@ -337,9 +337,9 @@ def _heart_scenario():
     )
 
 
-def _registry():
+def _mono_first():
     r = 2e-3
-    mono_first = _mono_scenario(
+    return _mono_scenario(
         "mono_first", 1.5,
         curves=(
             CurveStart(ct.CurveTag.H_L, "axis", r, (45.0, 135.0)),
@@ -351,7 +351,10 @@ def _registry():
         cycle_bracket=(1e-4, 0.1),
         notes="both saddle indices exceed 1: no fold-of-cycles curve",
     )
-    mono_second = _mono_scenario(
+
+
+def _mono_second():
+    return _mono_scenario(
         "mono_second", 0.5,
         curves=(
             CurveStart(ct.CurveTag.H_L, "axis", 0.02, (225.0, 315.0)),
@@ -366,19 +369,21 @@ def _registry():
               "P_L: the flow's loop_L gap keeps its sign on circles of "
               "radius 0.02 and 0.005 about the contour point",
     )
-    return {
-        "mono_first": mono_first,
-        "mono_second": mono_second,
-        "heart": _heart_scenario(),
-    }
+
+
+# each name maps to its builder, so a scenario builds only its own system
+_SCENARIOS = {
+    "mono_first": _mono_first,
+    "mono_second": _mono_second,
+    "heart": _heart_scenario,
+}
 
 
 def scenario(name):
-    reg = _registry()
-    if name not in reg:
-        raise NotFound(f"unknown scenario {name!r}; have {sorted(reg)}")
-    return reg[name]
+    if name not in _SCENARIOS:
+        raise NotFound(f"unknown scenario {name!r}; have {scenario_names()}")
+    return _SCENARIOS[name]()
 
 
 def scenario_names():
-    return sorted(_registry())
+    return sorted(_SCENARIOS)

@@ -20,6 +20,7 @@ HYPERBOLICITY_CUTOFF = 1e-8
 INDEX_DEGENERACY_CUTOFF = 1e-10
 TRAP_NEWTON_STEP = 1e-2     # largest |J^-1 F| / (1 + |z|) of a trap search
 TRAP_NEWTON_ITERATIONS = 8
+EIGEN_RESIDUAL_MAX = 1e-10  # largest |J v - lambda v| of a saddle eigenpair
 
 
 class EquilibriumType(enum.Enum):
@@ -201,7 +202,7 @@ def _remainder_bounds(sys, params, q):
     return np.hypot(*per).tolist()
 
 
-def saddle_data(sys, params, point, check_residual=1e-10):
+def saddle_data(sys, params, point):
     """Eigen-data of a saddle equilibrium, with a deterministic eigenvector
     sign convention (first nonzero component positive)."""
     p = sys.full_params(params)
@@ -218,7 +219,7 @@ def saddle_data(sys, params, point, check_residual=1e-10):
     vu = _normalize(V[:, i_u])
     for lam, v in ((w[i_s], vs), (w[i_u], vu)):
         resid = np.linalg.norm(J @ v - lam * v)
-        if resid > check_residual:
+        if resid > EIGEN_RESIDUAL_MAX:
             raise NotASaddle(f"eigenpair residual {resid:.2e} too large")
     return Saddle((float(point[0]), float(point[1])),
                   float(w[i_s]), float(w[i_u]), tuple(vs), tuple(vu))

@@ -15,7 +15,8 @@ from . import equilibria as eq
 from . import integrate as hi
 from .errors import BlowupAtSeed
 
-DEFAULT_SEED_OFFSET = 1e-7
+# a branch starts this far (scaled by 1 + |saddle|) along its eigenvector
+SEED_OFFSET = 1e-7
 # a chunk adding less arclength than this many absolute tolerances (scaled by
 # 1 + |z|) has settled; the integrator's own noise is 20-30 atol per chunk
 SETTLED_ATOLS = 100.0
@@ -32,24 +33,22 @@ class ManifoldBranch:
     kind: Kind
     side: int                  # +1 or -1, sign of the eigenvector offset
     curve: hi.Trajectory
-    seed_offset: float
 
     @property
     def points(self):
         return self.curve.xy
 
 
-def seed_point(saddle, kind, side, delta=None):
+def seed_point(saddle, kind, side):
     loc = np.asarray(saddle.location)
-    if delta is None:
-        delta = DEFAULT_SEED_OFFSET * (1.0 + np.linalg.norm(loc))
+    delta = SEED_OFFSET * (1.0 + np.linalg.norm(loc))
     v = np.asarray(saddle.v_u if kind is Kind.UNSTABLE else saddle.v_s)
     return loc + side * delta * v, delta
 
 
 def grow_branch(sys, params, saddle, kind, side, arclength_cap=20.0,
                 events=(), directions=None, terminal=None,
-                tol=hi.DEFAULT_TOL, delta=None, time_cap=1e4,
+                tol=hi.DEFAULT_TOL, time_cap=1e4,
                 equilibria=(), equilibrium_radius=1e-8, chunk=5.0,
                 until=None):
     """Grow one of the four branches of ``saddle`` up to ``arclength_cap``.
@@ -65,7 +64,7 @@ def grow_branch(sys, params, saddle, kind, side, arclength_cap=20.0,
     that of a branch grown on.  With ``events`` BLOWUP is at the
     ``hi.escape_radius`` of the saddle and section bases, else at 1e6.
     """
-    x0, delta = seed_point(saddle, kind, side, delta)
+    x0, delta = seed_point(saddle, kind, side)
     sign = 1.0 if kind is Kind.UNSTABLE else -1.0
     rate = saddle.lambda_u if kind is Kind.UNSTABLE else -saddle.lambda_s
 
@@ -123,7 +122,7 @@ def grow_branch(sys, params, saddle, kind, side, arclength_cap=20.0,
         raise BlowupAtSeed(f"branch blew up within {pieces[0].arclength():.2e}")
 
     curve = _concat(pieces, termination, hits, terminal_index)
-    return ManifoldBranch(saddle, kind, side, curve, delta)
+    return ManifoldBranch(saddle, kind, side, curve)
 
 
 def _concat(pieces, termination, hits, terminal_index):

@@ -4,108 +4,34 @@ Given a squarefree polynomial G and a degree budget, every field (f, g)
 with  <grad G, (f, g)>  divisible by G leaves {G = 0} invariant.  The
 divisibility condition is linear in the ansatz coefficients: we divide the
 tangency polynomial by G (graded reverse lexicographic leading term) and
-require the remainder to vanish identically.  All arithmetic is exact
-rational; floating point never enters this module.
+require the remainder to vanish identically.  The polynomials and their
+arithmetic are ``affine``'s: the tangency polynomial's coefficients are
+AffineExprs over the ansatz coefficients, so each remainder coefficient is
+one row of the linear system.  All arithmetic is exact rational; floating
+point never enters this module.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
-from .affine import AffineExpr
+from .affine import (AffineExpr, parse_poly, poly_add, poly_dx, poly_dy,
+                     poly_mul)
 from .errors import BadPerturbation, EmptyFamily, ParseError
 from .vectorfield import MAX_DEGREE, MonomialTerm, ParametricSystem
 
 
 # -- exact bivariate polynomials ------------------------------------------
-# Representation: dict {(px, py): coefficient}.  Coefficients are either
-# Fractions (plain polynomials) or dicts {symbol: Fraction} (linear forms
-# over ansatz coefficients, "" the constant slot).
 
 
 def poly_from_string(text):
-    """Parse e.g. ``"y*(y - x*(1-x))"`` into an exact polynomial."""
-    import ast
-
-    try:
-        tree = ast.parse(text, mode="eval")
-    except SyntaxError as exc:
-        raise ParseError(f"invalid polynomial {text!r}: {exc.msg}")
-
-    def ev(node):
-        if isinstance(node, ast.Constant):
-            if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
-                raise ParseError(f"non-numeric literal in {text!r}")
-            v = (Fraction(str(node.value)) if isinstance(node.value, float)
-                 else Fraction(node.value))
-            return {(0, 0): v}
-        if isinstance(node, ast.Name):
-            if node.id == "x":
-                return {(1, 0): Fraction(1)}
-            if node.id == "y":
-                return {(0, 1): Fraction(1)}
-            raise ParseError(f"unknown variable {node.id!r} in {text!r}")
-        if isinstance(node, ast.UnaryOp):
-            inner = ev(node.operand)
-            if isinstance(node.op, ast.USub):
-                return poly_scale(inner, Fraction(-1))
-            if isinstance(node.op, ast.UAdd):
-                return inner
-        if isinstance(node, ast.BinOp):
-            l, r = ev(node.left), ev(node.right)
-            if isinstance(node.op, ast.Add):
-                return poly_add(l, r)
-            if isinstance(node.op, ast.Sub):
-                return poly_add(l, poly_scale(r, Fraction(-1)))
-            if isinstance(node.op, ast.Mult):
-                return poly_mul(l, r)
-            if isinstance(node.op, ast.Pow):
-                if (isinstance(node.right, ast.Constant)
-                        and isinstance(node.right.value, int)
-                        and node.right.value >= 0):
-                    out = {(0, 0): Fraction(1)}
-                    for _ in range(node.right.value):
-                        out = poly_mul(out, l)
-                    return out
-                raise ParseError(f"only non-negative integer powers in {text!r}")
-            if isinstance(node.op, ast.Div):
-                if set(r) == {(0, 0)}:
-                    return poly_scale(l, Fraction(1) / r[(0, 0)])
-        raise ParseError(f"unsupported syntax in {text!r}")
-
-    return _clean(ev(tree.body))
-
-
-def _clean(p):
-    return {m: c for m, c in p.items() if c != 0}
-
-
-def poly_add(p, q):
-    out = dict(p)
-    for m, c in q.items():
-        out[m] = out.get(m, Fraction(0)) + c
-    return _clean(out)
-
-
-def poly_scale(p, s):
-    return _clean({m: c * s for m, c in p.items()})
-
-
-def poly_mul(p, q):
-    out = {}
-    for (ax, ay), ac in p.items():
-        for (bx, by), bc in q.items():
-            m = (ax + bx, ay + by)
-            out[m] = out.get(m, Fraction(0)) + ac * bc
-    return _clean(out)
-
-
-def poly_dx(p):
-    return _clean({(mx - 1, my): c * mx for (mx, my), c in p.items() if mx > 0})
-
-
-def poly_dy(p):
-    return _clean({(mx, my - 1): c * my for (mx, my), c in p.items() if my > 0})
+    """Parse e.g. ``"y*(y - x*(1-x))"`` into ``{(px, py): Fraction}``."""
+    poly = parse_poly(text, ("x", "y"))
+    unknown = sorted({n for c in poly.values() for n in c.param_names()})
+    if unknown:
+        raise ParseError(f"unknown variable(s) {unknown} in {text!r}")
+    return {m: c.const for m, c in poly.items()}
 
 
 def _grevlex_key(mono):
@@ -119,47 +45,15 @@ def leading_monomial(p):
 
 def poly_divmod_single(p, g):
     """Remainder of p upon division by the single polynomial g, grevlex
-    leading term.  Works for linear-form coefficients as well."""
+    leading term.  Works for AffineExpr coefficients as well."""
     lt = leading_monomial(g)
-    lc = g[lt]
+    scale = Fraction(-1) / g[lt]
     rem = dict(p)
-    while True:
-        divisible = [m for m in rem
-                     if m[0] >= lt[0] and m[1] >= lt[1]]
-        if not divisible:
-            break
+    while divisible := [m for m in rem if m[0] >= lt[0] and m[1] >= lt[1]]:
         m = max(divisible, key=_grevlex_key)
-        shift = (m[0] - lt[0], m[1] - lt[1])
-        coef = _coef_scale(rem[m], Fraction(1) / lc)
-        for (gx, gy), gc in g.items():
-            mm = (gx + shift[0], gy + shift[1])
-            rem[mm] = _coef_sub(rem.get(mm), _coef_scale(coef, gc))
-        rem = {mm: c for mm, c in rem.items() if not _coef_is_zero(c)}
+        quotient = {(m[0] - lt[0], m[1] - lt[1]): rem[m] * scale}
+        rem = poly_add(rem, poly_mul(quotient, g))
     return rem
-
-
-def _coef_scale(c, s):
-    if isinstance(c, dict):
-        return {k: v * s for k, v in c.items()}
-    return c * s
-
-
-def _coef_sub(c, d):
-    if c is None:
-        c = {} if isinstance(d, dict) else Fraction(0)
-    if isinstance(c, dict) or isinstance(d, dict):
-        c = dict(c) if isinstance(c, dict) else {"": c}
-        d = d if isinstance(d, dict) else {"": d}
-        for k, v in d.items():
-            c[k] = c.get(k, Fraction(0)) - v
-        return {k: v for k, v in c.items() if v != 0}
-    return c - d
-
-
-def _coef_is_zero(c):
-    if isinstance(c, dict):
-        return all(v == 0 for v in c.values())
-    return c == 0
 
 
 # -- tangency linear system ------------------------------------------------
@@ -191,40 +85,20 @@ def tangency_system(variety, degree):
     """Linear system  (rows over ansatz coefficients) = 0  expressing that
     the tangency polynomial has zero remainder modulo G.
 
-    Returns (symbols, rows) where each row is a dict symbol -> Fraction.
+    Returns (symbols, rows) where each row is a dict symbol -> Fraction,
+    the ``terms`` of one remainder coefficient.
     """
     if degree < 1:
         raise ParseError("degree must be at least 1")
     if degree > MAX_DEGREE:
         raise ParseError(f"degree above cap {MAX_DEGREE}")
     a_syms, b_syms, monos = ansatz_symbols(degree)
-    f = {(i, j): {s: Fraction(1)} for (i, j), s in zip(monos, a_syms)}
-    g = {(i, j): {s: Fraction(1)} for (i, j), s in zip(monos, b_syms)}
-    Gx, Gy = poly_dx(variety.G), poly_dy(variety.G)
-    tangency = poly_add_lin(poly_mul_lin(Gx, f), poly_mul_lin(Gy, g))
+    f = {m: AffineExpr.param(s) for m, s in zip(monos, a_syms)}
+    g = {m: AffineExpr.param(s) for m, s in zip(monos, b_syms)}
+    tangency = poly_add(poly_mul(poly_dx(variety.G), f),
+                        poly_mul(poly_dy(variety.G), g))
     rem = poly_divmod_single(tangency, variety.G)
-    rows = [dict(c) for c in rem.values()]
-    return a_syms + b_syms, rows
-
-
-def poly_mul_lin(plain, linform_poly):
-    out = {}
-    for (ax, ay), ac in plain.items():
-        for (bx, by), bc in linform_poly.items():
-            m = (ax + bx, ay + by)
-            acc = out.setdefault(m, {})
-            for s, v in bc.items():
-                acc[s] = acc.get(s, Fraction(0)) + ac * v
-    return {m: c for m, c in out.items() if not _coef_is_zero(c)}
-
-
-def poly_add_lin(p, q):
-    out = {m: dict(c) for m, c in p.items()}
-    for m, c in q.items():
-        acc = out.setdefault(m, {})
-        for s, v in c.items():
-            acc[s] = acc.get(s, Fraction(0)) + v
-    return {m: c for m, c in out.items() if not _coef_is_zero(c)}
+    return a_syms + b_syms, [c.terms for c in rem.values()]
 
 
 def rational_nullspace(symbols, rows, prefer_free=()):
@@ -299,11 +173,9 @@ def solve_family(variety, degree, parameter_names=None, free_symbols=()):
     x_terms, y_terms = [], []
     for syms, terms in ((a_syms, x_terms), (b_syms, y_terms)):
         for (i, j), s in zip(monos, syms):
-            expr = AffineExpr()
-            for pname, vec in zip(parameter_names, basis):
-                if s in vec:
-                    expr = expr + AffineExpr.param(pname, vec[s])
-            if expr.terms:
+            expr = sum(AffineExpr.param(pname, vec.get(s, 0))
+                       for pname, vec in zip(parameter_names, basis))
+            if expr:
                 terms.append(MonomialTerm(expr, i, j))
     field = ParametricSystem(
         f"tangent_family_deg{degree}",
@@ -314,15 +186,9 @@ def solve_family(variety, degree, parameter_names=None, free_symbols=()):
 
 def tangency_residual(variety, x_terms, y_terms, params):
     """Remainder of <grad G, (f,g)> mod G for a concrete member; exact."""
-    def poly(terms):
-        out = {}
-        for t in terms:
-            val = t.coeff.evaluate(params)
-            if val:
-                out[(t.px, t.py)] = out.get((t.px, t.py), 0) + Fraction(val)
-        return out
-
-    f, g = poly(x_terms), poly(y_terms)
+    term = lambda t: {(t.px, t.py): Fraction(t.coeff.evaluate(params))}
+    f, g = (reduce(poly_add, map(term, terms), {})
+            for terms in (x_terms, y_terms))
     tang = poly_add(poly_mul(poly_dx(variety.G), f),
                     poly_mul(poly_dy(variety.G), g))
     return poly_divmod_single(tang, variety.G)

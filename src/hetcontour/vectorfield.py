@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .affine import _CONST, AffineExpr, parse_affine
+from .affine import AffineExpr, parse_affine
 from .errors import ConfigError, DomainError, NotFound, ParseError
 
 MAX_DEGREE = 6
@@ -55,10 +55,11 @@ class ParametricSystem:
         self.y_terms = tuple(y_terms)
         self._declared = frozenset(n for n, _ in self.parameters)
         for t in self.x_terms + self.y_terms:
-            undeclared = t.coeff.param_names() - self._declared
+            undeclared = [n for n in t.coeff.param_names()
+                          if n not in self._declared]
             if undeclared:
                 raise ParseError(
-                    f"coefficient uses undeclared parameter(s) {sorted(undeclared)}")
+                    f"coefficient uses undeclared parameter(s) {undeclared}")
         # f, g and their partials df/dx, df/dy, dg/dx, dg/dy: one flat
         # coefficient list feeds one closure factory compiled here
         polys = (self.x_terms, self.y_terms, _ddx(self.x_terms),
@@ -192,9 +193,8 @@ def _ddy(terms):
 def _float_affine(expr, names):
     """(constant, ((parameter index, weight), ...)) of ``expr`` in floats,
     the weights in the order ``AffineExpr.evaluate`` adds them."""
-    const = float(expr.terms.get(_CONST, Fraction(0)))
-    return const, tuple((names.index(k), float(expr.terms[k]))
-                        for k in expr.param_names())
+    return float(expr.const), tuple((names.index(k), float(expr.terms[k]))
+                                    for k in expr.param_names())
 
 
 def _compile_factory(polys):

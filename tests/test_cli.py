@@ -84,6 +84,21 @@ def test_flags_a_command_ignores_are_rejected(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["portrait", "--system", "mono_unperturbed", "--region", "0", "1", "0",
+     "1", "--params", "a=1/0"],
+    ["portrait", "--system", "mono_unperturbed", "--region", "0", "1", "0",
+     "1", "--params", "a=abc"],
+    ["melnikov", "--case", "axis", "--c", "1/0"],
+    ["melnikov", "--case", "axis", "--c", "1e300*1e300"],
+    ["synthesize", "--variety", "x/0"],
+    ["synthesize", "--variety", "1e400*x"],
+])
+def test_bad_numbers_are_parse_errors(argv, capsys):
+    assert run(argv) == cli.EXIT_HARD
+    assert "error: ParseError: " in capsys.readouterr().err
+
+
 def test_unknown_scenario_is_hard_error(tmp_path, capsys):
     code = run(["diagram", "--scenario", "nope", "--out", str(tmp_path)])
     assert code == cli.EXIT_HARD

@@ -8,6 +8,7 @@ import pytest
 from hetcontour import connections as cn
 from hetcontour import diagrams as dg
 from hetcontour import modelmap as mm
+from hetcontour import vectorfield as vf
 from hetcontour.continuation import CurveTag
 from hetcontour.errors import BracketError, NotFound
 
@@ -23,6 +24,18 @@ def test_scenario_registry():
         names = [s.recipe for s in scn.curves]
         names += [r for seed in scn.codim2 for r in seed.recipes]
         assert set(names) <= set(scn.recipes)
+
+
+def test_scenario_builds_only_its_own_system(monkeypatch):
+    built = []
+    init = vf.ParametricSystem.__init__
+
+    def counting_init(self, name, *args, **kwargs):
+        built.append(name)
+        init(self, name, *args, **kwargs)
+    monkeypatch.setattr(vf.ParametricSystem, "__init__", counting_init)
+    dg.scenario("heart")
+    assert built == ["diss_heart"]
 
 
 def test_unknown_scenario_rejected():

@@ -4,7 +4,7 @@ every name a package module imports is used in it.
 A public name that no module, test or demo refers to is dead API: it is
 either gated by a test or deleted.  Only references in code count; a name
 that is merely mentioned in a docstring or a comment is still unused.  No
-package module catches every exception.
+package module catches every exception, and only one parses expressions.
 """
 import ast
 from pathlib import Path
@@ -83,3 +83,16 @@ def test_no_catch_all_handlers():
                    for t in caught):
                 broad.append(f"{path.stem}:{node.lineno}")
     assert broad == [], f"catch-all except clauses: {broad}"
+
+
+def test_one_module_parses_expressions():
+    # coefficients, polynomials and CLI numbers share one expression walker
+    parsers = sorted(
+        path.stem for path in PACKAGE.glob("*.py")
+        if any(isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "parse"
+               and isinstance(node.func.value, ast.Name)
+               and node.func.value.id == "ast"
+               for node in ast.walk(ast.parse(path.read_text()))))
+    assert parsers == ["affine"]
