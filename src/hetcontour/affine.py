@@ -7,7 +7,9 @@ stored exactly (``fractions.Fraction``) so that invariance checks can be
 carried out without floating point.  A polynomial is a dict
 ``{(px, py): coefficient}`` whose coefficients are Fractions or
 :class:`AffineExpr`; the ``poly_*`` functions take either.  One expression
-walker, :func:`parse_poly`, reads coefficients, polynomials and numbers.
+walker, :func:`parse_poly`, reads coefficients, polynomials and numbers,
+and :func:`parse_number` is the one reader of constants, for the command
+line and for system files alike.
 Evaluation adds the parameter terms in sorted name order, so a float sum
 does not depend on the order the terms were written in.
 """
@@ -236,5 +238,23 @@ def parse_poly(text, variables=(), path=None):
 
 
 def parse_affine(text, path=None):
-    """Parse an affine-expression string into an :class:`AffineExpr`."""
-    return parse_poly(text, path=path).get((0, 0), AffineExpr())
+    """Parse an affine-expression string into an :class:`AffineExpr`.
+
+    The weights are evaluated in floats, so one that overflows a float is a
+    :class:`ParseError` naming ``path`` here, not an ``OverflowError`` later.
+    """
+    expr = parse_poly(text, path=path).get((0, 0), AffineExpr())
+    try:
+        for weight in expr.terms.values():
+            float(weight)
+    except OverflowError:
+        raise ParseError(f"{text!r} overflows a float", path)
+    return expr
+
+
+def parse_number(text, path=None):
+    """The exact value of a constant expression such as ``3/2`` or ``2**3``."""
+    value = parse_affine(text, path)
+    if not value.is_constant:
+        raise ParseError(f"{text!r} is not a number", path)
+    return value.const

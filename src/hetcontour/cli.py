@@ -27,8 +27,8 @@ from . import melnikov as mel
 from . import modelmap as mm
 from . import synthesis as sy
 from . import vectorfield as vf
-from .affine import parse_affine
-from .errors import HetContourError, ParseError
+from .affine import parse_number
+from .errors import HetContourError
 
 EXIT_OK, EXIT_HARD, EXIT_PARTIAL = 0, 1, 2
 
@@ -144,24 +144,13 @@ def _curve_polyline(c, dash_for_model=False):
 # -- shared argument handling ----------------------------------------------
 
 
-def _number(text, flag):
-    """The float value of a constant expression such as ``3/2`` or ``1e-3``."""
-    value = parse_affine(text, flag)
-    if not value.is_constant:
-        raise ParseError(f"{text!r} is not a number", flag)
-    try:
-        return float(value.const)
-    except OverflowError:
-        raise ParseError(f"{text!r} overflows a float", flag)
-
-
 def _parse_params(pairs):
     params = {}
     for item in pairs or ():
         if "=" not in item:
             raise SystemExit(f"--params expects k=v, got {item!r}")
         k, v = item.split("=", 1)
-        params[k] = _number(v, f"--params {k}")
+        params[k] = float(parse_number(v, f"--params {k}"))
     return params
 
 
@@ -312,8 +301,8 @@ def cmd_melnikov(args):
     conn = {"parabola": mel.Connection.PARABOLA,
             "axis": mel.Connection.X_AXIS}[args.case]
     prob = mel.MelnikovProblem(a=args.a, b=args.b,
-                               c=_number(args.c, "--c"), connection=conn,
-                               tolerance=args.tol_abs)
+                               c=float(parse_number(args.c, "--c")),
+                               connection=conn, tolerance=args.tol_abs)
     res = mel.melnikov_integral(prob)
     print(f"M(0) = {_f(res.value)} +/- {res.error_estimate:.2e}")
     print(f"sign certified negative: {res.sign_certified_negative}")

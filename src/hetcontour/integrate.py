@@ -211,8 +211,7 @@ def _rms(a, b):
     return math.sqrt(a * a + b * b) / SQRT2
 
 
-def _initial_step(f, t0, x0, y0, fx0, fy0, span, direction, rtol, atol,
-                  max_step):
+def _initial_step(f, t0, x0, y0, fx0, fy0, span, direction, rtol, atol):
     """First step size, HNW II.4, as SciPy's ``select_initial_step``."""
     sx, sy = atol + abs(x0) * rtol, atol + abs(y0) * rtol
     d0 = _rms(x0 / sx, y0 / sy)
@@ -226,10 +225,10 @@ def _initial_step(f, t0, x0, y0, fx0, fy0, span, direction, rtol, atol,
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    return min(100 * h0, h1, span, max_step)
+    return min(100 * h0, h1, span)
 
 
-def _dopri5(f, t0, x0, y0, t_end, rtol, atol, max_step, events, n_sections):
+def _dopri5(f, t0, x0, y0, t_end, rtol, atol, events, n_sections):
     """Dormand-Prince 5(4) from ``(x0, y0)`` at ``t0`` towards ``t_end``.
 
     ``events``: ``(g, direction, terminal)`` triples with ``g(x, y)``; a
@@ -247,13 +246,11 @@ def _dopri5(f, t0, x0, y0, t_end, rtol, atol, max_step, events, n_sections):
     t, x, y = t0, x0, y0
     k1x, k1y = f(t, (x, y))
     h_abs = _initial_step(f, t, x, y, k1x, k1y, abs(t_end - t0), direction,
-                          rtol, atol, max_step)
+                          rtol, atol)
     g = [ev(x, y) for ev, _, _ in events]
     while True:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        if h_abs > max_step:
-            h_abs = max_step
-        elif h_abs < min_step:
+        if h_abs < min_step:
             h_abs = min_step
         rejected = False
         while True:
@@ -360,7 +357,7 @@ def _step_polynomial(t_old, x_old, y_old, h, stages):
 
 def integrate(sys, params, x0, t_span, tol=DEFAULT_TOL, events=(),
               directions=None, terminal=None, blowup_radius=BLOWUP_RADIUS,
-              equilibria=(), equilibrium_radius=1e-8, max_step=np.inf):
+              equilibria=(), equilibrium_radius=1e-8):
     """Integrate ``sys`` from ``x0`` over ``t_span``.
 
     events: CrossSection instances; crossings are located on the dense
@@ -408,7 +405,7 @@ def integrate(sys, params, x0, t_span, tol=DEFAULT_TOL, events=(),
 
     rtol, atol = max(float(tol[1]), 100 * EPS), float(tol[0])
     ts, zs, hs, ks, hits, stop = _dopri5(
-        f, t0, x, y, t1, rtol, atol, max_step, evs, len(events))
+        f, t0, x, y, t1, rtol, atol, evs, len(events))
 
     t = np.frombuffer(ts)
     xy = np.frombuffer(zs).reshape(-1, 2)

@@ -20,6 +20,8 @@ SEED_OFFSET = 1e-7
 # a chunk adding less arclength than this many absolute tolerances (scaled by
 # 1 + |z|) has settled; the integrator's own noise is 20-30 atol per chunk
 SETTLED_ATOLS = 100.0
+# a branch is integrated in pieces this long in time
+CHUNK = 5.0
 
 
 class Kind(enum.Enum):
@@ -49,11 +51,10 @@ def seed_point(saddle, kind, side):
 def grow_branch(sys, params, saddle, kind, side, arclength_cap=20.0,
                 events=(), directions=None, terminal=None,
                 tol=hi.DEFAULT_TOL, time_cap=1e4,
-                equilibria=(), equilibrium_radius=1e-8, chunk=5.0,
-                until=None):
+                equilibria=(), equilibrium_radius=1e-8, until=None):
     """Grow one of the four branches of ``saddle`` up to ``arclength_cap``.
 
-    The branch is integrated in ``chunk``-long pieces.  Its ``termination``
+    The branch is integrated in CHUNK-long pieces.  Its ``termination``
     says why it ended: ARCLENGTH_CAP, TIME_LIMIT at ``time_cap``, EVENT at a
     terminal event hit, BLOWUP, EQUILIBRIUM_APPROACH to any of the
     registered ``equilibria``, SETTLED when a full chunk adds next to no
@@ -80,7 +81,7 @@ def grow_branch(sys, params, saddle, kind, side, arclength_cap=20.0,
     radius = (hi.escape_radius(saddle.location, *(s.base for s in events))
               if events else hi.BLOWUP_RADIUS)
     # first chunk covers the slow escape from the linear zone
-    t_chunk = max(chunk, 3.0 / max(rate, 1e-6))
+    t_chunk = max(CHUNK, 3.0 / max(rate, 1e-6))
     while True:
         t_next = t_now + sign * t_chunk
         traj = hi.integrate(sys, p, z_now, (t_now, t_next), tol=tol,
@@ -114,7 +115,7 @@ def grow_branch(sys, params, saddle, kind, side, arclength_cap=20.0,
             break
         if abs(t_now) >= time_cap:
             break
-        t_chunk = chunk
+        t_chunk = CHUNK
         prev_seg = seg
 
     if termination is hi.Termination.BLOWUP and len(pieces) == 1 \

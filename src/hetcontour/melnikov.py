@@ -2,9 +2,11 @@
 
 For the degree-2 monodromic family the two connections admit an x-domain
 reduction: with y eliminated along the connection, both the divergence
-weight and the perturbation term become rational in x, so the weight
-exponential integrates in closed form via partial fractions and only the
-final integral over (0, 1) is done by adaptive quadrature.
+weight and the perturbation term become rational in x, and partial
+fractions give the integrand on (0, 1) as x(1-x) q(x) prod |x - r_i|^-res_i.
+It goes like x^(1 - res_0) at 0 and (1-x)^(1 - res_1) at 1, so it is
+integrable iff both exponents exceed -1: that, and simple roots, are decided
+before the tanh-sinh rule of Takahasi & Mori (1974) computes the integral.
 """
 from __future__ import annotations
 
@@ -15,6 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureError
+
+# tanh-sinh: the first step in t, the number of rules (each halves the
+# step), and a |t| beyond which every node weight underflows
+FIRST_STEP = 0.125
+RULES = 4
+T_MAX = 6.5
 
 
 class Connection(enum.Enum):
@@ -39,94 +47,86 @@ class MelnikovResult:
     orientation_note: str
 
 
-def _rational_weight(num_coeffs, roots, ref=0.5):
-    """exp[-integral_{ref}^{x} num/den] for den with simple roots.
-
-    ``num_coeffs`` are highest-first polynomial coefficients of the
-    numerator; ``den = lead * prod (x - r_i)``.  Partial fractions give the
-    antiderivative as a sum of residue-weighted logarithms.
-    """
+def _integrand(num_coeffs, roots, q):
+    """``term(x, xc, logw)``: x(1-x) q(x) exp[-integral_{1/2}^{x} num/den]
+    times e^logw at x = 1 - xc, summed in logs, for num with ``num_coeffs``
+    (highest first) and den = lead * prod(x - r), ``roots[:2] == [0, 1]``;
+    QuadratureError unless its integral over (0, 1) exists."""
+    if any(0.0 < r < 1.0 for r in roots[2:]):
+        raise QuadratureError(
+            f"interior zero of dx/dt at x={roots[2]:.4g}; connection broken")
+    if len(set(roots)) < len(roots):
+        raise QuadratureError(f"coincident roots {roots}: no finite residue")
     num = np.poly1d(num_coeffs)
-    residues = []
-    for i, r in enumerate(roots):
-        dprime = np.prod([r - s for j, s in enumerate(roots) if j != i])
-        residues.append(num(r) / dprime)
+    res = [float(num(r)) / math.prod(r - s for s in roots if s != r)
+           for r in roots]
+    shift = sum(c * math.log(abs(0.5 - r)) for r, c in zip(roots, res))
+    ends = (1 - res[0], 1 - res[1])
+    if min(ends) <= -1:
+        raise QuadratureError(
+            f"divergent integral: the integrand goes like x^{ends[0]:.4g} at "
+            f"x=0 and (1-x)^{ends[1]:.4g} at x=1")
 
-    def weight(x):
-        s = 0.0
-        for r, c in zip(roots, residues):
-            s += c * (math.log(abs(x - r)) - math.log(abs(ref - r)))
-        return math.exp(-s)
+    def term(x, xc, logw):
+        log = logw + shift + ends[0] * np.log(x) + ends[1] * np.log(xc)
+        for r, c in zip(roots[2:], res[2:]):
+            log -= c * np.log(np.abs(x - r))
+        return np.polyval(q, x) * np.exp(log)
 
-    return weight, residues
-
-
-def _parabola_pieces(a, b, c):
-    # f restricted to y = x(1-x):  f = (a+b)x + (c-a-b)x^2 - c x^3
-    # divergence restricted:       (2a+b) + (4c-4a-2b)x - 5c x^2
-    lead = -c
-    # roots of f/x: always x=1 and x = -(a+b)/c
-    r3 = -(a + b) / c
-    roots = [0.0, 1.0, r3]
-    div = [-5 * c, 4 * c - 4 * a - 2 * b, 2 * a + b]
-    num = [x / lead for x in div]   # num / prod(x - r_i)
-    return num, roots
+    return term
 
 
-def _axis_pieces(a, b, c):
-    # f on y = 0: a x (1 - x) = -a (x)(x-1); divergence: (2a+b) - (3a+2b+c)x
-    lead = -a
-    roots = [0.0, 1.0]
+def _tanh_sinh(term, tolerance):
+    """(I, |I_h - I_2h|) for the integral of ``term`` over (0, 1), halving h
+    from FIRST_STEP until two rules agree within ``tolerance``.  Nodes are
+    x = 1/(1 + e^-2u), u = (pi/2) sinh t, with 1 - x from the same formula."""
+    total = math.nan
+    for i in range(RULES):
+        h = FIRST_STEP / 2 ** i
+        t = np.arange(-T_MAX, T_MAX + h / 2, h)
+        u = np.pi / 2 * np.sinh(t)
+        s = np.exp(-2 * np.abs(u))
+        near, far = s / (1 + s), 1 / (1 + s)     # distances to the two ends
+        w = h * np.pi * np.cosh(t) * near * far  # h dx/dt, 0 if underflowed
+        keep = w > 0
+        x, xc = np.where(u < 0, near, far), np.where(u < 0, far, near)
+        rule = float(np.sum(term(x[keep], xc[keep], np.log(w[keep]))))
+        err, total = abs(rule - total), rule
+        if err <= tolerance:
+            break
+    return total, err
+
+
+def _pieces(parabola, a, b, c):
+    """``_integrand``'s (num_coeffs, roots, q) for either connection."""
+    if (c if parabola else a) == 0:
+        raise QuadratureError("zero leading coefficient of f on the path")
+    if parabola:
+        # on y = x(1-x): f = (a+b)x + (c-a-b)x^2 - c x^3 with roots 0, 1 and
+        # -(a+b)/c; divergence (2a+b) + (4c-4a-2b)x - 5c x^2; perturbation
+        # term x(1-x)(2x-1), negated as time runs from x=1 to x=0: q = 1 - 2x
+        div = [-5 * c, 4 * c - 4 * a - 2 * b, 2 * a + b]
+        return [x / -c for x in div], [0.0, 1.0, -(a + b) / c], [-2.0, 1.0]
+    # f on y = 0: a x (1 - x) = -a (x)(x-1); divergence: (2a+b) - (3a+2b+c)x;
+    # perturbation term -x(1-x): q = -1
     div = [-(3 * a + 2 * b + c), 2 * a + b]
-    num = [x / lead for x in div]
-    return num, roots
+    return [x / -a for x in div], [0.0, 1.0], [-1.0]
 
 
 def melnikov_integral(problem):
     """Melnikov integral of the requested connection at the critical
-    parameter value.
-
-    Parabola: the perturbation multiplies y in dx/dt; the connection runs
-    from (1,0) to (0,0), so the time integral maps to ``-∫_0^1``.
-    X-axis: the perturbation multiplies (y - x(1-x)) in dy/dt; the
-    connection runs from (0,0) to (1,0) and the integrand is negative
-    throughout, certifying a negative integral.
-    """
-    # imported on use: the rest of the package runs without SciPy
-    from scipy.integrate import quad
-
-    a, b, c = problem.a, problem.b, problem.c
-    if problem.connection is Connection.PARABOLA:
-        num, roots = _parabola_pieces(a, b, c)
-        if any(0.0 < r < 1.0 for r in roots[2:]):
-            raise QuadratureError(
-                f"interior zero of dx/dt at x={roots[2]:.4g}; connection broken")
-        weight, _ = _rational_weight(num, roots)
-        integrand = lambda x: weight(x) * x * (-2 * x * x + 3 * x - 1)
-        sign_factor = -1.0
-        note = ("section coordinate oriented toward the contour interior; "
-                "time runs from M=(1,0) to L=(0,0)")
-    else:
-        num, roots = _axis_pieces(a, b, c)
-        weight, _ = _rational_weight(num, roots)
-        integrand = lambda x: weight(x) * (-x * (1 - x))
-        sign_factor = 1.0
-        note = ("section coordinate oriented toward the contour interior; "
-                "time runs from L=(0,0) to M=(1,0)")
-
-    val, err = quad(integrand, 0.0, 1.0, epsabs=problem.tolerance,
-                    epsrel=problem.tolerance, limit=200, points=[0.5])
-    if not math.isfinite(val) or err > 1e-6:
+    parameter value.  Parabola: the perturbation multiplies y in dx/dt; the
+    connection runs from (1,0) to (0,0), so the time integral maps to
+    ``-∫_0^1``.  X-axis: the perturbation multiplies (y - x(1-x)) in dy/dt;
+    the connection runs from (0,0) to (1,0) and the integrand is negative,
+    certifying the sign."""
+    parabola = problem.connection is Connection.PARABOLA
+    with np.errstate(over="ignore", invalid="ignore"):  # inf/nan fail below
+        term = _integrand(*_pieces(parabola, problem.a, problem.b, problem.c))
+        value, err = _tanh_sinh(term, problem.tolerance)
+    if not math.isfinite(value) or err > 1e-6:
         raise QuadratureError(f"quadrature error estimate {err:.2e}")
-    value = sign_factor * val
-
-    certified = False
-    if problem.connection is Connection.X_AXIS:
-        # weight > 0 and -x(1-x) < 0 on (0,1): integrand strictly negative
-        certified = value < 0
-    return MelnikovResult(float(value), float(err), certified, note)
-
-
-def splitting_derivative_check(gap_fn, h=1e-4):
-    """Central finite difference of a gap function at parameter 0."""
-    return (gap_fn(h) - gap_fn(-h)) / (2 * h)
+    note = ("section coordinate oriented toward the contour interior; time "
+            "runs from " + ("M=(1,0) to L=(0,0)" if parabola
+                            else "L=(0,0) to M=(1,0)"))
+    return MelnikovResult(value, err, not parabola and value < 0, note)

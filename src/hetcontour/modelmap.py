@@ -20,7 +20,7 @@ import enum
 import math
 from array import array
 from bisect import bisect
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate, chain, groupby, pairwise
 
@@ -112,18 +112,6 @@ def iterate(m, xi, k):
             break
         xi = eval_map(m, xi)
     return xi
-
-
-def dual(m):
-    """Same map in the opposite orientation convention.
-
-    (theta1, theta2) -> (-theta1, -theta2) swaps Eq-form monodromic and
-    non-monodromic; with positive thetas this is an orientation flip.
-    """
-    flip = (Orientation.NON_MONODROMIC
-            if m.orientation is Orientation.MONODROMIC
-            else Orientation.MONODROMIC)
-    return replace(m, orientation=flip)
 
 
 # -- connection conditions -------------------------------------------------

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .affine import AffineExpr, parse_affine
+from .affine import AffineExpr, parse_affine, parse_number
 from .errors import ConfigError, DomainError, NotFound, ParseError
 
 MAX_DEGREE = 6
@@ -296,10 +296,7 @@ def from_dict(data):
             raise ParseError("parameter entries need 'name' and 'default'", loc)
         if not isinstance(p["name"], str):
             raise ParseError("parameter name must be a string", f"{loc}.name")
-        try:
-            params.append((p["name"], Fraction(str(p["default"]))))
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad default {p['default']!r}", loc)
+        params.append((p["name"], parse_number(str(p["default"]), loc)))
 
     def read_terms(key):
         out = []

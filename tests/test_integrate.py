@@ -97,17 +97,6 @@ def test_section_event_matches_scipy_rk45(gamma, span, direction):
     assert np.max(np.abs(traj(inside) - ref.sol(inside))) < 1e-12
 
 
-def test_max_step_is_honoured(gamma):
-    # the free steps on this orbit are four times longer
-    sys_, params = gamma
-    traj = hi.integrate(sys_, params, (0.3, 0.2), (0.0, 10.0),
-                        max_step=0.005)
-    ref = rk45_oracle(sys_, params, (0.3, 0.2), (0.0, 10.0), max_step=0.005)
-    assert np.max(np.diff(traj.t)) <= 0.005 + 1e-12
-    assert len(traj.t) == len(ref.t) > 2000
-    assert np.max(np.abs(traj.end - ref.y[:, -1])) < 1e-12
-
-
 def test_step_underflow_raises_stiffness_error():
     # x' = x^2 from x = 1 blows up at t = 1; with no radius to stop at, the
     # steps shrink until they fall below the spacing of floats near t = 1

@@ -100,8 +100,9 @@ def test_equilibrium_approach_termination(mono_saddle):
 def test_chained_interpolant_matches_samples(mono_saddle, monkeypatch):
     sys_, params, sad = mono_saddle
     chunks = _count_chunks(monkeypatch)
+    monkeypatch.setattr(mf, "CHUNK", 0.5)
     br = mf.grow_branch(sys_, params, sad, mf.Kind.UNSTABLE, 1,
-                        arclength_cap=5.0, chunk=0.5)
+                        arclength_cap=5.0)
     # the check means something only if the branch ran through a chain
     assert len(chunks) > 1
     ts = br.curve.t

@@ -1,5 +1,10 @@
-"""First-order splitting integrals of the cubic contour family."""
+"""First-order splitting integrals of the cubic contour family, against a
+closed form and against scipy's quad."""
+import math
+import warnings
+
 import pytest
+from scipy.integrate import quad
 
 from hetcontour import melnikov as ml
 from hetcontour.errors import QuadratureError
@@ -37,6 +42,51 @@ def test_broken_connection_rejected():
         ml.melnikov_integral(prob)
 
 
-def test_derivative_check_is_central_difference():
-    d = ml.splitting_derivative_check(lambda h: 3.0 * h + h ** 3, h=1e-4)
-    assert abs(d - 3.0) < 1e-7
+@pytest.mark.parametrize("connection, a, c, reason", [
+    # res_1 = c - 2 = 3: the integrand goes like (1 - x)^-2 at x = 1
+    (ml.Connection.X_AXIS, 1.0, 5.0, "divergent integral"),
+    # r_3 = -(a + b)/c = 1 is a double root of dx/dt
+    (ml.Connection.PARABOLA, 1.0, 2.0, "coincident roots"),
+    # f = a x(1 - x) on the x-axis and f = (a+b)x + (c-a-b)x^2 - c x^3 on
+    # the parabola lose their leading terms
+    (ml.Connection.X_AXIS, 0.0, 1.5, "zero leading coefficient"),
+    (ml.Connection.PARABOLA, 1.0, 0.0, "zero leading coefficient"),
+    # the weight's exponents, about 3e300, overflow a float
+    (ml.Connection.X_AXIS, 1e-300, 0.5, "quadrature error estimate nan"),
+])
+def test_faulty_integrals_are_decided_without_a_warning(connection, a, c,
+                                                        reason):
+    prob = ml.MelnikovProblem(a=a, c=c, connection=connection)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match=reason):
+            ml.melnikov_integral(prob)
+
+
+@pytest.mark.parametrize("a, b, c", [
+    (1.0, -3.0, 0.6), (1.0, -3.0, 1.5), (1.0, -3.0, 3.0), (1.0, -3.0, 3.9),
+    (2.0, -5.0, 1.0),
+])
+def test_axis_integral_is_a_beta_function(a, b, c):
+    # the weight is (2x)^-r0 (2(1-x))^-r1 with residues r0 = (2a+b)/a and
+    # r1 = (a+b+c)/a, so the integral is -2^-(r0+r1) B(2 - r0, 2 - r1)
+    r0, r1 = (2 * a + b) / a, (a + b + c) / a
+    exact = -2 ** -(r0 + r1) * math.gamma(2 - r0) * math.gamma(2 - r1) \
+        / math.gamma(4 - r0 - r1)
+    res = ml.melnikov_integral(ml.MelnikovProblem(
+        a=a, b=b, c=c, connection=ml.Connection.X_AXIS))
+    assert abs(res.value - exact) <= 1e-14 * abs(exact)
+    assert res.error_estimate <= 1e-9
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0, 1.5, 1.9])
+def test_parabola_integral_matches_nested_scipy_quadrature(c):
+    # independent of the partial fractions: the weight exp(-int_{1/2}^x
+    # div/f) is a quadrature too, with f and div restricted to y = x(1-x)
+    a, b = 1.0, -3.0
+    f = lambda x: (a + b) * x + (c - a - b) * x ** 2 - c * x ** 3
+    div = lambda x: (2 * a + b) + (4 * c - 4 * a - 2 * b) * x - 5 * c * x ** 2
+    weight = lambda x: math.exp(-quad(lambda s: div(s) / f(s), 0.5, x)[0])
+    ref = -quad(lambda x: weight(x) * x * (-2 * x * x + 3 * x - 1), 0, 1)[0]
+    value = ml.melnikov_integral(ml.MelnikovProblem(c=c)).value
+    assert abs(value - ref) <= 1e-12

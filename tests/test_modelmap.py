@@ -43,15 +43,6 @@ def test_map_strictly_increasing_on_domain(lam, mu, orient, b1, b2, x0, dx):
 
 
 @settings(max_examples=100, deadline=None)
-@given(indices, indices, orientations, betas, betas)
-def test_dual_is_an_involution(lam, mu, orient, b1, b2):
-    m = _make(lam, mu, orient, b1, b2)
-    d = mm.dual(m)
-    assert d.orientation is not m.orientation and d.sign == -m.sign
-    assert mm.dual(d) == m
-
-
-@settings(max_examples=100, deadline=None)
 @given(indices, indices, orientations,
        st.floats(min_value=0.01, max_value=0.3))
 def test_homoclinic_conditions_vanish_on_their_curves(lam, mu, orient, b2):

@@ -6,6 +6,7 @@ import pytest
 
 from hetcontour import synthesis as sy
 from hetcontour import vectorfield as vf
+from hetcontour.affine import AffineExpr
 from hetcontour.errors import ConfigError, ParseError
 
 
@@ -77,6 +78,30 @@ def test_from_dict_reports_malformed_fields_with_their_path(field, value,
                                                             path):
     data = vf.builtin("mono_perturbed").to_dict()
     data[field] = value
+    with pytest.raises(ParseError) as err:
+        vf.from_dict(data)
+    assert err.value.path == path
+
+
+def test_a_default_reads_as_a_coefficient_does():
+    # one constant reader: 2**3 is 8 as a default as it is in a coefficient
+    data = vf.builtin("mono_unperturbed").to_dict()
+    data["parameters"][0]["default"] = "2**3"
+    data["x_dot"][0]["coeff"] = "2**3*a"
+    sys_ = vf.from_dict(data)
+    assert sys_.parameters[0] == ("a", 8)
+    assert sys_.x_terms[0].coeff == AffineExpr.param("a", 8)
+
+
+@pytest.mark.parametrize("field, value, path", [
+    ("default", "1e400", "parameters[0]"),
+    ("default", "1e300*1e300", "parameters[0]"),
+    ("coeff", "1e300*1e300*a", "x_dot[0]"),
+])
+def test_numbers_beyond_the_float_range_are_parse_errors(field, value, path):
+    data = vf.builtin("mono_unperturbed").to_dict()
+    entry = data["parameters"][0] if field == "default" else data["x_dot"][0]
+    entry[field] = value
     with pytest.raises(ParseError) as err:
         vf.from_dict(data)
     assert err.value.path == path
