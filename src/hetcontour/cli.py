@@ -144,13 +144,22 @@ def _curve_polyline(c, dash_for_model=False):
 # -- shared argument handling ----------------------------------------------
 
 
+def _number(text, flag):
+    """The float of a number argument such as ``2/3`` or ``5e-4``."""
+    return float(parse_number(text, flag))
+
+
+def _numbers(texts, flag):
+    return [_number(t, flag) for t in texts]
+
+
 def _parse_params(pairs):
     params = {}
     for item in pairs or ():
         if "=" not in item:
             raise SystemExit(f"--params expects k=v, got {item!r}")
         k, v = item.split("=", 1)
-        params[k] = float(parse_number(v, f"--params {k}"))
+        params[k] = _number(v, f"--params {k}")
     return params
 
 
@@ -172,7 +181,9 @@ def _add_output(p):
 def cmd_portrait(args):
     system = _system_from_arg(args.system)
     params = system.full_params(_parse_params(args.params))
-    xmin, xmax, ymin, ymax = args.region
+    xmin, xmax, ymin, ymax = _numbers(args.region, "--region")
+    seeds = [_numbers(s, "--seeds") for s in args.seeds]
+    t_end = _number(args.time, "--time")
     tol = (args.tol_abs, args.tol_rel)
     rng = np.random.RandomState(args.seed)
     diag = float(np.hypot(xmax - xmin, ymax - ymin))
@@ -210,9 +221,8 @@ def cmd_portrait(args):
                 polylines.append((br.points, color, ""))
                 names.append((f"manifold_{mkind.value}_{_f(loc[0])}_"
                               f"{_f(loc[1])}_{side}", br.points))
-    for i, seed_pt in enumerate(args.seeds):
-        traj = hi.integrate(system, params, seed_pt, (0.0, args.time),
-                            tol=tol)
+    for i, seed_pt in enumerate(seeds):
+        traj = hi.integrate(system, params, seed_pt, (0.0, t_end), tol=tol)
         polylines.append((traj.xy, "#888888", ""))
         names.append((f"trajectory_{i}", traj.xy))
 
@@ -264,10 +274,11 @@ def cmd_diagram(args):
     scn = dg.scenario(args.scenario)
     bounds = None
     if args.bounds is not None:
-        b = args.bounds
+        b = _numbers(args.bounds, "--bounds")
         bounds = ((b[0], b[1]), (b[2], b[3]))
     diagram = dg.assemble_diagram(scn, bounds=bounds, k_max=args.kmax,
-                                  step=args.step, max_points=args.max_points)
+                                  step=_number(args.step, "--step"),
+                                  max_points=args.max_points)
 
     w = ArtifactWriter(args.out, args.format)
     w.write("diagram.csv", "csv", curves_csv(diagram.curves))
@@ -300,8 +311,8 @@ def cmd_diagram(args):
 def cmd_melnikov(args):
     conn = {"parabola": mel.Connection.PARABOLA,
             "axis": mel.Connection.X_AXIS}[args.case]
-    prob = mel.MelnikovProblem(a=args.a, b=args.b,
-                               c=float(parse_number(args.c, "--c")),
+    a, b = _number(args.a, "--a"), _number(args.b, "--b")
+    prob = mel.MelnikovProblem(a=a, b=b, c=_number(args.c, "--c"),
                                connection=conn, tolerance=args.tol_abs)
     res = mel.melnikov_integral(prob)
     print(f"M(0) = {_f(res.value)} +/- {res.error_estimate:.2e}")
@@ -309,7 +320,7 @@ def cmd_melnikov(args):
     print(res.orientation_note)
     w = ArtifactWriter(args.out, args.format)
     w.write("melnikov.json", "json", json.dumps({
-        "case": args.case, "a": _f(args.a), "b": _f(args.b), "c": args.c,
+        "case": args.case, "a": _f(a), "b": _f(b), "c": args.c,
         "value": _f(res.value), "error_estimate": _f(res.error_estimate),
         "sign_certified_negative": res.sign_certified_negative,
     }, indent=2, sort_keys=True) + "\n")
@@ -334,8 +345,9 @@ def cmd_synthesize(args):
 def cmd_modelmap(args):
     ori = {"monodromic": mm.Orientation.MONODROMIC,
            "non-monodromic": mm.Orientation.NON_MONODROMIC}[args.orientation]
-    m = mm.ModelMap(lam=args.lam, mu=args.mu, orientation=ori)
-    b1, b2 = args.box
+    m = mm.ModelMap(lam=_number(args.lam, "--lambda"),
+                    mu=_number(args.mu, "--mu"), orientation=ori)
+    b1, b2 = _numbers(args.box, "--box")
     curves = mm.bifurcation_set(m, ((-b1, b1), (-b2, b2)), n=args.n,
                                 k_max=args.kmax)
     w = ArtifactWriter(args.out, args.format)
@@ -360,11 +372,11 @@ def build_parser():
     sp = sub.add_parser("portrait", help="phase portrait with manifolds")
     sp.add_argument("--system", required=True,
                     help=f"builtin {vf.BUILTIN_NAMES} or a JSON file path")
-    sp.add_argument("--region", type=float, nargs=4, required=True,
+    sp.add_argument("--region", nargs=4, required=True,
                     metavar=("XMIN", "XMAX", "YMIN", "YMAX"))
-    sp.add_argument("--seeds", type=float, nargs=2, action="append",
+    sp.add_argument("--seeds", nargs=2, action="append",
                     default=[], metavar=("X", "Y"))
-    sp.add_argument("--time", type=float, default=40.0)
+    sp.add_argument("--time", default="40")
     sp.add_argument("--seed", type=int, default=0,
                     help="random seed for the equilibrium-search grid jitter")
     sp.add_argument("--params", nargs="*", metavar="K=V", default=[],
@@ -377,10 +389,10 @@ def build_parser():
     sp = sub.add_parser("diagram", help="two-parameter bifurcation diagram")
     sp.add_argument("--scenario", required=True,
                     help=f"one of {dg.scenario_names()}")
-    sp.add_argument("--bounds", type=float, nargs=4, default=None,
+    sp.add_argument("--bounds", nargs=4, default=None,
                     metavar=("P1MIN", "P1MAX", "P2MIN", "P2MAX"))
     sp.add_argument("--kmax", type=int, default=2)
-    sp.add_argument("--step", type=float, default=5e-4)
+    sp.add_argument("--step", default="5e-4")
     sp.add_argument("--max-points", type=int, default=40)
     _add_output(sp)
     sp.set_defaults(func=cmd_diagram)
@@ -388,8 +400,8 @@ def build_parser():
     sp = sub.add_parser("melnikov", help="first-order splitting integral")
     sp.add_argument("--case", choices=("parabola", "axis"), required=True)
     sp.add_argument("--c", default="3/2", help="a number such as 1/2")
-    sp.add_argument("--a", type=float, default=1.0)
-    sp.add_argument("--b", type=float, default=-3.0)
+    sp.add_argument("--a", default="1")
+    sp.add_argument("--b", default="-3")
     sp.add_argument("--tol-abs", type=float, default=1e-10,
                     help="quadrature tolerance")
     _add_output(sp)
@@ -410,10 +422,11 @@ def build_parser():
     sp = sub.add_parser("modelmap", help="model-map bifurcation set")
     sp.add_argument("--orientation",
                     choices=("monodromic", "non-monodromic"), required=True)
-    sp.add_argument("--lambda", dest="lam", type=float, required=True)
-    sp.add_argument("--mu", type=float, required=True)
+    sp.add_argument("--lambda", dest="lam", required=True,
+                    help="a number such as 2/3")
+    sp.add_argument("--mu", required=True)
     sp.add_argument("--kmax", type=int, default=mm.K_MAX_DEFAULT)
-    sp.add_argument("--box", type=float, nargs=2, default=(0.3, 0.3),
+    sp.add_argument("--box", nargs=2, default=("0.3", "0.3"),
                     metavar=("B1", "B2"))
     sp.add_argument("--n", type=int, default=101)
     _add_output(sp)

@@ -16,7 +16,11 @@ from . import manifolds as mf
 from .errors import (HetContourError, InsufficientWinding, NoContour,
                      NoIntersection)
 
-WINDING_REFINE = 4     # angle samples per integrator step in a winding count
+# a winding count splits a step whose ends lie more than WINDING_TURN apart
+# in angle into WINDING_PIECES pieces of its dense output, then halves the
+# pieces that still do, down to WINDING_PIECES_MAX pieces per step
+WINDING_TURN = np.pi / 4
+WINDING_PIECES, WINDING_PIECES_MAX = 4, 1024
 # a contour probe integrates PROBE_CHUNK-long chunks up to |t| = PROBE_T_MAX;
 # a chunk that keeps within PROBE_CLOSE times the contour's extent of the
 # contour counts as accumulation
@@ -53,20 +57,66 @@ class ContourClass:
     probe_agrees: bool | None
 
 
-def _winding_at(traj, center, times):
-    """Accumulated |angle| around ``center`` at each of ``times``."""
+def _step_points(traj, n):
+    """Times and points (shape ``(2, m)``) of ``traj`` with step ``i`` split
+    into ``n[i]`` equal pieces: the samples at the step ends, the dense
+    output inside, so that only the split steps are interpolated."""
     ts = traj.t
-    # each step split as np.linspace(a, b, WINDING_REFINE + 1)[1:] splits it
-    a, b = ts[:-1, None], ts[1:, None]
-    grid = np.arange(1, WINDING_REFINE + 1) * ((b - a) / WINDING_REFINE) + a
-    grid[:, -1] = ts[1:]
-    fine = np.concatenate([ts[:1], grid.ravel()])
-    pts = traj.interpolant(fine)
-    ang = np.unwrap(np.arctan2(pts[1] - center[1], pts[0] - center[0]))
-    acc = np.abs(ang - ang[0])
-    order = np.argsort(fine)
-    return [int(np.floor(np.interp(t, fine[order], acc[order]) / (2 * np.pi)))
-            for t in times]
+    step = np.repeat(np.arange(len(n)), n)
+    frac = (np.arange(1, len(step) + 1)
+            - np.repeat(np.cumsum(n) - n, n)) / n[step]
+    end = frac == 1
+    a, b = ts[step], ts[step + 1]
+    times = np.concatenate([ts[:1], np.where(end, b, a + (b - a) * frac)])
+    pts = np.empty((2, len(times)))
+    pts[:, np.r_[True, end]] = traj.xy.T
+    pts[:, np.r_[False, ~end]] = traj(times[1:][~end])
+    return times, pts
+
+
+def _curve_points(curve, spacing):
+    """Points of ``curve``, each step split into pieces whose chord is about
+    ``spacing`` at most."""
+    chord = np.linalg.norm(np.diff(curve.xy, axis=0), axis=1)
+    n = np.maximum(1, np.ceil(chord / spacing)).astype(int)
+    return _step_points(curve, n)[1].T
+
+
+def _angles(pts, center):
+    return np.arctan2(pts[1] - center[1], pts[0] - center[0])
+
+
+def _winding_at(traj, center, times):
+    """Accumulated |angle| around ``center`` at each of ``times``, in turns.
+
+    The angle is followed along the samples.  A step whose ends lie more
+    than WINDING_TURN apart in angle is split on the dense output, and its
+    pieces are halved until none does.  A piece of an orbit that turns by
+    less than 3 pi / 4 sweeps less than 7 pi / 4 around any point, so each
+    piece has then swept less than WINDING_TURN, and unwrapping keeps every
+    turn however far a step sweeps.  The orbit at ``times`` is read off the
+    dense output, not interpolated between samples.
+    """
+    n = np.ones(len(traj.t) - 1, int)
+    fine, pts = traj.t, traj.xy.T
+    while True:
+        turn = np.diff(_angles(pts, center))
+        wide = np.abs(np.remainder(turn + np.pi, 2 * np.pi) - np.pi) \
+            > WINDING_TURN
+        grow = np.unique(np.repeat(np.arange(len(n)), n)[wide])
+        grow = grow[n[grow] < WINDING_PIECES_MAX]
+        if not grow.size:
+            break
+        n[grow] = np.maximum(2 * n[grow], WINDING_PIECES)
+        fine, pts = _step_points(traj, n)
+    tq = np.concatenate([fine, times])
+    pq = np.concatenate([pts, traj(np.asarray(times, float)).reshape(2, -1)],
+                        axis=1)
+    order = np.argsort(tq if fine[-1] >= fine[0] else -tq, kind="stable")
+    acc = np.empty(len(tq))
+    ang = np.unwrap(_angles(pq[:, order], center))
+    acc[order] = np.abs(ang - ang[0])
+    return [int(a // (2 * np.pi)) for a in acc[len(fine):]]
 
 
 def splitting(sys, params, spec, tol=(1e-9, 1e-9), arclength_cap=200.0,
@@ -180,7 +230,11 @@ def classify_contour(sys, params, saddle_L, saddle_M, probe=True,
 
     agrees = None
     if probe:
-        contour = np.vstack([br_LM.points, br_ML.points])
+        # the contour on its dense output, finer than the probe's closeness
+        samples = np.vstack([br_LM.points, br_ML.points])
+        spacing = 0.5 * PROBE_CLOSE * np.ptp(samples, axis=0).max()
+        contour = np.vstack([_curve_points(br.curve, spacing)
+                             for br in (br_LM, br_ML)])
         seed = contour.mean(axis=0)
         approach = _probe_accumulates(sys, p, seed, contour, tol)
         agrees = approach == monodromic

@@ -18,7 +18,8 @@ from .errors import BlowupAtSeed
 # a branch starts this far (scaled by 1 + |saddle|) along its eigenvector
 SEED_OFFSET = 1e-7
 # a chunk adding less arclength than this many absolute tolerances (scaled by
-# 1 + |z|) has settled; the integrator's own noise is 20-30 atol per chunk
+# 1 + |z|) has settled; the integrator's own noise at a sink is 0.2-1.1 atol
+# per chunk
 SETTLED_ATOLS = 100.0
 # a branch is integrated in pieces this long in time
 CHUNK = 5.0
@@ -136,6 +137,7 @@ def _concat(pieces, termination, hits, terminal_index):
     t = np.concatenate([pieces[0].t] + [p.t[1:] for p in pieces[1:]])
     xy = np.concatenate([pieces[0].xy] + [p.xy[1:] for p in pieces[1:]])
     dense = hi.DenseOutput(
-        t, xy, np.concatenate([p.interpolant.h for p in pieces]),
+        pieces[0].interpolant.f, t, xy,
+        np.concatenate([p.interpolant.h for p in pieces]),
         np.concatenate([p.interpolant.k for p in pieces]))
     return hi.Trajectory(t, xy, dense, termination, hits, terminal_index)

@@ -90,14 +90,40 @@ def test_flags_a_command_ignores_are_rejected(argv, capsys):
      "1", "--params", "a=1/0"],
     ["portrait", "--system", "mono_unperturbed", "--region", "0", "1", "0",
      "1", "--params", "a=abc"],
+    ["portrait", "--system", "mono_unperturbed", "--region", "0", "1/0",
+     "0", "1"],
     ["melnikov", "--case", "axis", "--c", "1/0"],
     ["melnikov", "--case", "axis", "--c", "1e300*1e300"],
+    ["melnikov", "--case", "axis", "--a", "1/0"],
+    ["modelmap", "--orientation", "monodromic", "--lambda", "2/0",
+     "--mu", "2"],
+    ["diagram", "--scenario", "heart", "--step", "x"],
     ["synthesize", "--variety", "x/0"],
     ["synthesize", "--variety", "1e400*x"],
 ])
 def test_bad_numbers_are_parse_errors(argv, capsys):
     assert run(argv) == cli.EXIT_HARD
     assert "error: ParseError: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exact, decimal", [
+    (["modelmap", "--orientation", "monodromic", "--lambda", "2/3", "--mu",
+      "2", "--kmax", "1", "--n", "21", "--box", "3/10", "0.3"],
+     ["modelmap", "--orientation", "monodromic", "--lambda",
+      "0.6666666666666666", "--mu", "2", "--kmax", "1", "--n", "21"]),
+    # argparse takes "-6/2" for a flag unless it is joined with "="
+    (["melnikov", "--case", "axis", "--a", "1/2", "--b=-6/2"],
+     ["melnikov", "--case", "axis", "--a", "0.5"]),
+])
+def test_number_arguments_read_exact_expressions(exact, decimal, tmp_path):
+    # every number argument goes through the reader that --c and --params
+    # use, so 2/3 is the float nearest to two thirds
+    outs = []
+    for name, argv in (("exact", exact), ("decimal", decimal)):
+        assert run(argv + ["--out", str(tmp_path / name)]) == cli.EXIT_OK
+        outs.append({f.name: f.read_bytes()
+                     for f in (tmp_path / name).iterdir()})
+    assert len(outs[0]) > 1 and outs[0] == outs[1]
 
 
 def test_system_file_out_of_float_range_is_a_parse_error(tmp_path, capsys):
