@@ -20,8 +20,7 @@ def main():
         terms = " + ".join(f"({t['coeff']}) x^{t['px']} y^{t['py']}"
                            for t in d[eqn])
         print(f"  {eqn} = {terms}")
-    rem = sy.tangency_residual(fam.variety, fam.field.x_terms,
-                               fam.field.y_terms,
+    rem = sy.tangency_residual(fam.variety, fam.field,
                                {"a": Fraction(1), "b": Fraction(-3),
                                 "c": Fraction(3, 2)})
     print(f"tangency remainder at (a,b,c) = (1,-3,3/2): {rem or 'exactly 0'}")

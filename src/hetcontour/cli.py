@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -363,8 +364,18 @@ def cmd_modelmap(args):
 # -- entry point -----------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token such as ``-6/2``, ``-5e-3`` or ``-(1/2)`` as a value:
+    a ``-`` before a digit, ``.`` or ``(`` starts a number, not a flag.
+    Subcommand parsers are of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-[\d.(]")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="hetcontour",
         description="bifurcation analysis of planar heteroclinic contours")
     sub = p.add_subparsers(dest="command", required=True)

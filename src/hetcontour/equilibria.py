@@ -191,14 +191,14 @@ def _remainder_bounds(sys, params, q):
     |e|^(i + j)."""
     p = sys.full_params(params)
     per = np.zeros((2, MAX_DEGREE + 1))
-    for row, terms in enumerate((sys.x_terms, sys.y_terms)):
-        for t in terms:
-            c = float(t.coeff.evaluate(p))
-            for a in range(t.px + 1):
-                for b in range(max(0, 2 - a), t.py + 1):
+    for row, poly in enumerate((sys.x_dot, sys.y_dot)):
+        for (px, py), coeff in poly.items():
+            c = float(coeff.evaluate(p))
+            for a in range(px + 1):
+                for b in range(max(0, 2 - a), py + 1):
                     per[row, a + b] += abs(
-                        c * math.comb(t.px, a) * math.comb(t.py, b)
-                        * q[0] ** (t.px - a) * q[1] ** (t.py - b))
+                        c * math.comb(px, a) * math.comb(py, b)
+                        * q[0] ** (px - a) * q[1] ** (py - b))
     return np.hypot(*per).tolist()
 
 

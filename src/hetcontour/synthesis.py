@@ -14,12 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
 from .affine import (AffineExpr, parse_poly, poly_add, poly_dx, poly_dy,
                      poly_mul)
 from .errors import BadPerturbation, EmptyFamily, ParseError
-from .vectorfield import MAX_DEGREE, MonomialTerm, ParametricSystem
+from .vectorfield import MAX_DEGREE, ParametricSystem
 
 
 # -- exact bivariate polynomials ------------------------------------------
@@ -169,26 +168,24 @@ def solve_family(variety, degree, parameter_names=None, free_symbols=()):
         raise ParseError(
             f"{len(basis)} free parameters, got {len(parameter_names)} names")
 
+    def coefficient(symbol):
+        return sum(AffineExpr.param(pname, vec.get(symbol, 0))
+                   for pname, vec in zip(parameter_names, basis))
+
     a_syms, b_syms, monos = ansatz_symbols(degree)
-    x_terms, y_terms = [], []
-    for syms, terms in ((a_syms, x_terms), (b_syms, y_terms)):
-        for (i, j), s in zip(monos, syms):
-            expr = sum(AffineExpr.param(pname, vec.get(s, 0))
-                       for pname, vec in zip(parameter_names, basis))
-            if expr:
-                terms.append(MonomialTerm(expr, i, j))
+    x_dot, y_dot = ({m: c for m, s in zip(monos, syms) if (c := coefficient(s))}
+                    for syms in (a_syms, b_syms))
     field = ParametricSystem(
         f"tangent_family_deg{degree}",
-        [(p, 0) for p in parameter_names], x_terms, y_terms)
+        [(p, 0) for p in parameter_names], x_dot, y_dot)
     return TangentFamily(variety, degree, tuple(parameter_names),
                          tuple(basis), field)
 
 
-def tangency_residual(variety, x_terms, y_terms, params):
+def tangency_residual(variety, system, params):
     """Remainder of <grad G, (f,g)> mod G for a concrete member; exact."""
-    term = lambda t: {(t.px, t.py): Fraction(t.coeff.evaluate(params))}
-    f, g = (reduce(poly_add, map(term, terms), {})
-            for terms in (x_terms, y_terms))
+    f, g = ({m: Fraction(c.evaluate(params)) for m, c in poly.items()}
+            for poly in (system.x_dot, system.y_dot))
     tang = poly_add(poly_mul(poly_dx(variety.G), f),
                     poly_mul(poly_dy(variety.G), g))
     return poly_divmod_single(tang, variety.G)
@@ -218,17 +215,13 @@ def perturb_connections(field, assignments, perturbations, name=None):
             raise ParseError(f"equation must be 'x' or 'y', got {pert.equation!r}")
 
     fixed = {k: Fraction(v) for k, v in assignments.items()}
-    x_terms, y_terms = (
-        [MonomialTerm(AffineExpr.constant(val), t.px, t.py) for t in terms
-         if (val := Fraction(t.coeff.evaluate(fixed)))]
-        for terms in (field.x_terms, field.y_terms))
-
-    params = []
+    rows = {eq: {m: AffineExpr.constant(v) for m, c in poly.items()
+                 if (v := c.evaluate(fixed))}
+            for eq, poly in (("x", field.x_dot), ("y", field.y_dot))}
     for pert in perturbations:
-        params.append((pert.parameter, 0))
-        target = x_terms if pert.equation == "x" else y_terms
-        for (px, py), cval in sorted(pert.poly.items()):
-            target.append(MonomialTerm(
-                AffineExpr.param(pert.parameter, cval), px, py))
+        rows[pert.equation] = poly_add(rows[pert.equation], {
+            m: AffineExpr.param(pert.parameter, c)
+            for m, c in sorted(pert.poly.items())})
+    names = dict.fromkeys(pert.parameter for pert in perturbations)
     return ParametricSystem(name or field.name + "_perturbed",
-                            params, x_terms, y_terms)
+                            [(n, 0) for n in names], rows["x"], rows["y"])

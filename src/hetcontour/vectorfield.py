@@ -1,72 +1,55 @@
 """Parametric planar vector fields and the built-in example systems.
 
 A :class:`ParametricSystem` is a planar field ``(dx/dt, dy/dt) = (f, g)``
-whose right-hand side is a list of monomial terms with coefficients that are
-affine in named parameters.  Coefficients are stored as exact rationals;
-evaluation is done in 64-bit floats unless Fractions are passed in.
+whose right-hand side is a pair of ``affine`` polynomials
+``{(px, py): AffineExpr}``, coefficients affine in named parameters.
+Coefficients are stored as exact rationals; evaluation is done in 64-bit
+floats unless Fractions are passed in.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
-from .affine import AffineExpr, parse_affine, parse_number
+from .affine import (parse_affine, parse_number, parse_poly, poly_dx,
+                     poly_dy, poly_scale)
 from .errors import ConfigError, DomainError, NotFound, ParseError
 
 MAX_DEGREE = 6
-
-BUILTIN_NAMES = (
-    "mono_unperturbed",
-    "mono_perturbed",
-    "revers_base",
-    "revers_gamma",
-    "diss_heart",
-)
-
-
-@dataclass(frozen=True)
-class MonomialTerm:
-    """coefficient * x**px * y**py, coefficient affine in the parameters."""
-
-    coeff: AffineExpr
-    px: int
-    py: int
-
-    def __post_init__(self):
-        if self.px < 0 or self.py < 0:
-            raise ParseError(f"negative exponent in term ({self.px},{self.py})")
-        if self.px + self.py > MAX_DEGREE:
-            raise ParseError(
-                f"term degree {self.px + self.py} exceeds cap {MAX_DEGREE}")
 
 
 class ParametricSystem:
     """Immutable planar vector field with named parameters."""
 
-    def __init__(self, name, parameters, x_terms, y_terms):
+    def __init__(self, name, parameters, x_dot, y_dot):
         self.name = name
-        self.state_dim = 2
         self.parameters = tuple((n, Fraction(d)) for n, d in parameters)
-        self.x_terms = tuple(x_terms)
-        self.y_terms = tuple(y_terms)
+        # read-only copies: the compiled fields below are built from them
+        self.x_dot = MappingProxyType(dict(x_dot))
+        self.y_dot = MappingProxyType(dict(y_dot))
         self._declared = frozenset(n for n, _ in self.parameters)
-        for t in self.x_terms + self.y_terms:
-            undeclared = [n for n in t.coeff.param_names()
-                          if n not in self._declared]
-            if undeclared:
-                raise ParseError(
-                    f"coefficient uses undeclared parameter(s) {undeclared}")
+        for key, poly in (("x_dot", self.x_dot), ("y_dot", self.y_dot)):
+            for (px, py), coeff in poly.items():
+                if px < 0 or py < 0:
+                    raise ParseError(
+                        f"negative exponent in term ({px},{py})", key)
+                if px + py > MAX_DEGREE:
+                    raise ParseError(
+                        f"term ({px},{py}) degree exceeds cap {MAX_DEGREE}", key)
+                if undeclared := set(coeff.param_names()) - self._declared:
+                    raise ParseError(f"coefficient uses undeclared "
+                                     f"parameter(s) {sorted(undeclared)}", key)
         # f, g and their partials df/dx, df/dy, dg/dx, dg/dy: one flat
         # coefficient list feeds one closure factory compiled here
-        polys = (self.x_terms, self.y_terms, _ddx(self.x_terms),
-                 _ddy(self.x_terms), _ddx(self.y_terms), _ddy(self.y_terms))
+        polys = (self.x_dot, self.y_dot, poly_dx(self.x_dot),
+                 poly_dy(self.x_dot), poly_dx(self.y_dot), poly_dy(self.y_dot))
         names = [n for n, _ in self.parameters]
-        self._coeffs = tuple(_float_affine(t.coeff, names)
-                             for terms in polys for t in terms)
+        self._coeffs = tuple(_float_affine(c, names)
+                             for poly in polys for c in poly.values())
         self._field_factory = _compile_factory(polys)
 
     # -- parameters -------------------------------------------------------
@@ -90,11 +73,9 @@ class ParametricSystem:
         check_state(x, y)
         if isinstance(x, Fraction) and isinstance(y, Fraction):
             pe = {k: Fraction(v) for k, v in self._resolve(params).items()}
-            fx = sum((t.coeff.evaluate(pe) * x**t.px * y**t.py
-                      for t in self.x_terms), Fraction(0))
-            fy = sum((t.coeff.evaluate(pe) * x**t.px * y**t.py
-                      for t in self.y_terms), Fraction(0))
-            return fx, fy
+            return tuple(sum((c.evaluate(pe) * x**px * y**py
+                              for (px, py), c in poly.items()), Fraction(0))
+                         for poly in (self.x_dot, self.y_dot))
         out = self.compiled_rhs(params)(0.0, (x, y))
         return out[0], out[1]
 
@@ -145,10 +126,9 @@ class ParametricSystem:
     # -- transforms -------------------------------------------------------
 
     def time_reversed(self):
-        neg = lambda terms: [MonomialTerm(t.coeff * -1, t.px, t.py) for t in terms]
         return ParametricSystem(
             self.name + "_reversed", self.parameters,
-            neg(self.x_terms), neg(self.y_terms))
+            poly_scale(self.x_dot, -1), poly_scale(self.y_dot, -1))
 
     # -- serialization ----------------------------------------------------
 
@@ -157,16 +137,16 @@ class ParametricSystem:
             "name": self.name,
             "parameters": [{"name": n, "default": str(d)}
                            for n, d in self.parameters],
-            "x_dot": [_term_dict(t) for t in self.x_terms],
-            "y_dot": [_term_dict(t) for t in self.y_terms],
+            "x_dot": _term_dicts(self.x_dot),
+            "y_dot": _term_dicts(self.y_dot),
         }
 
     def __eq__(self, other):
         return (isinstance(other, ParametricSystem)
                 and self.name == other.name
                 and self.parameters == other.parameters
-                and self.x_terms == other.x_terms
-                and self.y_terms == other.y_terms)
+                and self.x_dot == other.x_dot
+                and self.y_dot == other.y_dot)
 
     def __repr__(self):
         return f"ParametricSystem({self.name!r}, params={[n for n, _ in self.parameters]})"
@@ -178,16 +158,9 @@ def check_state(x, y):
         raise DomainError(f"non-finite state ({x}, {y})")
 
 
-def _term_dict(t):
-    return {"coeff": t.coeff.to_string(), "px": t.px, "py": t.py}
-
-
-def _ddx(terms):
-    return [MonomialTerm(t.coeff * t.px, t.px - 1, t.py) for t in terms if t.px > 0]
-
-
-def _ddy(terms):
-    return [MonomialTerm(t.coeff * t.py, t.px, t.py - 1) for t in terms if t.py > 0]
+def _term_dicts(poly):
+    return [{"coeff": c.to_string(), "px": px, "py": py}
+            for (px, py), c in poly.items()]
 
 
 def _float_affine(expr, names):
@@ -198,14 +171,15 @@ def _float_affine(expr, names):
 
 
 def _compile_factory(polys):
-    """``factory(*coeffs) -> (rhs, jacobian)`` for the six term lists."""
+    """``factory(*coeffs) -> (rhs, jacobian)`` for the six polynomials,
+    each summed in its key order."""
     args, sources = [], []
-    for terms in polys:
+    for poly in polys:
         parts = []
-        for t in terms:
+        for px, py in poly:
             c = f"c{len(args)}"
             args.append(c)
-            parts.append("*".join([c] + ["x"] * t.px + ["y"] * t.py))
+            parts.append("*".join([c] + ["x"] * px + ["y"] * py))
         sources.append(" + ".join(parts) if parts else "0.0")
     f, g, fx, fy, gx, gy = sources
     ns = {"np": np}
@@ -219,53 +193,39 @@ def _compile_factory(polys):
     return ns["_factory"]
 
 
-# -- construction helpers -------------------------------------------------
+# -- the built-in systems ------------------------------------------------
 
-
-def _terms(spec):
-    """[(coeff-string, px, py), ...] -> tuple of MonomialTerm."""
-    return tuple(MonomialTerm(parse_affine(c), px, py) for c, px, py in spec)
+# name -> (parameters with defaults, dx/dt, dy/dt); each equation is written
+# in the order its float sum is taken
+_BUILTINS = {
+    "mono_unperturbed": (
+        [("a", 1), ("b", -3), ("c", Fraction(3, 2))],
+        "a*x + b*y + c*x*y - a*x**2",
+        "(a+b)*y - (2*a+2*b+c)*x*y + 2*c*y**2"),
+    "mono_perturbed": (
+        [("a", 1), ("b", -3), ("c", Fraction(3, 2)),
+         ("alpha", 0), ("epsilon", 0)],
+        "a*x + b*y + c*x*y - a*x**2 + epsilon*y",
+        "(a+b)*y - (2*a+2*b+c)*x*y + 2*c*y**2"
+        " + alpha*y - alpha*x + alpha*x**2"),
+    "revers_base": ([], "y", "x + x*y - x**3"),
+    "revers_gamma": ([("gamma", Fraction(27, 10))],
+                     "y**2 + gamma*y", "x + x*y - x**3"),
+    "diss_heart": (
+        [("gamma", Fraction(27, 10)), ("alpha", 0), ("epsilon", 0)],
+        "epsilon*x + y**2 + gamma*y",
+        "alpha*y + x + x*y - x**3"),
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def builtin(name):
     """Return one of the paper-scale example systems by name."""
-    if name == "mono_unperturbed":
-        return ParametricSystem(
-            name,
-            [("a", 1), ("b", -3), ("c", Fraction(3, 2))],
-            _terms([("a", 1, 0), ("b", 0, 1), ("c", 1, 1), ("-a", 2, 0)]),
-            _terms([("a+b", 0, 1), ("-(2*a+2*b+c)", 1, 1), ("2*c", 0, 2)]),
-        )
-    if name == "mono_perturbed":
-        return ParametricSystem(
-            name,
-            [("a", 1), ("b", -3), ("c", Fraction(3, 2)),
-             ("alpha", 0), ("epsilon", 0)],
-            _terms([("a", 1, 0), ("b", 0, 1), ("c", 1, 1), ("-a", 2, 0),
-                    ("epsilon", 0, 1)]),
-            _terms([("a+b", 0, 1), ("-(2*a+2*b+c)", 1, 1), ("2*c", 0, 2),
-                    ("alpha", 0, 1), ("-alpha", 1, 0), ("alpha", 2, 0)]),
-        )
-    if name == "revers_base":
-        return ParametricSystem(
-            name, [],
-            _terms([("1", 0, 1)]),
-            _terms([("1", 1, 0), ("1", 1, 1), ("-1", 3, 0)]),
-        )
-    if name == "revers_gamma":
-        return ParametricSystem(
-            name, [("gamma", Fraction(27, 10))],
-            _terms([("1", 0, 2), ("gamma", 0, 1)]),
-            _terms([("1", 1, 0), ("1", 1, 1), ("-1", 3, 0)]),
-        )
-    if name == "diss_heart":
-        return ParametricSystem(
-            name,
-            [("gamma", Fraction(27, 10)), ("alpha", 0), ("epsilon", 0)],
-            _terms([("epsilon", 1, 0), ("1", 0, 2), ("gamma", 0, 1)]),
-            _terms([("alpha", 0, 1), ("1", 1, 0), ("1", 1, 1), ("-1", 3, 0)]),
-        )
-    raise NotFound(f"unknown built-in system {name!r}")
+    if name not in _BUILTINS:
+        raise NotFound(f"unknown built-in system {name!r}")
+    params, f, g = _BUILTINS[name]
+    return ParametricSystem(name, params, parse_poly(f, ("x", "y")),
+                            parse_poly(g, ("x", "y")))
 
 
 # -- JSON file format -----------------------------------------------------
@@ -296,10 +256,12 @@ def from_dict(data):
             raise ParseError("parameter entries need 'name' and 'default'", loc)
         if not isinstance(p["name"], str):
             raise ParseError("parameter name must be a string", f"{loc}.name")
+        if any(p["name"] == n for n, _ in params):
+            raise ParseError(f"repeated parameter {p['name']!r}", f"{loc}.name")
         params.append((p["name"], parse_number(str(p["default"]), loc)))
 
-    def read_terms(key):
-        out = []
+    def read_poly(key):
+        out = {}
         for i, t in enumerate(data[key]):
             loc = f"{key}[{i}]"
             if not isinstance(t, dict):
@@ -308,17 +270,15 @@ def from_dict(data):
                 if f_ not in t:
                     raise ParseError("missing field", f"{loc}.{f_}")
             px, py = t["px"], t["py"]
-            if not isinstance(px, int) or not isinstance(py, int):
+            if type(px) is not int or type(py) is not int:  # bool is no int
                 raise ParseError("exponents must be integers", loc)
-            if px < 0 or py < 0:
-                raise ParseError("negative exponent", loc)
-            if px + py > MAX_DEGREE:
-                raise ParseError(f"degree above cap {MAX_DEGREE}", loc)
-            out.append(MonomialTerm(parse_affine(str(t["coeff"]), loc), px, py))
+            coeff = parse_affine(str(t["coeff"]), loc)
+            # summed, not cleaned: a zero sum stays for the constructor's checks
+            out[px, py] = out.get((px, py), 0) + coeff
         return out
 
     return ParametricSystem(
-        data["name"], params, read_terms("x_dot"), read_terms("y_dot"))
+        data["name"], params, read_poly("x_dot"), read_poly("y_dot"))
 
 
 def save(sys, path_or_file):

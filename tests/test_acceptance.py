@@ -114,8 +114,7 @@ def test_criterion_05_exact_invariance_and_family():
                           parameter_names=("a", "b", "c"),
                           free_symbols=("a10", "a01", "a11"))
     from fractions import Fraction
-    rem = sy.tangency_residual(fam.variety, fam.field.x_terms,
-                               fam.field.y_terms,
+    rem = sy.tangency_residual(fam.variety, fam.field,
                                {"a": Fraction(1), "b": Fraction(-3),
                                 "c": Fraction(3, 2)})
     ref = vf.builtin("mono_unperturbed").to_dict()

@@ -89,7 +89,7 @@ def test_float_sums_do_not_depend_on_the_hash_seed():
             "e = parse_affine('a + b + c')\n"
             "p = {'a': 1e16, 'b': 1.0, 'c': -1e16}\n"
             "s = vf.ParametricSystem('s', [(n, 0) for n in 'abc'],\n"
-            "                        [vf.MonomialTerm(e, 0, 0)], [])\n"
+            "                        {(0, 0): e}, {})\n"
             "print(e.evaluate(p), s.rhs(0.0, 0.0, p)[0])\n")
     src = str(Path(sy.__file__).resolve().parents[1])
     outs = []

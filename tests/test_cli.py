@@ -111,7 +111,7 @@ def test_bad_numbers_are_parse_errors(argv, capsys):
       "2", "--kmax", "1", "--n", "21", "--box", "3/10", "0.3"],
      ["modelmap", "--orientation", "monodromic", "--lambda",
       "0.6666666666666666", "--mu", "2", "--kmax", "1", "--n", "21"]),
-    # argparse takes "-6/2" for a flag unless it is joined with "="
+    # a negative expression may join its flag with "="
     (["melnikov", "--case", "axis", "--a", "1/2", "--b=-6/2"],
      ["melnikov", "--case", "axis", "--a", "0.5"]),
 ])
@@ -120,6 +120,30 @@ def test_number_arguments_read_exact_expressions(exact, decimal, tmp_path):
     # use, so 2/3 is the float nearest to two thirds
     outs = []
     for name, argv in (("exact", exact), ("decimal", decimal)):
+        assert run(argv + ["--out", str(tmp_path / name)]) == cli.EXIT_OK
+        outs.append({f.name: f.read_bytes()
+                     for f in (tmp_path / name).iterdir()})
+    assert len(outs[0]) > 1 and outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("expression, plain", [
+    (["melnikov", "--case", "axis", "--b", "-6/2"],
+     ["melnikov", "--case", "axis", "--b=-6/2"]),
+    (["diagram", "--scenario", "mono_first", "--bounds", "-5e-3", "5e-3",
+      "-5e-3", "5e-3", "--max-points", "3", "--format", "json"],
+     ["diagram", "--scenario", "mono_first", "--bounds", "-0.005", "0.005",
+      "-0.005", "0.005", "--max-points", "3", "--format", "json"]),
+    (["portrait", "--system", "diss_heart", "--region", "-1.5", "1.5",
+      "-1e0", "1", "--seeds", "-(1/2)", "-.25", "--time", "1"],
+     ["portrait", "--system", "diss_heart", "--region", "-1.5", "1.5",
+      "-1", "1", "--seeds", "-0.5", "-0.25", "--time", "1"]),
+])
+def test_a_negative_expression_is_a_value_not_a_flag(expression, plain,
+                                                     tmp_path):
+    # a "-" before a digit, "." or "(" starts a number, for one-value and
+    # multi-value flags alike
+    outs = []
+    for name, argv in (("expression", expression), ("plain", plain)):
         assert run(argv + ["--out", str(tmp_path / name)]) == cli.EXIT_OK
         outs.append({f.name: f.read_bytes()
                      for f in (tmp_path / name).iterdir()})

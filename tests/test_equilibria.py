@@ -175,8 +175,8 @@ def _field_about(q, A, higher):
                      * math.comb(b, j) * (-q[1]) ** (b - j))
                 for acc, c in zip(terms, pair):
                     acc[(i, j)] = acc.get((i, j), 0) + Fraction(c) * w
-    f, g = ([vf.MonomialTerm(AffineExpr.constant(c), i, j)
-             for (i, j), c in acc.items() if c != 0] for acc in terms)
+    f, g = ({m: AffineExpr.constant(c) for m, c in acc.items() if c != 0}
+            for acc in terms)
     return vf.ParametricSystem("about_q", [], f, g)
 
 

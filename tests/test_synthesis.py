@@ -45,8 +45,7 @@ def test_every_member_is_exactly_tangent(a, b, c):
     fam = sy.solve_family(sy.Variety.from_string(PARABOLA_LINE), 2,
                           parameter_names=("a", "b", "c"),
                           free_symbols=("a10", "a01", "a11"))
-    rem = sy.tangency_residual(fam.variety, fam.field.x_terms,
-                               fam.field.y_terms,
+    rem = sy.tangency_residual(fam.variety, fam.field,
                                {"a": a, "b": b, "c": c})
     assert rem == {}
 
@@ -54,8 +53,7 @@ def test_every_member_is_exactly_tangent(a, b, c):
 def test_circle_admits_the_rotation_field():
     fam = sy.solve_family(sy.Variety.from_string("x*x + y*y - 1"), 1)
     rem = sy.tangency_residual(
-        fam.variety, fam.field.x_terms, fam.field.y_terms,
-        {p: Fraction(1) for p in fam.free_parameters})
+        fam.variety, fam.field, {p: Fraction(1) for p in fam.free_parameters})
     assert rem == {}
 
 
@@ -97,3 +95,14 @@ def test_good_perturbation_accepted(family):
                                   {"a": 1, "b": -3, "c": Fraction(3, 2)},
                                   [pert])
     assert ("epsilon", 0) in [(n, d) for n, d in sys_.parameters]
+
+
+def test_perturbation_above_the_degree_cap_rejected(family):
+    # y * x**6 vanishes on the x-axis, but its degree 7 exceeds the cap
+    pert = sy.Perturbation("epsilon", "x",
+                           sy.poly_from_string("y*x**6"),
+                           sy.poly_from_string("y"))
+    with pytest.raises(ParseError, match="exceeds cap"):
+        sy.perturb_connections(family.field,
+                               {"a": 1, "b": -3, "c": Fraction(3, 2)},
+                               [pert])

@@ -21,13 +21,104 @@ def test_fd_jacobian_matches_analytic(name, rng):
         assert np.allclose(j_an, j_fd, atol=1e-6 * (1 + np.abs(j_an).max()))
 
 
+# the built-in systems written out, parameters in their declared order
+EQUATIONS = {
+    "mono_unperturbed": lambda x, y, a, b, c: (
+        a * x + b * y + c * x * y - a * x**2,
+        (a + b) * y - (2 * a + 2 * b + c) * x * y + 2 * c * y**2),
+    "mono_perturbed": lambda x, y, a, b, c, alpha, epsilon: (
+        a * x + b * y + c * x * y - a * x**2 + epsilon * y,
+        (a + b) * y - (2 * a + 2 * b + c) * x * y + 2 * c * y**2
+        + alpha * (y - x + x**2)),
+    "revers_base": lambda x, y: (y, x + x * y - x**3),
+    "revers_gamma": lambda x, y, gamma: (y**2 + gamma * y,
+                                         x + x * y - x**3),
+    "diss_heart": lambda x, y, gamma, alpha, epsilon: (
+        epsilon * x + y**2 + gamma * y, alpha * y + x + x * y - x**3),
+}
+
+
+@pytest.mark.parametrize("name", vf.BUILTIN_NAMES)
+def test_builtins_are_their_equations(name):
+    sys_ = vf.builtin(name)
+    values = [Fraction((-1) ** i * (i + 2), 7)
+              for i in range(len(sys_.parameters))]
+    params = {n: v for (n, _), v in zip(sys_.parameters, values)}
+    for x, y in ((Fraction(3, 10), Fraction(-7, 10)),
+                 (Fraction(-11, 10), Fraction(9, 20)),
+                 (Fraction(2), Fraction(1))):
+        assert sys_.rhs(x, y, params) == EQUATIONS[name](x, y, *values)
+
+
+# compiled_rhs and jacobian of the systems behind the heart, flashing and
+# reversible diagrams, recorded bit for bit as float hex strings
+PINNED = {
+    ("diss_heart", (0.3, -0.7)): (
+        ["-0x1.498c7e28240b6p+0", "0x1.b98c7e28240b8p-5"],
+        [["-0x1.5810624dd2f1bp-6", "0x1.2147ae147ae14p+0"],
+         ["0x1.eb851eb851ed0p-6", "0x1.4083126e978d5p-2"]]),
+    ("diss_heart", (-1.1, 0.45)): (
+        ["0x1.5d35a858793ddp+0", "-0x1.0858793dd97f4p-2"],
+        [["-0x1.5810624dd2f1bp-6", "0x1.b70a3d70a3d70p+1"],
+         ["-0x1.170a3d70a3d72p+1", "-0x1.1645a1cac0832p+0"]]),
+    ("diss_heart", (1.7, 1.3)): (
+        ["0x1.3c5f06f694467p+2", "-0x1.f8e219652bd38p-1"],
+        [["-0x1.5810624dd2f1bp-6", "0x1.4851eb851eb85p+2"],
+         ["-0x1.97ae147ae147bp+2", "0x1.b6872b020c49bp+0"]]),
+    ("revers_gamma", (0.3, -0.7)): (
+        ["-0x1.481d7dbf487fdp+0", "0x1.020c49ba5e354p-4"],
+        [["0x0.0p+0", "0x1.2189374bc6a80p+0"],
+         ["0x1.eb851eb851ed0p-6", "0x1.3333333333333p-2"]]),
+    ("revers_gamma", (-1.1, 0.45)): (
+        ["0x1.57694467381d8p+0", "-0x1.0e56041893748p-2"],
+        [["0x0.0p+0", "0x1.b72b020c49ba6p+1"],
+         ["-0x1.170a3d70a3d72p+1", "-0x1.199999999999ap+0"]]),
+    ("revers_gamma", (1.7, 1.3)): (
+        ["0x1.3ebd3c3611341p+2", "-0x1.00c49ba5e353cp+0"],
+        [["0x0.0p+0", "0x1.48624dd2f1aa0p+2"],
+         ["-0x1.97ae147ae147bp+2", "0x1.b333333333333p+0"]]),
+}
+PINNED_PARAMS = {"diss_heart": {"gamma": 2.53, "alpha": 0.013,
+                                "epsilon": -0.021},
+                 "revers_gamma": {"gamma": 2.531}}
+
+
+@pytest.mark.parametrize("name, point", sorted(PINNED))
+def test_compiled_fields_keep_their_floats(name, point):
+    sys_ = vf.builtin(name)
+    params = sys_.full_params(PINNED_PARAMS[name])
+    rhs, jac = PINNED[name, point]
+    assert [v.hex() for v in sys_.compiled_rhs(params)(0.0, point)] == rhs
+    assert [[float(v).hex() for v in row]
+            for row in sys_.jacobian(*point, params)] == jac
+
+
+@pytest.mark.parametrize("x_dot, match", [
+    ({(-1, 0): AffineExpr.constant(1)}, "negative exponent"),
+    ({(4, 3): AffineExpr.param("a")}, "exceeds cap"),
+    ({(1, 0): AffineExpr.param("b")}, "undeclared parameter"),
+])
+def test_constructor_rejects_malformed_terms(x_dot, match):
+    with pytest.raises(ParseError, match=match) as err:
+        vf.ParametricSystem("s", [("a", 1)], {(0, 1): AffineExpr.param("a")},
+                            x_dot)
+    assert err.value.path == "y_dot"
+
+
+def test_polynomials_are_read_only():
+    # the compiled fields are built once, from the polynomials as given
+    sys_ = vf.builtin("revers_base")
+    with pytest.raises(TypeError):
+        sys_.x_dot[1, 0] = AffineExpr.constant(5)
+
+
 def test_contour_variety_invariant_exactly():
     # the unperturbed system leaves y*(y - x*(1-x)) = 0 invariant:
     # <grad G, (f, g)> has zero remainder mod G in exact rational arithmetic
     sys_ = vf.builtin("mono_unperturbed")
     variety = sy.Variety(sy.poly_from_string("y*(y-x*(1-x))"))
     params = sys_.full_params(exact=True)
-    rem = sy.tangency_residual(variety, sys_.x_terms, sys_.y_terms, params)
+    rem = sy.tangency_residual(variety, sys_, params)
     assert rem == {}
 
 
@@ -73,6 +164,12 @@ def test_save_load_roundtrip(tmp_path):
     ("x_dot", 5, "x_dot"),
     ("y_dot", {"coeff": "1", "px": 0, "py": 0}, "y_dot"),
     ("parameters", [{"name": ["a"], "default": 1}], "parameters[0].name"),
+    # True is an int to isinstance, and (True, 0) a key equal to (1, 0)
+    ("x_dot", [{"coeff": "1", "px": True, "py": 0}], "x_dot[0]"),
+    ("parameters", [{"name": "a", "default": 1}, {"name": "a", "default": 5}],
+     "parameters[1].name"),
+    # a term is checked even when its coefficient is zero
+    ("x_dot", [{"coeff": "0", "px": 7, "py": 0}], "x_dot"),
 ])
 def test_from_dict_reports_malformed_fields_with_their_path(field, value,
                                                             path):
@@ -83,6 +180,14 @@ def test_from_dict_reports_malformed_fields_with_their_path(field, value,
     assert err.value.path == path
 
 
+def test_from_dict_sums_repeated_monomials():
+    data = vf.builtin("mono_unperturbed").to_dict()
+    data["x_dot"].append({"coeff": "2*a", "px": 1, "py": 0})
+    sys_ = vf.from_dict(data)
+    assert sys_.x_dot[1, 0] == AffineExpr.param("a", 3)
+    assert sys_.rhs(Fraction(1), Fraction(0)) == (2, 0)
+
+
 def test_a_default_reads_as_a_coefficient_does():
     # one constant reader: 2**3 is 8 as a default as it is in a coefficient
     data = vf.builtin("mono_unperturbed").to_dict()
@@ -90,7 +195,7 @@ def test_a_default_reads_as_a_coefficient_does():
     data["x_dot"][0]["coeff"] = "2**3*a"
     sys_ = vf.from_dict(data)
     assert sys_.parameters[0] == ("a", 8)
-    assert sys_.x_terms[0].coeff == AffineExpr.param("a", 8)
+    assert sys_.x_dot[1, 0] == AffineExpr.param("a", 8)
 
 
 @pytest.mark.parametrize("field, value, path", [
