@@ -1,8 +1,10 @@
 """Bifurcation-curve tracing in two-parameter planes.
 
 Curves are zero sets of scalar gap functions, traced by pseudo-arclength
-continuation (secant predictor, 1D Newton corrector transverse to the
-tangent).  Codim-2 contour points are found by 2D Newton on a pair of gaps;
+continuation (secant predictor, 1D secant corrector transverse to the
+tangent, each corrector starting from the last slope of the one before).
+Codim-2 contour points are found by 2D Broyden quasi-Newton on a pair of
+gaps;
 the reversible one-parameter family is handled by a dedicated scalar search
 that exploits the x -> -x symmetry.
 """
@@ -22,6 +24,11 @@ from .errors import (BracketError, CurveStall, Degenerate, HetContourError,
 from .roots import brent, grid_roots
 
 RESIDUAL_TOL = 1e-6
+# forward-difference steps: the start gradient of a curve, the corrector's
+# fallback slope, and the codim-2 Newton's Jacobian columns
+TANGENT_H = 1e-6
+CORRECTOR_H = 1e-7
+CODIM2_H = 1e-5
 STEP_MIN = 1e-6
 STEP_MAX = 1e-2
 K_MAX_DEFAULT = 5
@@ -75,36 +82,45 @@ class FlashingSeries:
 # -- scalar curve tracing --------------------------------------------------
 
 
-def _refine_on_normal(f, z, n, f0, tol, max_iter=12, h=1e-7):
-    """1D Newton for f(z + s n) = 0 starting at s = 0."""
-    s = 0.0
-    fs = f0
-    slope = None
-    for _ in range(max_iter):
+def _refine_on_normal(f, z, n, f0, slope, tol, max_iter=12):
+    """1D Newton for f(z + s n) = 0 starting at s = 0 from the given slope
+    df/ds, with the secant slope of each step for the next.
+
+    When the first step from the given slope does not shrink |f|, or f
+    cannot be measured there, the slope falls back to one difference over
+    ``CORRECTOR_H`` at s = 0.  Returns ``(point, f there, last slope)``.
+    """
+    s, fs = 0.0, f0
+    for i in range(max_iter):
         if abs(fs) <= tol:
-            return z + s * n, fs
-        if slope is None:
-            f_plus = f(z + (s + h) * n)
-            slope = (f_plus - fs) / h
+            return z + s * n, fs, slope
         if slope == 0 or not math.isfinite(slope):
             break
         s_new = s - fs / slope
-        f_new = f(z + s_new * n)
-        slope = (f_new - fs) / (s_new - s)   # secant update for next round
+        try:
+            f_new = f(z + s_new * n)
+        except HetContourError:
+            if i:
+                raise
+            f_new = math.inf
+        if i == 0 and not abs(f_new) < abs(fs):
+            slope = (f(z + CORRECTOR_H * n) - fs) / CORRECTOR_H
+            continue
+        slope = (f_new - fs) / (s_new - s)   # secant slope for the next step
         s, fs = s_new, f_new
     if abs(fs) <= tol:
-        return z + s * n, fs
+        return z + s * n, fs, slope
     raise NoConvergence(f"corrector stalled (|f|={abs(fs):.2e})")
 
 
-def _initial_tangent(f, z, f0, h=1e-6):
-    gx = (f(z + np.array([h, 0.0])) - f0) / h
-    gy = (f(z + np.array([0.0, h])) - f0) / h
-    g = np.array([gx, gy])
+def _start_gradient(f, z, f0):
+    """Forward-difference gradient of f at the start, over ``TANGENT_H``."""
+    g = np.array([f(z + np.array([TANGENT_H, 0.0])) - f0,
+                  f(z + np.array([0.0, TANGENT_H])) - f0]) / TANGENT_H
     ng = np.linalg.norm(g)
     if ng == 0 or not np.isfinite(ng):
         raise NoConvergence("gap gradient vanished at the start point")
-    return np.array([-g[1], g[0]]) / ng
+    return g
 
 
 def continue_curve(sys, zero_function, start, tag=CurveTag.H_L, k=0,
@@ -129,12 +145,15 @@ def continue_curve(sys, zero_function, start, tag=CurveTag.H_L, k=0,
         return (bounds[0][0] <= z[0] <= bounds[0][1]
                 and bounds[1][0] <= z[1] <= bounds[1][1])
 
-    t0 = _initial_tangent(f, z0, f0)
+    g = _start_gradient(f, z0, f0)
+    t0 = np.array([-g[1], g[0]]) / np.linalg.norm(g)
     halves = []
     for direction in (1.0, -1.0):
         pts = [z0.copy()]
         res = [f0]
         tangent = direction * t0
+        # each corrector starts from the last slope of the one before
+        slope = float(g @ np.array([-tangent[1], tangent[0]]))
         h = step
         reason = "max_points"
         while len(pts) < max_points:
@@ -142,7 +161,8 @@ def continue_curve(sys, zero_function, start, tag=CurveTag.H_L, k=0,
             zp = z + h * tangent
             n = np.array([-tangent[1], tangent[0]])
             try:
-                z_new, f_new = _refine_on_normal(f, zp, n, f(zp), residual_tol)
+                z_new, f_new, slope = _refine_on_normal(f, zp, n, f(zp),
+                                                        slope, residual_tol)
             except HetContourError:
                 if h > step_min * 1.001:
                     h = max(step_min, h / 2)
@@ -175,42 +195,65 @@ def continue_curve(sys, zero_function, start, tag=CurveTag.H_L, k=0,
 # -- codim-2 Newton --------------------------------------------------------
 
 
+def _difference_jacobian(pair, z, F):
+    J = np.empty((2, 2))
+    for j in range(2):
+        dz = np.zeros(2)
+        dz[j] = CODIM2_H
+        J[:, j] = (pair(z + dz) - F) / CODIM2_H
+    return J
+
+
+def _newton_step(J, F):
+    """-J^-1 F by Cramer's rule; Degenerate for a singular J."""
+    (a, b), (c, d) = J
+    det = a * d - b * c
+    if not abs(det) >= 1e-14:
+        raise Degenerate("singular Jacobian of the residual pair")
+    return np.array([(b * F[1] - d * F[0]) / det, (c * F[0] - a * F[1]) / det])
+
+
 def find_codim2(sys, residual_pair, guess, saddle_seeds, params_at,
-                h=1e-5, tol=1e-9, step_tol=1e-8, max_iter=25):
-    """2D Newton on a pair of gap functions.
+                tol=1e-9, step_tol=1e-8, max_iter=25):
+    """2D quasi-Newton on a pair of gap functions.
 
     ``residual_pair(sys, point) -> (r1, r2)``; ``saddle_seeds`` are rough
     locations of the two saddles, used to attach eigen-data and the subcase
     tag at the solution, with the parameters ``params_at(point)``.
+
+    The Jacobian is a forward difference at the guess, then Broyden's
+    rank-one update after each accepted step (Allgower & Georg,
+    *Introduction to Numerical Continuation Methods*, ch. 7).  When a full
+    step of an updated Jacobian fails to reduce |F|, the Jacobian is
+    differenced afresh and the step is damped by halving until |F| falls.
     """
+    pair = lambda z: np.asarray(residual_pair(sys, z), float)
     z = np.asarray(guess, float)
-    F = np.asarray(residual_pair(sys, z), float)
+    F = pair(z)
+    J, fresh = None, False
     for _ in range(max_iter):
-        if np.linalg.norm(F) <= tol:
-            break
-        J = np.empty((2, 2))
-        for j in range(2):
-            dz = np.zeros(2)
-            dz[j] = h
-            J[:, j] = (np.asarray(residual_pair(sys, z + dz), float) - F) / h
-        try:
-            step = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            raise Degenerate("singular Jacobian of the residual pair")
-        if abs(np.linalg.det(J)) < 1e-14:
-            raise Degenerate("singular Jacobian of the residual pair")
-        lam = 1.0
         nF = np.linalg.norm(F)
-        while lam > 1e-6:
-            z_new = z + lam * step
-            F_new = np.asarray(residual_pair(sys, z_new), float)
-            if np.linalg.norm(F_new) < nF:
-                z, F = z_new, F_new
-                break
+        if nF <= tol:
+            break
+        if J is None:
+            J, fresh = _difference_jacobian(pair, z, F), True
+        step = _newton_step(J, F)
+        F_new = pair(z + step)
+        lam = 1.0
+        if not np.linalg.norm(F_new) < nF and not fresh:
+            J, fresh = _difference_jacobian(pair, z, F), True
+            step = _newton_step(J, F)
+            F_new = pair(z + step)
+        while not np.linalg.norm(F_new) < nF:
             lam *= 0.5
-        else:
-            raise NoConvergence(f"codim-2 Newton stagnated at {tuple(z)}")
-        if np.linalg.norm(lam * step) <= step_tol:
+            if lam <= 1e-6:
+                raise NoConvergence(f"codim-2 Newton stagnated at {tuple(z)}")
+            F_new = pair(z + lam * step)
+        s = lam * step
+        J = J + np.outer(F_new - F - J @ s, s) / (s @ s)
+        fresh = False
+        z, F = z + s, F_new
+        if np.linalg.norm(s) <= step_tol:
             break
     else:
         raise NoConvergence("codim-2 Newton did not converge")

@@ -74,56 +74,76 @@ def find_equilibrium(sys, params=None, guess=(0.0, 0.0), tol=1e-12,
     """Damped (Armijo) Newton search for an equilibrium near ``guess``.
 
     Returns ``(point, EquilibriumType)``.  The field and its Jacobian are
-    built once for the whole search.
+    built once for the whole search, and each Newton step is the 2x2
+    solve by Cramer's rule.
     """
     p = sys.full_params(params)
     rhs, jacobian = sys.fields(p)
 
-    def field(z):
-        check_state(z[0], z[1])
-        return np.asarray(rhs(0.0, (z[0], z[1])))
+    def field(x, y):
+        check_state(x, y)
+        return rhs(0.0, (x, y))
 
-    z = np.asarray(guess, float)
-    f = field(z)
+    x, y = (float(v) for v in guess)
+    fx, fy = field(x, y)
     for _ in range(max_iter):
-        nf = np.linalg.norm(f)
+        nf = math.hypot(fx, fy)
         if nf <= tol:
             break
-        J = jacobian(z[0], z[1])
-        try:
-            step = np.linalg.solve(J, -f)
-        except np.linalg.LinAlgError:
+        (a, b), (c, d) = jacobian(x, y).tolist()
+        det = a * d - b * c
+        if det == 0:
             raise NoConvergence("singular Jacobian during Newton iteration")
+        sx, sy = (b * fy - d * fx) / det, (c * fx - a * fy) / det
         lam = 1.0
         while lam > 1e-12:
-            z_new = z + lam * step
-            f_new = field(z_new)
-            if np.linalg.norm(f_new) < (1 - 0.25 * lam) * nf:
-                z, f = z_new, f_new
+            x_new, y_new = x + lam * sx, y + lam * sy
+            f_new = field(x_new, y_new)
+            if math.hypot(*f_new) < (1 - 0.25 * lam) * nf:
+                x, y, (fx, fy) = x_new, y_new, f_new
                 break
             lam *= 0.5
         else:
-            raise NoConvergence(f"Newton stagnated at {tuple(z)} (|rhs|={nf:.3e})")
+            raise NoConvergence(f"Newton stagnated at {(x, y)} (|rhs|={nf:.3e})")
     else:
         raise NoConvergence(f"no convergence after {max_iter} damped steps")
-    return (float(z[0]), float(z[1])), _classify(jacobian(z[0], z[1]))
+    return (x, y), _classify(jacobian(x, y))
 
 
 def classify(sys, params, point):
     return _classify(sys.jacobian(point[0], point[1], params))
 
 
+def _eigenvalues(a, b, c, d):
+    """The real eigenvalues ``(lam1, lam2)`` of [[a, b], [c, d]], with
+    |lam1| >= |lam2|, or None for a complex pair.
+
+    lam1 = tr/2 + sign(tr) sqrt(disc) adds two numbers of one sign and
+    lam2 = det / lam1, so neither root loses digits to cancellation; disc =
+    ((a - d)/2)^2 + b c is (tr/2)^2 - det.
+    """
+    half = (a + d) / 2
+    disc = ((a - d) / 2) ** 2 + b * c
+    if disc < 0:
+        return None
+    lam1 = half + math.copysign(math.sqrt(disc), half)
+    return lam1, ((a * d - b * c) / lam1 if lam1 else 0.0)
+
+
 def _classify(J):
-    ev = np.linalg.eigvals(J)
-    re = np.real(ev)
-    if np.any(np.abs(re) < HYPERBOLICITY_CUTOFF):
-        return EquilibriumType.NON_HYPERBOLIC
-    if np.all(np.abs(np.imag(ev)) > 0):
-        return (EquilibriumType.STABLE_FOCUS if re[0] < 0
+    (a, b), (c, d) = np.asarray(J, float).tolist()
+    ev = _eigenvalues(a, b, c, d)
+    if ev is None:                      # a focus: both real parts are tr/2
+        re = (a + d) / 2
+        if abs(re) < HYPERBOLICITY_CUTOFF:
+            return EquilibriumType.NON_HYPERBOLIC
+        return (EquilibriumType.STABLE_FOCUS if re < 0
                 else EquilibriumType.UNSTABLE_FOCUS)
-    if re[0] * re[1] < 0:
+    if min(abs(ev[0]), abs(ev[1])) < HYPERBOLICITY_CUTOFF:
+        return EquilibriumType.NON_HYPERBOLIC
+    if ev[0] * ev[1] < 0:
         return EquilibriumType.SADDLE
-    return (EquilibriumType.STABLE_NODE if re[0] < 0
+    return (EquilibriumType.STABLE_NODE if ev[0] < 0
             else EquilibriumType.UNSTABLE_NODE)
 
 
@@ -140,8 +160,8 @@ def sink_trap(sys, params, z, sections=()):
     stays there and tends to q (Khalil, *Nonlinear Systems*, 3rd ed., 8.2).
     """
     rhs, jacobian = sys.fields(params)
-    # closed-form steps, not find_equilibrium: a process's first LAPACK
-    # solve alone adds about 0.2 MiB of resident memory
+    # plain steps, not find_equilibrium's damped search: every iterate
+    # must pass the sink and step-length tests below
     q = (float(z[0]), float(z[1]))
     for i in range(TRAP_NEWTON_ITERATIONS + 1):
         if i:
@@ -204,31 +224,37 @@ def _remainder_bounds(sys, params, q):
 
 def saddle_data(sys, params, point):
     """Eigen-data of a saddle equilibrium, with a deterministic eigenvector
-    sign convention (first nonzero component positive)."""
+    sign convention (first nonzero component positive).
+
+    The eigenvalues are `_eigenvalues`'s roots; each eigenvector is the
+    null vector of the larger-norm row of J - lambda I.
+    """
     p = sys.full_params(params)
-    J = np.asarray(sys.jacobian(point[0], point[1], p), float)
-    w, V = np.linalg.eig(J)
-    if np.any(np.abs(np.imag(w)) > 0):
+    (a, b), (c, d) = sys.jacobian(point[0], point[1], p).tolist()
+    ev = _eigenvalues(a, b, c, d)
+    if ev is None:
         raise NotASaddle(f"complex eigenvalues at {tuple(point)}")
-    w = np.real(w)
-    V = np.real(V)
-    if not (w.min() < 0 < w.max()):
-        raise NotASaddle(f"eigenvalues {w} are not of opposite sign")
-    i_s, i_u = int(np.argmin(w)), int(np.argmax(w))
-    vs = _normalize(V[:, i_s])
-    vu = _normalize(V[:, i_u])
-    for lam, v in ((w[i_s], vs), (w[i_u], vu)):
-        resid = np.linalg.norm(J @ v - lam * v)
+    lam_s, lam_u = min(ev), max(ev)
+    if not lam_s < 0 < lam_u:
+        raise NotASaddle(f"eigenvalues {ev} are not of opposite sign")
+    pairs = []
+    for lam in (lam_s, lam_u):
+        r0, r1 = max(((a - lam, b), (c, d - lam)),
+                     key=lambda row: math.hypot(*row))
+        v = _normalize((-r1, r0))
+        resid = math.hypot(a * v[0] + b * v[1] - lam * v[0],
+                           c * v[0] + d * v[1] - lam * v[1])
         if resid > EIGEN_RESIDUAL_MAX:
             raise NotASaddle(f"eigenpair residual {resid:.2e} too large")
-    return Saddle((float(point[0]), float(point[1])),
-                  float(w[i_s]), float(w[i_u]), tuple(vs), tuple(vu))
+        pairs.append(v)
+    return Saddle((float(point[0]), float(point[1])), lam_s, lam_u, *pairs)
 
 
 def _normalize(v):
-    v = v / np.linalg.norm(v)
+    n = math.hypot(*v)
+    v = (v[0] / n, v[1] / n)
     lead = v[0] if abs(v[0]) > 1e-14 else v[1]
-    return v if lead > 0 else -v
+    return v if lead > 0 else (-v[0], -v[1])
 
 
 _CASE_TABLE = {

@@ -8,6 +8,7 @@ floats unless Fractions are passed in.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from fractions import Fraction
@@ -51,6 +52,9 @@ class ParametricSystem:
         self._coeffs = tuple(_float_affine(c, names)
                              for poly in polys for c in poly.values())
         self._field_factory = _compile_factory(polys)
+        # the last parameter point's (rhs, jacobian), keyed by its floats:
+        # a branch's chunks and a gap's saddle solves share one point
+        self._last_fields = (None, None)
 
     # -- parameters -------------------------------------------------------
 
@@ -106,15 +110,21 @@ class ParametricSystem:
 
         Each coefficient is summed as ``AffineExpr.evaluate`` sums it in
         floats, term by term in the same order, so the values are the same.
+        The pair of the last point asked for is kept and handed out again.
         """
         p = self._resolve(params)
-        vals = [float(p[n]) for n, _ in self.parameters]
+        vals = tuple(float(p[n]) for n, _ in self.parameters)
+        key, pair = self._last_fields
+        if key == vals:
+            return pair
         coeffs = []
         for acc, weights in self._coeffs:
             for i, w in weights:
                 acc += w * vals[i]
             coeffs.append(acc)
-        return self._field_factory(*coeffs)
+        pair = self._field_factory(*coeffs)
+        self._last_fields = (vals, pair)
+        return pair
 
     def finite_difference_jacobian(self, x, y, params=None, h=1e-7):
         f = self.compiled_rhs(params)
@@ -219,8 +229,10 @@ _BUILTINS = {
 BUILTIN_NAMES = tuple(_BUILTINS)
 
 
+@functools.cache
 def builtin(name):
-    """Return one of the paper-scale example systems by name."""
+    """Return one of the paper-scale example systems by name: one shared,
+    read-only instance per name, parsed on the first call."""
     if name not in _BUILTINS:
         raise NotFound(f"unknown built-in system {name!r}")
     params, f, g = _BUILTINS[name]

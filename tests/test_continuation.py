@@ -29,6 +29,54 @@ def test_continue_curve_traces_circle():
     assert np.ptp(np.unwrap(angles)) > 4.0
 
 
+def _gap_budget(curve):
+    # the gap and two differences at the start, then the predictor and one
+    # secant step from the carried slope per continuation point
+    return 3 + 2 * (len(curve.points) - 1)
+
+
+def test_continue_curve_gap_budget_on_the_circle():
+    calls = []
+    gap = circle_gap(0.1)
+    curve = ct.continue_curve(None, lambda s, z: calls.append(1) or gap(s, z),
+                              (0.1, 0.0), step=5e-3, max_points=200)
+    assert len(curve.points) == 399
+    assert len(calls) <= _gap_budget(curve)
+
+
+def test_continue_curve_gap_budget_on_heart():
+    # the first heart curve, as assemble_diagram traces it, at 20 points a
+    # side: three gaps a point with a difference slope in every corrector
+    scn = dg.scenario("heart")
+    start = scn.curves[0]
+    z0 = dg.find_curve_start(scn, start)
+    gap = dg.gap_function(scn, start.recipe, k=start.k)
+    calls = []
+    r = 8 * start.radius
+    box = tuple((c - r, c + r) for c in start.center)
+    curve = ct.continue_curve(scn.system,
+                              lambda s, z: calls.append(1) or gap(s, z), z0,
+                              start.tag, step=5e-4, step_max=2e-3,
+                              bounds=box, max_points=20)
+    assert curve.endpoints == ("max_points", "max_points")
+    assert len(curve.points) == 39
+    assert np.max(np.abs(curve.residuals)) <= ct.RESIDUAL_TOL
+    assert len(calls) <= _gap_budget(curve)
+
+
+def test_corrector_falls_back_to_a_difference_slope():
+    # a carried slope of the wrong sign: the first step grows |f|, so the
+    # corrector differences once and converges from there
+    calls = []
+    f = lambda z: calls.append(tuple(z)) or z[0] - 0.3
+    z, fz, slope = ct._refine_on_normal(f, np.array([0.0, 0.0]),
+                                        np.array([1.0, 0.0]), -0.3, -1.0,
+                                        1e-9)
+    assert abs(fz) <= 1e-9 and abs(z[0] - 0.3) <= 1e-9
+    assert abs(slope - 1.0) < 1e-6
+    assert calls[1] == (ct.CORRECTOR_H, 0.0) and len(calls) == 3
+
+
 def test_continue_curve_respects_bounds():
     r = 0.1
     curve = ct.continue_curve(None, circle_gap(r), (r, 0.0), step=5e-3,
@@ -96,6 +144,26 @@ def test_find_codim2_step_rule_exit_reuses_the_accepted_residuals():
     assert len(seen) == 4 and len(set(seen)) == 4
     assert pt.location == seen[-1]
     assert pt.residuals == pair(None, pt.location)
+
+
+@pytest.mark.parametrize("index,before", [
+    (0, (0.4224379963109239, -0.45201089935208644)),
+    (1, (-0.4224379961738838, 0.4520108993193541))])
+def test_find_codim2_on_heart_takes_few_pairs(index, before):
+    # ``before``: the points a Newton step with a fresh difference Jacobian
+    # at every iterate found, from ten pairs each
+    scn = dg.scenario("heart")
+    seed = scn.codim2[index]
+    pair = dg.residual_pair_function(scn, seed)
+    calls = []
+    recipe = scn.recipes[seed.recipes[0]]
+    pt = ct.find_codim2(scn.system,
+                        lambda s, z: calls.append(1) or pair(s, z),
+                        seed.guess, [recipe.source_seed, recipe.target_seed],
+                        lambda z: dg._params_at(scn, z))
+    assert len(calls) <= 8
+    assert np.max(np.abs(np.subtract(pt.location, before))) <= 1e-9
+    assert np.linalg.norm(pt.residuals) <= 1e-9
 
 
 def test_find_codim2_singular_jacobian():

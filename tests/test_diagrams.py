@@ -34,6 +34,8 @@ def test_scenario_builds_only_its_own_system(monkeypatch):
         built.append(name)
         init(self, name, *args, **kwargs)
     monkeypatch.setattr(vf.ParametricSystem, "__init__", counting_init)
+    # builtin shares one instance per name: start from none built
+    vf.builtin.cache_clear()
     dg.scenario("heart")
     assert built == ["diss_heart"]
 

@@ -9,9 +9,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hetcontour import diagrams as dg
 from hetcontour import equilibria as eq
 from hetcontour import integrate as hi
 from hetcontour import vectorfield as vf
@@ -149,6 +150,112 @@ def test_find_equilibrium_builds_the_field_once(monkeypatch):
         assert len(built) == 1
         assert kind is eq.EquilibriumType.SADDLE
         assert np.hypot(*sys_.rhs(*loc, params)) <= 1e-12
+
+
+# -- closed-form 2x2 eigen-data ---------------------------------------------
+
+
+def _similar(eigenblock, angles):
+    """V B V^-1 with V's unit columns at the two angles."""
+    V = np.array([[math.cos(t) for t in angles],
+                  [math.sin(t) for t in angles]])
+    return V @ np.asarray(eigenblock, float) @ np.linalg.inv(V)
+
+
+decade = st.floats(-3.0, 3.0)
+angle = st.floats(0.0, math.pi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(decade, decade, angle, angle,
+       st.sampled_from(("similar", "upper", "lower")), st.booleans(),
+       st.floats(-3.0, 3.0))
+def test_saddle_data_matches_lapack(e_s, e_u, t_s, t_u, shape, swap, off):
+    # |lambda_u / lambda_s| from 1e-6 to 1e6.  The small eigenvalue of a
+    # non-normal J is fixed only to roundoff in |J| by either method, so
+    # there the match is relative to the larger one; a triangular J's
+    # eigenvalues are its diagonal, each matched relative to itself.
+    lam_s, lam_u = -10.0 ** e_s, 10.0 ** e_u
+    big = max(-lam_s, lam_u)
+    if shape == "similar":
+        assume(abs(math.sin(t_s - t_u)) >= 0.2)
+        J = _similar(np.diag([lam_s, lam_u]), (t_s, t_u))
+    else:
+        d1, d2 = (lam_u, lam_s) if swap else (lam_s, lam_u)
+        J = np.array([[d1, off * big], [0.0, d2]])
+        if shape == "lower":
+            J = J.T
+    sad = eq.saddle_data(_field_about((0.0, 0.0), J.tolist(), {}), {},
+                         (0.0, 0.0))
+    w, V = np.linalg.eig(J)
+    assert not np.any(np.imag(w))
+    w, V = np.real(w), np.real(V)
+    i_s, i_u = int(np.argmin(w)), int(np.argmax(w))
+    for got, want in ((sad.lambda_s, w[i_s]), (sad.lambda_u, w[i_u])):
+        scale = big if shape == "similar" else abs(want)
+        assert abs(got - want) <= 1e-13 * scale
+    for got, i in ((sad.v_s, i_s), (sad.v_u, i_u)):
+        assert math.dist(got, eq._normalize(tuple(V[:, i]))) <= 1e-12
+
+
+def _eigvals_rule(J):
+    """The classification by LAPACK's eigenvalues that `_classify` keeps."""
+    ev = np.linalg.eigvals(J)
+    re = np.real(ev)
+    if np.any(np.abs(re) < eq.HYPERBOLICITY_CUTOFF):
+        return eq.EquilibriumType.NON_HYPERBOLIC
+    if np.all(np.abs(np.imag(ev)) > 0):
+        return (eq.EquilibriumType.STABLE_FOCUS if re[0] < 0
+                else eq.EquilibriumType.UNSTABLE_FOCUS)
+    if re[0] * re[1] < 0:
+        return eq.EquilibriumType.SADDLE
+    return (eq.EquilibriumType.STABLE_NODE if re[0] < 0
+            else eq.EquilibriumType.UNSTABLE_NODE)
+
+
+# magnitudes of real parts: ordinary ones, and ones a decade or more on
+# either side of HYPERBOLICITY_CUTOFF
+magnitude = st.one_of(st.builds(lambda e: 10.0 ** e, decade),
+                      st.sampled_from((1e-10, 1e-9, 1e-7, 1e-6)))
+sign = st.sampled_from((-1.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(("node", "focus", "saddle")), magnitude, magnitude,
+       sign, sign, decade, angle, angle)
+def test_classify_matches_the_eigenvalue_rule(kind, m1, m2, s1, s2, e_im,
+                                              t1, t2):
+    assume(abs(math.sin(t1 - t2)) >= 0.2)
+    if kind == "focus":
+        im = 10.0 ** e_im
+        block = [[s1 * m1, im], [-im, s1 * m1]]
+    else:
+        # a node's eigenvalues stay apart, clear of the node-focus border
+        assume(kind == "saddle" or abs(m1 - m2) >= 0.1 * max(m1, m2))
+        block = np.diag([s1 * m1, (-s1 if kind == "saddle" else s1) * m2])
+    J = _similar(block, (t1, t2))
+    assert eq._classify(J) is _eigvals_rule(J)
+
+
+class _NumpyWithoutLinalg:
+    def __getattr__(self, name):
+        if name == "linalg":
+            raise AssertionError("equilibria used np.linalg")
+        return getattr(np, name)
+
+
+def test_gap_spec_makes_no_linalg_call(monkeypatch):
+    # a gap's saddle solves are closed-form 2x2 arithmetic: no LAPACK call
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK call")
+    for name in ("solve", "eig", "eigvals", "det", "inv"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(eq, "np", _NumpyWithoutLinalg())
+    scn = dg.scenario("heart")
+    params = scn.system.full_params(dg._params_at(scn, (0.42, -0.45)))
+    src, tgt, _ = dg._build_spec(scn.system, params, scn.recipes["LM_low"])
+    assert src.location == pytest.approx((0.0, 0.0), abs=1e-12)
+    assert 1.0 < src.index < 1.1 and 1.2 < tgt.index < 1.3
 
 
 def test_find_equilibrium_rejects_a_non_finite_state(mono):

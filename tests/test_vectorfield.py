@@ -4,9 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hetcontour import equilibria as eq
+from hetcontour import integrate as hi
+from hetcontour import manifolds as mf
 from hetcontour import synthesis as sy
 from hetcontour import vectorfield as vf
-from hetcontour.affine import AffineExpr
+from hetcontour.affine import AffineExpr, parse_poly
 from hetcontour.errors import ConfigError, ParseError
 
 
@@ -281,7 +284,8 @@ def test_compiled_rhs_keeps_its_parameter_point():
 
 
 def test_many_parameter_points_leave_the_system_unchanged():
-    # no per-point state: the system holds what it held after construction
+    # bounded per-point state: the system holds what it held after
+    # construction, the one cached field pair included
     sys_ = vf.builtin("diss_heart")
 
     def layout():
@@ -294,3 +298,47 @@ def test_many_parameter_points_leave_the_system_unchanged():
         sys_.compiled_rhs(p)
         sys_.jacobian(0.1, 0.2, p)
     assert layout() == before
+
+
+def test_fields_are_built_once_per_parameter_point(monkeypatch):
+    # one gap's saddle solves share one point's fields, and so do one
+    # branch's chunks; the system keeps the last point's pair only
+    base = vf.builtin("revers_gamma")
+    sys_ = vf.ParametricSystem(base.name, base.parameters, base.x_dot,
+                               base.y_dot)
+    built = []
+    factory = sys_._field_factory
+    sys_._field_factory = lambda *c: built.append(c) or factory(*c)
+    params = sys_.full_params({"gamma": 2.53})
+    saddles = [eq.saddle_data(sys_, params,
+                              eq.find_equilibrium(sys_, params, seed)[0])
+               for seed in ((0.0, 0.0), (0.0, -2.53))]
+    assert len(built) == 1
+    chunks = []
+    integrate = hi.integrate
+    monkeypatch.setattr(hi, "integrate",
+                        lambda *a, **k: chunks.append(1) or integrate(*a, **k))
+    mf.grow_branch(sys_, params, saddles[0], mf.Kind.UNSTABLE, 1,
+                   time_cap=20.0)
+    assert len(chunks) > 1 and len(built) == 1
+    other = sys_.full_params({"gamma": 2.6})
+    sys_.compiled_rhs(other)
+    sys_.jacobian(0.1, 0.2, other)
+    sys_.compiled_rhs(params)
+    assert len(built) == 3
+
+
+def test_builtins_are_parsed_once(monkeypatch):
+    vf.builtin.cache_clear()
+    parsed = []
+    monkeypatch.setattr(vf, "parse_poly",
+                        lambda text, *a: parsed.append(text)
+                        or parse_poly(text, *a))
+    first = vf.builtin("mono_perturbed")
+    second = vf.builtin("mono_perturbed")
+    assert len(parsed) == 2
+    assert first == second
+    params, f, g = vf._BUILTINS["mono_perturbed"]
+    assert first == vf.ParametricSystem(
+        "mono_perturbed", params, parse_poly(f, ("x", "y")),
+        parse_poly(g, ("x", "y")))
