@@ -185,7 +185,8 @@ def cmd_portrait(args):
     xmin, xmax, ymin, ymax = _numbers(args.region, "--region")
     seeds = [_numbers(s, "--seeds") for s in args.seeds]
     t_end = _number(args.time, "--time")
-    tol = (args.tol_abs, args.tol_rel)
+    tol = (_number(args.tol_abs, "--tol-abs"),
+           _number(args.tol_rel, "--tol-rel"))
     rng = np.random.RandomState(args.seed)
     diag = float(np.hypot(xmax - xmin, ymax - ymin))
 
@@ -314,7 +315,8 @@ def cmd_melnikov(args):
             "axis": mel.Connection.X_AXIS}[args.case]
     a, b = _number(args.a, "--a"), _number(args.b, "--b")
     prob = mel.MelnikovProblem(a=a, b=b, c=_number(args.c, "--c"),
-                               connection=conn, tolerance=args.tol_abs)
+                               connection=conn,
+                               tolerance=_number(args.tol_abs, "--tol-abs"))
     res = mel.melnikov_integral(prob)
     print(f"M(0) = {_f(res.value)} +/- {res.error_estimate:.2e}")
     print(f"sign certified negative: {res.sign_certified_negative}")
@@ -392,8 +394,8 @@ def build_parser():
                     help="random seed for the equilibrium-search grid jitter")
     sp.add_argument("--params", nargs="*", metavar="K=V", default=[],
                     help="parameter overrides k=v, v a number such as 3/2")
-    sp.add_argument("--tol-abs", type=float, default=1e-10)
-    sp.add_argument("--tol-rel", type=float, default=1e-10)
+    sp.add_argument("--tol-abs", default="1e-10")
+    sp.add_argument("--tol-rel", default="1e-10")
     _add_output(sp)
     sp.set_defaults(func=cmd_portrait)
 
@@ -413,8 +415,7 @@ def build_parser():
     sp.add_argument("--c", default="3/2", help="a number such as 1/2")
     sp.add_argument("--a", default="1")
     sp.add_argument("--b", default="-3")
-    sp.add_argument("--tol-abs", type=float, default=1e-10,
-                    help="quadrature tolerance")
+    sp.add_argument("--tol-abs", default="1e-10", help="quadrature tolerance")
     _add_output(sp)
     sp.set_defaults(func=cmd_melnikov)
 

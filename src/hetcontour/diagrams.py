@@ -2,12 +2,16 @@
 
 A scenario bundles a built-in system with the geometry of its heteroclinic
 contour: saddle seeds, cross-section base points, branch sides for every
-connection of interest, starting arcs for curve tracing, and the location of
-the interior focus used for cycle counting.  Its one-dimensional model map
-is not stored: `model_map_for` reads the saddle indices and the orientation
-off the flow at the contour point.
+connection of interest, a guess of each codim-2 contour point, angle
+brackets that start the homoclinic curves, and the location of the interior
+focus used for cycle counting.  Its one-dimensional model map is not
+stored: `model_map_for` reads the saddle indices and the orientation off
+the flow at the first contour point.
 
-Curves are traced in the scenario's two active parameters with the
+Every curve of the diagram starts at a contour point.  The H_L and H_M
+curves of a codim-2 seed are continued from its located point, where both
+gaps vanish; a homoclinic curve starts on a small arc about the first
+point.  Curves are traced in the scenario's two active parameters with the
 pseudo-arclength tracer from `continuation`; fold-of-cycles curves that are
 only resolvable at the model-map level are attached from
 `modelmap.bifurcation_set` in the model's (beta1, beta2) plane.
@@ -42,26 +46,27 @@ class ConnectionRecipe:
     section_base: tuple
     source_side: int
     target_side: int
+    time_cap: float
+    arclength_cap: float
     crossing_direction: int = 1
-    time_cap: float = 500.0
-    arclength_cap: float = 200.0
 
 
 @dataclass(frozen=True)
 class CurveStart:
-    """A curve of the diagram: tag, recipe, and a search arc for its start."""
+    """A homoclinic curve of the diagram: its start is the zero of its gap
+    between two angles (degrees) on the arc of radius ``span / 8`` about
+    the scenario's first contour point."""
     tag: ct.CurveTag
     recipe: str
-    radius: float
-    theta_bracket: tuple          # degrees, gap changes sign across the arc
-    center: tuple = (0.0, 0.0)    # arc center in the active-parameter plane
-    k: int = 0
+    theta_bracket: tuple
 
 
 @dataclass(frozen=True)
 class Codim2Seed:
+    """A guess of a contour point and the recipes whose gaps vanish there:
+    the first runs L -> M and traces H_L, the second M -> L and H_M."""
     guess: tuple
-    recipes: tuple                # two recipe names whose gaps vanish jointly
+    recipes: tuple
 
 
 @dataclass(frozen=True)
@@ -70,6 +75,7 @@ class Scenario:
     system: vf.ParametricSystem
     base_params: dict
     active: tuple                 # the two continued parameter names
+    span: float                   # box half-width about a contour point
     curves: tuple = ()
     recipes: dict = field(default_factory=dict)
     codim2: tuple = ()
@@ -130,30 +136,32 @@ def winding_gap_function(scn, recipe_name):
     return _splitting_function(scn, recipe_name, True)
 
 
-def gap_function(scn, recipe_name, k=0):
-    """Scalar zero function (sys, point) -> gap of the k-turn connection;
-    InsufficientWinding where the branch has no hit at winding k."""
+def gap_function(scn, recipe_name):
+    """Scalar zero function (sys, point) -> gap of the direct connection;
+    InsufficientWinding where the branch has no hit."""
     split = _splitting_function(scn, recipe_name, False)
-    return lambda sys, point: split(sys, point, k).gap
+    return lambda sys, point: split(sys, point, 0).gap
 
 
-def residual_pair_function(scn, seed):
+def contour_point(scn, seed):
+    """The seed's codim-2 contour point, by `continuation.find_codim2` on
+    the gaps of its two recipes, with L and M the first recipe's saddles."""
     gaps = [gap_function(scn, name) for name in seed.recipes]
-    return lambda sys, z: tuple(g(sys, z) for g in gaps)
+    recipe = scn.recipes[seed.recipes[0]]
+    return ct.find_codim2(scn.system,
+                          lambda sys, z: tuple(g(sys, z) for g in gaps),
+                          seed.guess, [recipe.source_seed, recipe.target_seed],
+                          lambda z: _params_at(scn, z))
 
 
-def find_curve_start(scn, start):
-    """Zero of the start's gap on its search arc, by Brent's method in angle
-    to within ``CIRCLE_XTOL`` degrees; BracketError when the gap has the
-    same sign at both arc ends."""
-    gap = gap_function(scn, start.recipe, k=start.k)
-    cx, cy_ = start.center
-    r = start.radius
-
-    def at(theta_deg):
-        th = math.radians(theta_deg)
-        return (cx + r * math.cos(th), cy_ + r * math.sin(th))
-
+def find_curve_start(scn, start, center):
+    """Zero of the start's gap on its arc about ``center``, by Brent's
+    method in angle to within ``CIRCLE_XTOL`` degrees; BracketError when
+    the gap has the same sign at both arc ends."""
+    gap = gap_function(scn, start.recipe)
+    (cx, cy_), r = center, scn.span / 8
+    at = lambda deg: (cx + r * math.cos(math.radians(deg)),
+                      cy_ + r * math.sin(math.radians(deg)))
     f = lambda theta: float(gap(scn.system, at(theta)))
     a, b = start.theta_bracket
     return at(brent(f, a, b, f(a), f(b), CIRCLE_XTOL)[0])
@@ -163,74 +171,74 @@ def assemble_diagram(scn, bounds=None, k_max=2, step=5e-4, step_min=1e-6,
                      step_max=2e-3, max_points=40, residual_tol=1e-6):
     """Trace every curve of the scenario; collect per-curve failures.
 
-    Each traced curve starts from a sign change on its search arc and is
-    continued in both directions inside ``bounds``.  Scenarios with a
-    ``model_box`` also get the model map's curves from
-    ``model_bifurcation_set``; a failure to derive the map is recorded under
-    ``"model_map"``.
+    Each seed's contour point is located once; its H_L and H_M curves are
+    continued both ways from it, and each homoclinic curve from the sign
+    change on its arc about the first point.  A curve stays inside
+    ``bounds``, by default its contour point +- ``scn.span``.  With a
+    ``model_box`` the model map's curves, read at the first point, are
+    added; a failure to derive them is recorded under ``"model_map"``.
     """
-    curves, failures = [], {}
-    for start in scn.curves:
+    curves, codim2, failures = [], [], {}
+    first = None                  # the first seed's contour point
+    unlocated = f"scenario {scn.name} has no located first contour point"
+
+    def trace(tag, recipe, point, start):
         try:
-            z0 = find_curve_start(scn, start)
-            gap = gap_function(scn, start.recipe, k=start.k)
-            box = bounds
-            if box is None:
-                r = 8 * start.radius
-                box = ((start.center[0] - r, start.center[0] + r),
-                       (start.center[1] - r, start.center[1] + r))
-            curve = ct.continue_curve(scn.system, gap, z0, start.tag,
-                                      k=start.k, step=step, step_min=step_min,
-                                      step_max=step_max, bounds=box,
-                                      max_points=max_points,
-                                      residual_tol=residual_tol)
-            curves.append(curve)
+            if point is None:
+                raise NotFound(unlocated)
+            z0 = point.location
+            box = bounds or tuple((c - scn.span, c + scn.span) for c in z0)
+            if start is not None:
+                z0 = find_curve_start(scn, start, z0)
+            curves.append(ct.continue_curve(
+                scn.system, gap_function(scn, recipe), z0, tag, step=step,
+                step_min=step_min, step_max=step_max, bounds=box,
+                max_points=max_points, residual_tol=residual_tol))
         except HetContourError as exc:
-            failures[f"{start.tag.name}[{start.k}]@{start.recipe}"] = (
+            failures[f"{tag.name}[0]@{recipe}"] = (
                 f"{type(exc).__name__}: {exc}")
 
-    codim2 = []
-    for seed in scn.codim2:
+    for i, seed in enumerate(scn.codim2):
         try:
-            codim2.append(ct.find_codim2(
-                scn.system, residual_pair_function(scn, seed), seed.guess,
-                [scn.recipes[seed.recipes[0]].source_seed,
-                 scn.recipes[seed.recipes[0]].target_seed],
-                lambda z: _params_at(scn, z)))
+            point = contour_point(scn, seed)
         except HetContourError as exc:
             failures[f"codim2@{seed.guess}"] = f"{type(exc).__name__}: {exc}"
+            continue
+        codim2.append(point)
+        first = point if i == 0 else first
+        for tag, recipe in zip((ct.CurveTag.H_L, ct.CurveTag.H_M),
+                               seed.recipes):
+            trace(tag, recipe, point, None)
+    for start in scn.curves:
+        trace(start.tag, start.recipe, first, start)
 
     model_curves = []
     if scn.model_box is not None:
         try:
-            model_curves = model_bifurcation_set(scn, k_max=k_max)
+            if first is None:
+                raise NotFound(unlocated)
+            model_curves = model_bifurcation_set(scn, k_max, first)
         except HetContourError as exc:
             failures["model_map"] = f"{type(exc).__name__}: {exc}"
 
     return Diagram(scn.name, curves, model_curves, codim2, failures)
 
 
-def model_map_for(scn):
-    """The contour's model map, read from the flow at the contour point.
-
-    The point is the center of the scenario's first H_L start, whose recipe
-    runs L -> M: lam is L's saddle index, mu is M's, and the orientation is
-    `connections.classify_contour`'s.
-    """
-    start = next((s for s in scn.curves if s.tag is ct.CurveTag.H_L), None)
-    if start is None:
-        raise NotFound(f"scenario {scn.name} has no H_L curve start")
-    params = scn.system.full_params(_params_at(scn, start.center))
-    L, M, _ = _build_spec(scn.system, params, scn.recipes[start.recipe])
-    contour = cn.classify_contour(scn.system, params, L, M, probe=False)
+def model_map_for(scn, point):
+    """The contour's model map, read from the flow at its contour point
+    ``point`` (a `Codim2Point`): lam is the index of its saddle L, mu is
+    M's, and the orientation is `connections.classify_contour`'s there."""
+    L, M = point.saddle_L, point.saddle_M
+    contour = cn.classify_contour(scn.system, _params_at(scn, point.location),
+                                  L, M, probe=False)
     return mm.ModelMap(L.index, M.index, orientation=mm.Orientation(
         1 if contour.monodromic else -1))
 
 
-def model_bifurcation_set(scn, k_max=2, n=101):
+def model_bifurcation_set(scn, k_max, point):
     b1, b2 = scn.model_box
-    return mm.bifurcation_set(model_map_for(scn), ((-b1, b1), (-b2, b2)),
-                              n=n, k_max=k_max)
+    return mm.bifurcation_set(model_map_for(scn, point),
+                              ((-b1, b1), (-b2, b2)), k_max=k_max)
 
 
 def flow_cycle_count(scn, point):
@@ -263,13 +271,14 @@ def hausdorff(points_a, points_b):
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
-def _mono_scenario(name, c, curves, focus_seed, cycle_bracket,
+def _mono_scenario(name, c, span, curves, focus_seed, cycle_bracket,
                    model_box=None, notes=""):
     return Scenario(
         name=name,
         system=vf.builtin("mono_perturbed"),
         base_params={"c": c, "alpha": 0.0, "epsilon": 0.0},
         active=("alpha", "epsilon"),
+        span=span,
         recipes={
             # axis connection L -> M, section on the invariant line
             "axis": ConnectionRecipe((0, 0), (1, 0), (0.5, 0.0), 1, -1,
@@ -287,6 +296,8 @@ def _mono_scenario(name, c, curves, focus_seed, cycle_bracket,
                                        time_cap=120, arclength_cap=60),
         },
         curves=curves,
+        # the contour exists at alpha = epsilon = 0 by construction
+        codim2=(Codim2Seed((0.0, 0.0), ("axis", "parabola")),),
         focus_seed=focus_seed,
         cycle_bracket=cycle_bracket,
         model_box=model_box,
@@ -300,6 +311,7 @@ def _heart_scenario():
         system=vf.builtin("diss_heart"),
         base_params={"gamma": 2.7, "alpha": 0.0, "epsilon": 0.0},
         active=("alpha", "epsilon"),
+        span=0.16,
         recipes={
             # lower contour point: L -> M around the outer lobe, M -> L up
             # the left side; sections sit on the respective connections
@@ -317,16 +329,6 @@ def _heart_scenario():
                                       -1, -1, time_cap=100,
                                       arclength_cap=100),
         },
-        curves=(
-            CurveStart(ct.CurveTag.H_L, "LM_low", 0.02, (90.0, 130.0),
-                       center=(0.422438, -0.452011)),
-            CurveStart(ct.CurveTag.H_M, "ML_low", 0.02, (120.0, 150.0),
-                       center=(0.422438, -0.452011)),
-            CurveStart(ct.CurveTag.H_L, "LM_up", 0.02, (315.0, 345.0),
-                       center=(-0.422438, 0.452011)),
-            CurveStart(ct.CurveTag.H_M, "ML_up", 0.02, (280.0, 315.0),
-                       center=(-0.422438, 0.452011)),
-        ),
         codim2=(
             Codim2Seed((0.4, -0.45), ("LM_low", "ML_low")),
             Codim2Seed((-0.4, 0.45), ("LM_up", "ML_up")),
@@ -338,14 +340,11 @@ def _heart_scenario():
 
 
 def _mono_first():
-    r = 2e-3
     return _mono_scenario(
-        "mono_first", 1.5,
+        "mono_first", 1.5, 0.016,
         curves=(
-            CurveStart(ct.CurveTag.H_L, "axis", r, (45.0, 135.0)),
-            CurveStart(ct.CurveTag.H_M, "parabola", r, (135.0, 225.0)),
-            CurveStart(ct.CurveTag.P_L, "loop_L", r, (170.0, 185.0)),
-            CurveStart(ct.CurveTag.P_M, "loop_M", r, (262.0, 280.0)),
+            CurveStart(ct.CurveTag.P_L, "loop_L", (170.0, 185.0)),
+            CurveStart(ct.CurveTag.P_M, "loop_M", (262.0, 280.0)),
         ),
         focus_seed=(2 / 3, 1 / 9),
         cycle_bracket=(1e-4, 0.1),
@@ -355,12 +354,8 @@ def _mono_first():
 
 def _mono_second():
     return _mono_scenario(
-        "mono_second", 0.5,
-        curves=(
-            CurveStart(ct.CurveTag.H_L, "axis", 0.02, (225.0, 315.0)),
-            CurveStart(ct.CurveTag.H_M, "parabola", 0.02, (135.0, 225.0)),
-            CurveStart(ct.CurveTag.P_M, "loop_M", 0.02, (268.0, 273.0)),
-        ),
+        "mono_second", 0.5, 0.16,
+        curves=(CurveStart(ct.CurveTag.P_M, "loop_M", (268.0, 273.0)),),
         model_box=(0.12, 0.12),
         focus_seed=(6 / 11, 1 / 11),
         cycle_bracket=(3e-6, 0.08),

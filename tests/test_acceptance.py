@@ -82,14 +82,7 @@ def test_criterion_03_reversible_contour():
 def test_criterion_04_codim2_contour_points():
     t0 = time.perf_counter()
     scn = dg.scenario("heart")
-    points = []
-    for seed in scn.codim2:
-        recipe = scn.recipes[seed.recipes[0]]
-        points.append(ct.find_codim2(
-            scn.system, dg.residual_pair_function(scn, seed), seed.guess,
-            [recipe.source_seed, recipe.target_seed],
-            lambda z: dg._params_at(scn, z)))
-    c1, c2 = points
+    c1, c2 = (dg.contour_point(scn, seed) for seed in scn.codim2)
     c1_err = max(abs(c1.location[0] - 0.422432),
                  abs(c1.location[1] + 0.452007))
     c2_err = max(abs(c2.location[0] + c1.location[0]),
@@ -154,14 +147,15 @@ def test_criterion_06_diagram_topologies():
     checks["a_curves"] = bool(len(dists) == 4
                               and max(dists.values()) <= 2e-3)
     checks["a_no_fold"] = (CurveTag.F not in by_tag
-                           and not mm.has_fold_curve(dg.model_map_for(first)))
+                           and not mm.has_fold_curve(
+                               dg.model_map_for(first, d1.codim2[0])))
 
     # (b) second monodromic subcase: F exists and bounds a two-cycle region
     second = dg.scenario("mono_second")
     d2 = dg.assemble_diagram(second, k_max=0, step=4e-4, max_points=20)
     f_curves = [c for c in d2.model_curves if c.tag is CurveTag.F]
     checks["b_fold_exists"] = bool(f_curves)
-    m2 = dg.model_map_for(second)
+    m2 = dg.model_map_for(second, d2.codim2[0])
     jump_two = False
     for c in f_curves:
         b1, b2 = c.points[len(c.points) // 2]

@@ -1,4 +1,5 @@
 """Command-line interface: exit codes, artifact schemas, determinism."""
+import argparse
 import json
 import os
 import subprocess
@@ -114,6 +115,8 @@ def test_bad_numbers_are_parse_errors(argv, capsys):
     # a negative expression may join its flag with "="
     (["melnikov", "--case", "axis", "--a", "1/2", "--b=-6/2"],
      ["melnikov", "--case", "axis", "--a", "0.5"]),
+    (["melnikov", "--case", "axis", "--tol-abs", "1/1e8"],
+     ["melnikov", "--case", "axis", "--tol-abs", "1e-8"]),
 ])
 def test_number_arguments_read_exact_expressions(exact, decimal, tmp_path):
     # every number argument goes through the reader that --c and --params
@@ -148,6 +151,43 @@ def test_a_negative_expression_is_a_value_not_a_flag(expression, plain,
         outs.append({f.name: f.read_bytes()
                      for f in (tmp_path / name).iterdir()})
     assert len(outs[0]) > 1 and outs[0] == outs[1]
+
+
+def test_no_flag_reads_a_bare_float():
+    # a number flag is read by affine.parse_number, never by float()
+    def actions(parser):
+        for action in parser._actions:
+            yield parser.prog, action
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from actions(sub)
+    found = list(actions(cli.build_parser()))
+    assert "hetcontour modelmap" in {prog for prog, _ in found}
+    assert [(prog, a.option_strings) for prog, a in found
+            if a.type is float] == []
+
+
+@pytest.mark.parametrize("n", ["-3", "0", "1"])
+def test_modelmap_needs_two_points_a_curve(n, tmp_path, capsys):
+    code = run(["modelmap", "--orientation", "monodromic", "--lambda", "2",
+                "--mu", "2", "--n", n, "--out", str(tmp_path)])
+    assert code == cli.EXIT_HARD
+    assert "error: DomainError: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("scenario, subcase", [("mono_first", 5),
+                                               ("mono_second", 3)])
+def test_mono_diagram_has_its_contour_point_at_the_origin(scenario, subcase,
+                                                          tmp_path):
+    code = run(["diagram", "--scenario", scenario, "--kmax", "0",
+                "--max-points", "3", "--format", "json",
+                "--out", str(tmp_path)])
+    assert code == cli.EXIT_OK
+    doc = json.loads((tmp_path / "diagram.json").read_text())
+    assert doc["failures"] == {}
+    assert [(p["location"], p["subcase"]) for p in doc["codim2"]] == [
+        (["0.0", "0.0"], subcase)]
 
 
 def test_system_file_out_of_float_range_is_a_parse_error(tmp_path, capsys):

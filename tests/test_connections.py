@@ -229,21 +229,25 @@ PINNED_INDICES = {"mono_first": (2.0, 2.0), "mono_second": (2.0, 2.0 / 3.0),
 @pytest.mark.parametrize("scenario, system, params, seed_M, monodromic", [
     ("mono_first", "mono_unperturbed", {"c": 1.5}, (1.0, 0.0), True),
     ("mono_second", "mono_unperturbed", {"c": 0.5}, (1.0, 0.0), True),
-    ("heart", "diss_heart", {"alpha": 0.422438, "epsilon": -0.452011},
-     (-0.57, -2.6), False),
+    ("heart", "diss_heart", {}, (-0.57, -2.6), False),
 ])
 def test_classify_contour_matches_model_indices(scenario, system, params,
                                                 seed_M, monodromic):
     # each scenario's contour, classified from the flow, against the
-    # orientation and saddle indices of the model map derived for it
+    # orientation and saddle indices of the model map derived for it; empty
+    # params stand for the located contour point (heart's C1)
     sys_ = vf.builtin(system)
+    scn = dg.scenario(scenario)
+    point = dg.contour_point(scn, scn.codim2[0])
+    if not params:
+        params = dg._params_at(scn, point.location)
     p = sys_.full_params(params)
     L, M = (eq.saddle_data(sys_, p, eq.find_equilibrium(sys_, p, seed)[0])
             for seed in ((0.0, 0.0), seed_M))
     res = cn.classify_contour(sys_, p, L, M)
     assert res.monodromic is monodromic
     assert res.probe_agrees is True
-    m = dg.model_map_for(dg.scenario(scenario))
+    m = dg.model_map_for(scn, point)
     assert (m.orientation is mm.Orientation.MONODROMIC) is monodromic
     assert (m.lam, m.mu) == pytest.approx(PINNED_INDICES[scenario], abs=1e-4)
     assert (m.lam, m.mu) == pytest.approx((L.index, M.index), abs=1e-10)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from hetcontour import connections as cn
 from hetcontour import continuation as ct
 from hetcontour import diagrams as dg
 from hetcontour import vectorfield as vf
@@ -45,18 +46,18 @@ def test_continue_curve_gap_budget_on_the_circle():
 
 
 def test_continue_curve_gap_budget_on_heart():
-    # the first heart curve, as assemble_diagram traces it, at 20 points a
-    # side: three gaps a point with a difference slope in every corrector
+    # the first heart curve, H_L from C1, as assemble_diagram traces it,
+    # at 20 points a side: three gaps a point with a difference slope in
+    # every corrector
     scn = dg.scenario("heart")
-    start = scn.curves[0]
-    z0 = dg.find_curve_start(scn, start)
-    gap = dg.gap_function(scn, start.recipe, k=start.k)
+    seed = scn.codim2[0]
+    z0 = dg.contour_point(scn, seed).location
+    gap = dg.gap_function(scn, seed.recipes[0])
     calls = []
-    r = 8 * start.radius
-    box = tuple((c - r, c + r) for c in start.center)
+    box = tuple((c - scn.span, c + scn.span) for c in z0)
     curve = ct.continue_curve(scn.system,
                               lambda s, z: calls.append(1) or gap(s, z), z0,
-                              start.tag, step=5e-4, step_max=2e-3,
+                              ct.CurveTag.H_L, step=5e-4, step_max=2e-3,
                               bounds=box, max_points=20)
     assert curve.endpoints == ("max_points", "max_points")
     assert len(curve.points) == 39
@@ -149,19 +150,16 @@ def test_find_codim2_step_rule_exit_reuses_the_accepted_residuals():
 @pytest.mark.parametrize("index,before", [
     (0, (0.4224379963109239, -0.45201089935208644)),
     (1, (-0.4224379961738838, 0.4520108993193541))])
-def test_find_codim2_on_heart_takes_few_pairs(index, before):
+def test_find_codim2_on_heart_takes_few_pairs(index, before, monkeypatch):
     # ``before``: the points a Newton step with a fresh difference Jacobian
-    # at every iterate found, from ten pairs each
-    scn = dg.scenario("heart")
-    seed = scn.codim2[index]
-    pair = dg.residual_pair_function(scn, seed)
+    # at every iterate found, from ten pairs each; a pair is two splittings
     calls = []
-    recipe = scn.recipes[seed.recipes[0]]
-    pt = ct.find_codim2(scn.system,
-                        lambda s, z: calls.append(1) or pair(s, z),
-                        seed.guess, [recipe.source_seed, recipe.target_seed],
-                        lambda z: dg._params_at(scn, z))
-    assert len(calls) <= 8
+    splitting = cn.splitting
+    monkeypatch.setattr(cn, "splitting",
+                        lambda *a, **k: calls.append(1) or splitting(*a, **k))
+    scn = dg.scenario("heart")
+    pt = dg.contour_point(scn, scn.codim2[index])
+    assert len(calls) <= 2 * 8
     assert np.max(np.abs(np.subtract(pt.location, before))) <= 1e-9
     assert np.linalg.norm(pt.residuals) <= 1e-9
 

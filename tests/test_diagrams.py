@@ -18,9 +18,11 @@ def test_scenario_registry():
     for name in dg.scenario_names():
         scn = dg.scenario(name)
         assert scn.name == name
-        assert scn.recipes
-        # the model map is read at the first H_L start
-        assert any(s.tag is CurveTag.H_L for s in scn.curves)
+        assert scn.recipes and scn.span > 0
+        # every H curve starts at a contour point, where the model map is
+        # read too; only the homoclinic curves start on an arc
+        assert scn.codim2
+        assert all(s.tag in (CurveTag.P_L, CurveTag.P_M) for s in scn.curves)
         names = [s.recipe for s in scn.curves]
         names += [r for seed in scn.codim2 for r in seed.recipes]
         assert set(names) <= set(scn.recipes)
@@ -45,11 +47,17 @@ def test_unknown_scenario_rejected():
         dg.scenario("nope")
 
 
+def _first_point(scn):
+    return dg.contour_point(scn, scn.codim2[0])
+
+
 def test_model_map_wiring():
-    heart = dg.model_map_for(dg.scenario("heart"))
+    scn = dg.scenario("heart")
+    heart = dg.model_map_for(scn, _first_point(scn))
     assert heart.orientation is mm.Orientation.NON_MONODROMIC
     assert 1.0 < heart.lam < heart.mu
-    first = dg.model_map_for(dg.scenario("mono_first"))
+    scn = dg.scenario("mono_first")
+    first = dg.model_map_for(scn, _first_point(scn))
     assert first.orientation is mm.Orientation.MONODROMIC
     assert first.lam == first.mu == 2.0
 
@@ -61,16 +69,27 @@ def test_mono_second_diagram_has_no_failures():
 
 
 def test_model_map_failure_is_recorded():
-    # with no H_L start there is no contour point to read the map at
-    scn = replace(dg.scenario("mono_second"), curves=())
+    # with no codim-2 seed there is no contour point to read the map at,
+    # nor one for the P_M arc to circle
+    scn = replace(dg.scenario("mono_second"), codim2=())
     d = dg.assemble_diagram(scn, k_max=0)
-    assert d.model_curves == []
-    assert list(d.failures) == ["model_map"]
-    assert d.failures["model_map"].startswith("NotFound: ")
+    assert d.curves == [] and d.model_curves == []
+    assert sorted(d.failures) == ["P_M[0]@loop_M", "model_map"]
+    assert all(v.startswith("NotFound: ") for v in d.failures.values())
+
+
+def test_heart_h_curves_start_at_their_contour_points():
+    # each seed's H_L and H_M curves run through its located point
+    d = dg.assemble_diagram(dg.scenario("heart"), k_max=0, max_points=2)
+    assert d.failures == {} and len(d.codim2) == 2
+    assert [c.tag for c in d.curves] == [CurveTag.H_L, CurveTag.H_M] * 2
+    for i, curve in enumerate(d.curves):
+        assert list(d.codim2[i // 2].location) in curve.points.tolist()
 
 
 def test_model_bifurcation_set_of_second_subcase_has_fold():
-    curves = dg.model_bifurcation_set(dg.scenario("mono_second"), k_max=1)
+    scn = dg.scenario("mono_second")
+    curves = dg.model_bifurcation_set(scn, 1, _first_point(scn))
     tags = {c.tag for c in curves}
     assert {CurveTag.P_L, CurveTag.P_M, CurveTag.F,
             CurveTag.H_L, CurveTag.H_M} <= tags
@@ -89,7 +108,8 @@ def test_monodromic_model_set_evaluates_no_k_turn_condition(monkeypatch):
 
     for name in ("condition_H_L", "condition_H_M"):
         monkeypatch.setattr(mm, name, counting(getattr(mm, name)))
-    curves = dg.model_bifurcation_set(dg.scenario("mono_second"), k_max=2)
+    scn = dg.scenario("mono_second")
+    curves = dg.model_bifurcation_set(scn, 2, _first_point(scn))
     assert {c.k for c in curves} == {0}
     assert calls and not [k for k in calls if k >= 1]
 
@@ -111,9 +131,9 @@ def test_cycle_window_absent_for_heart():
 
 def test_curve_start_needs_a_sign_change():
     scn = dg.scenario("mono_first")
-    start = dg.CurveStart(CurveTag.H_L, "axis", 2e-3, (20.0, 30.0))
+    start = dg.CurveStart(CurveTag.H_L, "axis", (20.0, 30.0))
     with pytest.raises(BracketError):
-        dg.find_curve_start(scn, start)
+        dg.find_curve_start(scn, start, (0.0, 0.0))
 
 
 def test_params_at_maps_to_declared_names():
@@ -133,10 +153,12 @@ def test_curve_start_gap_budget(monkeypatch):
         calls.append(args[1])
         return splitting(*args, **kwargs)
     monkeypatch.setattr(cn, "splitting", counted)
-    scn = dg.scenario("heart")
-    for start in scn.curves:
-        calls.clear()
-        z = dg.find_curve_start(scn, start)
-        assert 2 < len(calls) <= 8
-        gap = dg.gap_function(scn, start.recipe, k=start.k)(scn.system, z)
-        assert abs(gap) < 1e-9
+    for name in ("mono_first", "mono_second"):
+        scn = dg.scenario(name)
+        center = dg.contour_point(scn, scn.codim2[0]).location
+        for start in scn.curves:
+            calls.clear()
+            z = dg.find_curve_start(scn, start, center)
+            assert 2 < len(calls) <= 8
+            gap = dg.gap_function(scn, start.recipe)(scn.system, z)
+            assert abs(gap) < 1e-9
