@@ -313,8 +313,8 @@ def cmd_diagram(args):
 def cmd_melnikov(args):
     conn = {"parabola": mel.Connection.PARABOLA,
             "axis": mel.Connection.X_AXIS}[args.case]
-    a, b = _number(args.a, "--a"), _number(args.b, "--b")
-    prob = mel.MelnikovProblem(a=a, b=b, c=_number(args.c, "--c"),
+    a, b, c = (_number(getattr(args, n), f"--{n}") for n in "abc")
+    prob = mel.MelnikovProblem(a=a, b=b, c=c,
                                connection=conn,
                                tolerance=_number(args.tol_abs, "--tol-abs"))
     res = mel.melnikov_integral(prob)
@@ -323,7 +323,7 @@ def cmd_melnikov(args):
     print(res.orientation_note)
     w = ArtifactWriter(args.out, args.format)
     w.write("melnikov.json", "json", json.dumps({
-        "case": args.case, "a": _f(a), "b": _f(b), "c": args.c,
+        "case": args.case, "a": _f(a), "b": _f(b), "c": _f(c),
         "value": _f(res.value), "error_estimate": _f(res.error_estimate),
         "sign_certified_negative": res.sign_certified_negative,
     }, indent=2, sort_keys=True) + "\n")

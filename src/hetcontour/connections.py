@@ -21,12 +21,16 @@ from .errors import (HetContourError, InsufficientWinding, NoContour,
 # pieces that still do, down to WINDING_PIECES_MAX pieces per step
 WINDING_TURN = np.pi / 4
 WINDING_PIECES, WINDING_PIECES_MAX = 4, 1024
-# a contour probe integrates PROBE_CHUNK-long chunks up to |t| = PROBE_T_MAX;
-# a chunk that keeps within PROBE_CLOSE times the contour's extent of the
+# a contour probe runs to |t| = PROBE_T_MAX, watched every PROBE_CHUNK; a
+# window that keeps within PROBE_CLOSE times the contour's extent of the
 # contour counts as accumulation
-PROBE_T_MAX = 200.0
+PROBE_T_MAX = 210.0
 PROBE_CHUNK = 15.0
 PROBE_CLOSE = 0.03
+# a contour's connections are grown at CONTOUR_TOL, up to CONTOUR_ARCLENGTH
+# and CONTOUR_TIME, and one reaches its target within CONTOUR_RADIUS
+CONTOUR_TOL, CONTOUR_RADIUS = (1e-9, 1e-9), 1e-3
+CONTOUR_ARCLENGTH, CONTOUR_TIME = 50.0, 200.0
 
 
 @dataclass(frozen=True)
@@ -127,7 +131,8 @@ def splitting(sys, params, spec, tol=(1e-9, 1e-9), arclength_cap=200.0,
     hit's.  Both hits are transversal when the flow's normal speed there
     exceeds ``hi.TRANSVERSALITY_MIN``.  The unstable hit at winding k is
     its first hit of ``_winding_at`` count k; the branch stops at its first
-    hit for k = 0, else after the chunk of a hit at winding k or more.
+    hit for k = 0, else at the end of the ``grow_branch`` window of a hit at
+    winding k or more.
     With ``every_winding``, it returns the tuple of gaps at windings 0..k
     instead, NaN at a winding with no hit, and checks no transversality.
     """
@@ -177,8 +182,7 @@ def splitting(sys, params, spec, tol=(1e-9, 1e-9), arclength_cap=200.0,
                            float(u_coord), float(s_coord))
 
 
-def find_connection_side(sys, params, source, target, tol=(1e-9, 1e-9),
-                         radius=1e-5, arclength_cap=50.0, time_cap=200.0):
+def find_connection_side(sys, params, source, target):
     """Which unstable side of ``source`` flows into ``target``.
 
     Returns (side, branch); raises NoContour if neither branch approaches.
@@ -187,14 +191,14 @@ def find_connection_side(sys, params, source, target, tol=(1e-9, 1e-9),
     best = None
     for side in (1, -1):
         br = mf.grow_branch(sys, p, source, mf.Kind.UNSTABLE, side,
-                            arclength_cap=arclength_cap, tol=tol,
-                            time_cap=time_cap,
+                            arclength_cap=CONTOUR_ARCLENGTH, tol=CONTOUR_TOL,
+                            time_cap=CONTOUR_TIME,
                             equilibria=[target.location],
-                            equilibrium_radius=radius)
+                            equilibrium_radius=CONTOUR_RADIUS)
         d = np.min(np.linalg.norm(br.points - np.asarray(target.location),
                                   axis=1))
         if br.curve.termination is hi.Termination.EQUILIBRIUM_APPROACH \
-                or d < radius:
+                or d < CONTOUR_RADIUS:
             return side, br
         if best is None or d < best[1]:
             best = (side, d)
@@ -203,8 +207,7 @@ def find_connection_side(sys, params, source, target, tol=(1e-9, 1e-9),
         f"(closest approach {best[1]:.2e})")
 
 
-def classify_contour(sys, params, saddle_L, saddle_M, probe=True,
-                     tol=(1e-9, 1e-9), radius=1e-3):
+def classify_contour(sys, params, saddle_L, saddle_M, probe=True):
     """Monodromic vs non-monodromic decision for an existing contour.
 
     The primary criterion is the relative orientation of incoming and
@@ -212,10 +215,8 @@ def classify_contour(sys, params, saddle_L, saddle_M, probe=True,
     monodromic); a limit-set probe orbit is run as a cross-check.
     """
     p = sys.full_params(params)
-    side_LM, br_LM = find_connection_side(sys, p, saddle_L, saddle_M,
-                                          tol=tol, radius=radius)
-    side_ML, br_ML = find_connection_side(sys, p, saddle_M, saddle_L,
-                                          tol=tol, radius=radius)
+    side_LM, br_LM = find_connection_side(sys, p, saddle_L, saddle_M)
+    side_ML, br_ML = find_connection_side(sys, p, saddle_M, saddle_L)
 
     def cross_sign(branch, target, out_dir):
         z = branch.points[-2] if len(branch.points) > 1 else branch.points[-1]
@@ -236,7 +237,7 @@ def classify_contour(sys, params, saddle_L, saddle_M, probe=True,
         contour = np.vstack([_curve_points(br.curve, spacing)
                              for br in (br_LM, br_ML)])
         seed = contour.mean(axis=0)
-        approach = _probe_accumulates(sys, p, seed, contour, tol)
+        approach = _probe_accumulates(sys, p, seed, contour, CONTOUR_TOL)
         agrees = approach == monodromic
     return ContourClass(monodromic, (side_LM, side_ML),
                         (float(s_L), float(s_M)), agrees)
@@ -245,27 +246,28 @@ def classify_contour(sys, params, saddle_L, saddle_M, probe=True,
 def _probe_accumulates(sys, params, seed, contour, tol):
     """True if a probe orbit ends up tracking the whole contour.
 
-    A forward or backward chunk counts as accumulation when *all* of its
+    A forward or backward window counts as accumulation when *all* of its
     samples lie near the contour, i.e. a full revolution hugs it; merely
-    passing close to one saddle corner does not qualify.
+    passing close to one saddle corner does not qualify.  The watch ends
+    such a run SETTLED.
     """
     scale = max(np.ptp(contour[:, 0]), np.ptp(contour[:, 1]))
     close = PROBE_CLOSE * scale
+
+    def check(run):
+        nonlocal seen
+        d = np.min(np.linalg.norm(run.xy[seen:, None, :] - contour[None, :, :],
+                                  axis=2), axis=1)
+        seen = len(run.t) - 1
+        return hi.Termination.SETTLED if np.max(d) < close else None
+
     for sign in (1.0, -1.0):
-        t_now, z_now = 0.0, np.asarray(seed, float)
-        while abs(t_now) < PROBE_T_MAX:
-            try:
-                traj = hi.integrate(sys, params, z_now,
-                                    (t_now, t_now + sign * PROBE_CHUNK),
-                                    tol=tol)
-            except HetContourError:
-                break
-            d = np.min(
-                np.linalg.norm(traj.xy[:, None, :] - contour[None, :, :],
-                               axis=2), axis=1)
-            if np.max(d) < close:
-                return True
-            if traj.termination is not hi.Termination.TIME_LIMIT:
-                break
-            t_now, z_now = float(traj.t[-1]), traj.end
+        seen = 0
+        try:
+            traj = hi.integrate(sys, params, seed, (0.0, sign * PROBE_T_MAX),
+                                tol=tol, watch=(PROBE_CHUNK, check))
+        except HetContourError:
+            continue
+        if traj.termination is hi.Termination.SETTLED:
+            return True
     return False

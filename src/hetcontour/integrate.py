@@ -34,10 +34,11 @@ class Termination(enum.Enum):
     """Why an integration ended.
 
     ``integrate`` ends on TIME_LIMIT, EVENT, BLOWUP (left the call's escape
-    disc) or EQUILIBRIUM_APPROACH.  ``manifolds.grow_branch`` adds
-    ARCLENGTH_CAP, SETTLED for a branch that has come to rest on an
-    attractor, and ENOUGH_HITS for a branch whose section hits so far are
-    all its caller asked for.
+    disc), EQUILIBRIUM_APPROACH, or what its watch returns.  The watch of
+    ``manifolds.grow_branch`` returns ARCLENGTH_CAP, SETTLED for a branch
+    that has come to rest on an attractor, and ENOUGH_HITS for a branch
+    whose section hits so far are all its caller asked for; the contour
+    probe's returns SETTLED for an orbit that tracks the contour.
     """
 
     TIME_LIMIT = "time_limit"
@@ -351,17 +352,28 @@ def _initial_step(f, t0, x0, y0, fx0, fy0, span, direction, rtol, atol):
     return min(100 * h0, h1, span)
 
 
-def _dop853(f, t0, x0, y0, t_end, rtol, atol, events, n_sections):
+def _trajectory(f, ts, zs, hs, ks, termination, hits, index, read):
+    """The run held in the compact arrays, each read by ``read``."""
+    t, xy = read(ts), read(zs).reshape(-1, 2)
+    return Trajectory(t, xy, DenseOutput(f, t, xy, read(hs),
+                                         read(ks).reshape(-1, KEPT)),
+                      termination, hits, index)
+
+
+def _dop853(f, t0, x0, y0, t_end, rtol, atol, events, n_sections, watch):
     """DOP853 from ``(x0, y0)`` at ``t0`` towards ``t_end``.
 
     ``events``: ``(g, direction, terminal)`` triples with ``g(x, y)``; a
     step is searched for a root of ``g`` when ``g <= 0 <= g_new`` (or the
     reverse) in a direction ``direction`` admits, and roots are kept up to
-    and including the first terminal one.  Returns the sample, step-size and
-    kept-stage arrays, the hits of the first ``n_sections`` events and the
-    index of the event that ended the run (None at ``t_end``).
+    and including the first terminal one.  ``watch``: see ``integrate``.
+    Returns the sample, step-size and kept-stage arrays, the hits of the
+    first ``n_sections`` events and why the run ended: the index of the
+    event, a watch's Termination, or None at ``t_end``.
     """
     direction = 1.0 if t_end >= t0 else -1.0
+    window, check = watch or (math.inf, None)
+    due = window
     # samples, step sizes and kept stages, compact until the end
     ts, zs = array("d", (t0,)), array("d", (x0, y0))
     hs, ks = array("d"), array("d")
@@ -497,6 +509,12 @@ def _dop853(f, t0, x0, y0, t_end, rtol, atol, events, n_sections):
         zs.extend((x, y))
         hs.append(h)
         ks.extend(stages)
+        if stop is None and abs(t - t0) >= due:
+            # copies: an array cannot grow while numpy holds its buffer
+            stop = check(_trajectory(f, ts, zs, hs, ks, Termination.TIME_LIMIT,
+                                     list(hits), None, np.array))
+            due = window * (abs(t - t0) // window + 1)
+            done = done or stop is not None
         if done:
             break
     return ts, zs, hs, ks, hits, stop
@@ -504,7 +522,7 @@ def _dop853(f, t0, x0, y0, t_end, rtol, atol, events, n_sections):
 
 def integrate(sys, params, x0, t_span, tol=DEFAULT_TOL, events=(),
               directions=None, terminal=None, blowup_radius=BLOWUP_RADIUS,
-              equilibria=(), equilibrium_radius=1e-8):
+              equilibria=(), equilibrium_radius=1e-8, watch=None):
     """Integrate ``sys`` from ``x0`` over ``t_span``.
 
     events: CrossSection instances; crossings are located on the dense
@@ -513,8 +531,13 @@ def integrate(sys, params, x0, t_span, tol=DEFAULT_TOL, events=(),
     forward time).  ``terminal``: indices of events that stop the run.
     ``equilibria``: points whose ``equilibrium_radius``-neighborhood stops
     the run (EQUILIBRIUM_APPROACH).  ``tol`` is ``(atol, rtol)``; atol must
-    be positive, since the error is scaled by ``atol + |y| rtol``.  Raises
-    StiffnessError when the step size underflows.
+    be positive, since the error is scaled by ``atol + |y| rtol``.
+    ``watch = (window, check)``: at the first accepted step at or past
+    each ``window`` of time from ``t_span[0]``, ``check(run so far)`` (a
+    Trajectory with its hits) returns None to go on or a Termination that
+    ends the run at that sample; an exception it raises ends the run too.
+    The watch changes no step.  Raises StiffnessError when the step size
+    underflows.
     """
     x0 = np.asarray(x0, float)
     if not np.all(np.isfinite(x0)):
@@ -552,15 +575,13 @@ def integrate(sys, params, x0, t_span, tol=DEFAULT_TOL, events=(),
 
     rtol, atol = max(float(tol[1]), 100 * EPS), float(tol[0])
     ts, zs, hs, ks, hits, stop = _dop853(
-        f, t0, x, y, t1, rtol, atol, evs, len(events))
+        f, t0, x, y, t1, rtol, atol, evs, len(events), watch)
 
-    t = np.frombuffer(ts)
-    xy = np.frombuffer(zs).reshape(-1, 2)
-    dense = DenseOutput(f, t, xy, np.frombuffer(hs),
-                        np.frombuffer(ks).reshape(-1, KEPT))
     termination, terminal_index = Termination.TIME_LIMIT, None
     if stop is None:
         pass
+    elif isinstance(stop, Termination):
+        termination = stop
     elif stop < len(events):
         termination, terminal_index = Termination.EVENT, stop
     elif stop == len(events):
@@ -568,7 +589,8 @@ def integrate(sys, params, x0, t_span, tol=DEFAULT_TOL, events=(),
     else:
         termination = Termination.EQUILIBRIUM_APPROACH
         terminal_index = stop - eq_offset
-    return Trajectory(t, xy, dense, termination, hits, terminal_index)
+    return _trajectory(f, ts, zs, hs, ks, termination, hits, terminal_index,
+                       np.frombuffer)
 
 
 def poincare_map(sys, params, section, x0_on_section, max_time,
@@ -578,10 +600,10 @@ def poincare_map(sys, params, section, x0_on_section, max_time,
     Returns ``(coordinate, return_time)`` of the first crossing in the
     geometric direction in which the flow leaves ``x0``.  A flow whose
     normal speed is within ``TRANSVERSALITY_MIN`` of zero at either end
-    raises TangencyError.  The orbit runs in windows doubling from
-    ``max_time / 16``; NoReturn says why it cannot return: it left the disc
-    of ``escape_radius(x0, section.base)``, a sink's trap caught it at a
-    window end (``equilibria.sink_trap``), or ``max_time`` ran out.
+    raises TangencyError.  The orbit is one run to ``max_time``, watched
+    every ``max_time / 16``; NoReturn says why it cannot return: it left
+    the disc of ``escape_radius(x0, section.base)``, a sink's trap caught
+    it at a window end (``equilibria.sink_trap``), or ``max_time`` ran out.
     """
     x0 = np.asarray(x0_on_section, float)
     if abs(section.offset(x0)) >= ARM_OFFSET:
@@ -593,26 +615,26 @@ def poincare_map(sys, params, section, x0_on_section, max_time,
         raise TangencyError("flow tangent to section at start point")
     direction = 1 if v_n > 0 else -1
 
-    # the event is held at the departure sign until the orbit has left the
-    # section (``_section_event``), so the start is not found as a return
-    radius = escape_radius(x0, section.base)
-    t, z, window = 0.0, x0, max_time / 16
-    while True:
-        t_end = min(t + window, max_time)
-        traj = integrate(sys, p, z, (t, t_end), tol=tol, events=[section],
-                         directions=[direction], terminal=[0],
-                         blowup_radius=radius)
-        if traj.termination is Termination.EVENT:
-            break
-        if traj.termination is Termination.BLOWUP:
-            raise NoReturn(f"escaped past |z| = {radius:.6g}")
-        if t_end >= max_time:
-            raise NoReturn(f"no return by t = {max_time}")
-        t, z, window = t_end, traj.end, 2 * window
-        sink = eq.sink_trap(sys, p, z, [section])
+    window = max_time / 16
+
+    def check(run):
+        # the orbit at the window end, on the dense output
+        t = window * (run.t[-1] // window)
+        sink = eq.sink_trap(sys, p, run(t), [section])
         if sink is not None:
             raise NoReturn(f"captured by the sink at ({sink[0]:.6g}, "
                            f"{sink[1]:.6g}) by t = {t:.6g}")
+
+    # the event is held at the departure sign until the orbit has left the
+    # section (``_section_event``), so the start is not found as a return
+    radius = escape_radius(x0, section.base)
+    traj = integrate(sys, p, x0, (0.0, max_time), tol=tol, events=[section],
+                     directions=[direction], terminal=[0],
+                     blowup_radius=radius, watch=(window, check))
+    if traj.termination is Termination.BLOWUP:
+        raise NoReturn(f"escaped past |z| = {radius:.6g}")
+    if traj.termination is not Termination.EVENT:
+        raise NoReturn(f"no return by t = {max_time}")
     z_ret = traj.end
     fr = sys.rhs(z_ret[0], z_ret[1], p)
     v_ret = fr[0] * section.normal[0] + fr[1] * section.normal[1]

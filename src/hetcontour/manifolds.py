@@ -17,11 +17,11 @@ from .errors import BlowupAtSeed
 
 # a branch starts this far (scaled by 1 + |saddle|) along its eigenvector
 SEED_OFFSET = 1e-7
-# a chunk adding less arclength than this many absolute tolerances (scaled by
-# 1 + |z|) has settled; the integrator's own noise at a sink is 0.2-1.1 atol
-# per chunk
+# a window adding less arclength than this many absolute tolerances (scaled
+# by 1 + |z|) has settled; the integrator's own noise at a sink is 0.2-1.1
+# atol per window
 SETTLED_ATOLS = 100.0
-# a branch is integrated in pieces this long in time
+# a branch's run is checked at the end of each window this long in time
 CHUNK = 5.0
 
 
@@ -55,13 +55,15 @@ def grow_branch(sys, params, saddle, kind, side, arclength_cap=20.0,
                 equilibria=(), equilibrium_radius=1e-8, until=None):
     """Grow one of the four branches of ``saddle`` up to ``arclength_cap``.
 
-    The branch is integrated in CHUNK-long pieces.  Its ``termination``
-    says why it ended: ARCLENGTH_CAP, TIME_LIMIT at ``time_cap``, EVENT at a
-    terminal event hit, BLOWUP, EQUILIBRIUM_APPROACH to any of the
-    registered ``equilibria``, SETTLED when a full chunk adds next to no
-    arclength, and no more than the chunk before it, or ends in a sink's
-    trap that meets none of the ``events`` (the branch has come to rest on
-    an attractor), or ENOUGH_HITS at the end of a chunk with event hits
+    The branch is one ``integrate`` run to ``time_cap``, watched at each
+    multiple of CHUNK in time from ``max(CHUNK, 3 / rate)`` on.  Its
+    ``termination`` says why it ended: ARCLENGTH_CAP, TIME_LIMIT at
+    ``time_cap``, EVENT at a terminal event hit, BLOWUP,
+    EQUILIBRIUM_APPROACH to any of the registered ``equilibria``, SETTLED
+    when a full window adds next to no arclength, and no more than the
+    window before it, or ends in a sink's trap that meets none of the
+    ``events`` (the branch has come to rest on an attractor), or
+    ENOUGH_HITS at the end of a window with event hits
     where ``until(curve so far)`` holds: every step and hit up to it is
     that of a branch grown on.  With ``events`` BLOWUP is at the
     ``hi.escape_radius`` of the saddle and section bases, else at 1e6.
@@ -71,73 +73,45 @@ def grow_branch(sys, params, saddle, kind, side, arclength_cap=20.0,
     rate = saddle.lambda_u if kind is Kind.UNSTABLE else -saddle.lambda_s
 
     p = sys.full_params(params)
-    pieces = []
-    hits = []
-    length = 0.0
-    t_now = 0.0
-    z_now = x0
-    termination = hi.Termination.TIME_LIMIT
-    terminal_index = None
-    prev_seg = np.inf
     radius = (hi.escape_radius(saddle.location, *(s.base for s in events))
               if events else hi.BLOWUP_RADIUS)
-    # first chunk covers the slow escape from the linear zone
-    t_chunk = max(CHUNK, 3.0 / max(rate, 1e-6))
-    while True:
-        t_next = t_now + sign * t_chunk
-        traj = hi.integrate(sys, p, z_now, (t_now, t_next), tol=tol,
-                            events=events, directions=directions,
-                            terminal=terminal, equilibria=equilibria,
-                            equilibrium_radius=equilibrium_radius,
-                            blowup_radius=radius)
-        pieces.append(traj)
-        hits.extend(traj.event_hits)
-        seg = float(np.sum(np.linalg.norm(np.diff(traj.xy, axis=0), axis=1)))
+    # the first window covers the slow escape from the linear zone
+    first = max(CHUNK, 3.0 / max(rate, 1e-6))
+    # the sample and hit count at the last window end, the windows so far,
+    # the arclength so far and the last window's
+    seen, n_hits, windows, length, prev_seg = 0, 0, 0, 0.0, np.inf
+
+    def check(run):
+        nonlocal seen, n_hits, windows, length, prev_seg
+        if abs(run.t[-1]) < first:
+            return None
+        seg = float(np.sum(np.linalg.norm(np.diff(run.xy[seen:], axis=0),
+                                          axis=1)))
+        new_hits = len(run.event_hits) > n_hits
+        seen, n_hits = len(run.t) - 1, len(run.event_hits)
+        windows += 1
         length += seg
-        t_now = float(traj.t[-1])
-        z_now = traj.end
-        if traj.termination is not hi.Termination.TIME_LIMIT:
-            termination = traj.termination
-            terminal_index = traj.terminal_index
-            break
-        if until is not None and traj.event_hits and until(
-                _concat(pieces, termination, hits, None)):
-            termination = hi.Termination.ENOUGH_HITS
-            break
+        z = run.end
+        if until is not None and new_hits and until(run):
+            return hi.Termination.ENOUGH_HITS
         if length >= arclength_cap:
-            termination = hi.Termination.ARCLENGTH_CAP
-            break
-        # a branch still escaping a slow saddle gains arclength from chunk
-        # to chunk, so only a chunk adding no more than the one before counts
-        if len(pieces) > 2 and seg <= min(
-                prev_seg, SETTLED_ATOLS * tol[0] * (1.0 + np.linalg.norm(z_now))) \
-                or events and eq.sink_trap(sys, p, z_now, events) is not None:
-            termination = hi.Termination.SETTLED
-            break
-        if abs(t_now) >= time_cap:
-            break
-        t_chunk = CHUNK
+            return hi.Termination.ARCLENGTH_CAP
+        # a branch still escaping a slow saddle gains arclength from window
+        # to window, so only a window adding no more than the one before
+        # counts
+        if windows > 2 and seg <= min(
+                prev_seg, SETTLED_ATOLS * tol[0] * (1.0 + np.linalg.norm(z))) \
+                or events and eq.sink_trap(sys, p, z, events) is not None:
+            return hi.Termination.SETTLED
         prev_seg = seg
+        return None
 
-    if termination is hi.Termination.BLOWUP and len(pieces) == 1 \
-            and pieces[0].arclength() < 10 * delta:
-        raise BlowupAtSeed(f"branch blew up within {pieces[0].arclength():.2e}")
-
-    curve = _concat(pieces, termination, hits, terminal_index)
+    curve = hi.integrate(sys, p, x0, (0.0, sign * time_cap), tol=tol,
+                         events=events, directions=directions,
+                         terminal=terminal, equilibria=equilibria,
+                         equilibrium_radius=equilibrium_radius,
+                         blowup_radius=radius, watch=(CHUNK, check))
+    if curve.termination is hi.Termination.BLOWUP \
+            and curve.arclength() < 10 * delta:
+        raise BlowupAtSeed(f"branch blew up within {curve.arclength():.2e}")
     return ManifoldBranch(saddle, kind, side, curve)
-
-
-def _concat(pieces, termination, hits, terminal_index):
-    """One trajectory, with one dense output, from consecutive chunks."""
-    if len(pieces) == 1:
-        tr = pieces[0]
-        return hi.Trajectory(tr.t, tr.xy, tr.interpolant, termination,
-                             hits, terminal_index)
-    # each chunk starts at the last sample of the one before
-    t = np.concatenate([pieces[0].t] + [p.t[1:] for p in pieces[1:]])
-    xy = np.concatenate([pieces[0].xy] + [p.xy[1:] for p in pieces[1:]])
-    dense = hi.DenseOutput(
-        pieces[0].interpolant.f, t, xy,
-        np.concatenate([p.interpolant.h for p in pieces]),
-        np.concatenate([p.interpolant.k for p in pieces]))
-    return hi.Trajectory(t, xy, dense, termination, hits, terminal_index)

@@ -53,7 +53,7 @@ class ParametricSystem:
                              for poly in polys for c in poly.values())
         self._field_factory = _compile_factory(polys)
         # the last parameter point's (rhs, jacobian), keyed by its floats:
-        # a branch's chunks and a gap's saddle solves share one point
+        # a branch's run and a gap's saddle solves share one point
         self._last_fields = (None, None)
 
     # -- parameters -------------------------------------------------------

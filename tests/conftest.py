@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 
+from hetcontour import integrate as hi
+
 ACCEPTANCE_RESULTS = {}
 
 
@@ -18,6 +20,22 @@ def pytest_terminal_summary(terminalreporter):
         passed, detail = ACCEPTANCE_RESULTS[n]
         status = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"CRITERION {n:2d}: {status} - {detail}")
+
+
+@pytest.fixture
+def watch_ends(monkeypatch):
+    """The sample times at which ``integrate`` calls a watch's check."""
+    ends = []
+    integrate = hi.integrate
+
+    def watched(*args, watch=None, **kwargs):
+        if watch is not None:
+            window, check = watch
+            watch = (window,
+                     lambda run: ends.append(float(run.t[-1])) or check(run))
+        return integrate(*args, watch=watch, **kwargs)
+    monkeypatch.setattr(hi, "integrate", watched)
+    return ends
 
 
 @pytest.fixture(scope="session")

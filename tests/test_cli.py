@@ -29,6 +29,18 @@ def test_melnikov_command_writes_manifest(tmp_path, capsys):
     assert abs(float(doc["value"]) + 0.0866532) < 1e-5
 
 
+def test_melnikov_json_writes_the_parsed_c(tmp_path):
+    # the same c typed two ways is the same problem and the same artifact
+    docs = []
+    for c in ("1/2", "0.5"):
+        d = tmp_path / c.replace("/", "_")
+        assert run(["melnikov", "--case", "axis", "--c", c, "--out", str(d),
+                    "--format", "json"]) == cli.EXIT_OK
+        docs.append((d / "melnikov.json").read_bytes())
+    assert docs[0] == docs[1]
+    assert json.loads(docs[0])["c"] == "0.5"
+
+
 def test_identical_runs_are_byte_identical(tmp_path):
     # the modelmap run draws the k-turn series H^(1..3), which only a
     # non-monodromic map has

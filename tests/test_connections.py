@@ -171,7 +171,7 @@ def test_first_hit_gaps_match_all_hits(name, recipe_name, point):
 
 
 def test_k_turn_branch_stops_after_its_hit(monkeypatch):
-    # a k > 0 unstable branch ends at the chunk that brought its winding-k
+    # a k > 0 unstable branch ends at the window that brought its winding-k
     # hit: fewer steps, and the gap of the branch grown to its end
     scn = dg.scenario("heart")
     params = dg._params_at(scn, (0.410402, -0.436038))
@@ -253,9 +253,10 @@ def test_classify_contour_matches_model_indices(scenario, system, params,
     assert (m.lam, m.mu) == pytest.approx((L.index, M.index), abs=1e-10)
 
 
-def test_chunk_end_sink_checks_make_no_newton_solve(monkeypatch):
-    # one LM_low gap on heart: three of its chunks end on TIME_LIMIT, and
-    # each chunk-end sink check stops at the cheap filter
+def test_chunk_end_sink_checks_make_no_newton_solve(monkeypatch,
+                                                   watch_ends):
+    # one LM_low gap on heart: three window checks of its two branch runs
+    # go on, and each of their sink checks stops at the cheap filter
     scn = dg.scenario("heart")
     steps, solves = [], []
     integrate, find = hi.integrate, eq.find_equilibrium
@@ -270,4 +271,29 @@ def test_chunk_end_sink_checks_make_no_newton_solve(monkeypatch):
     split = dg._splitting_function(scn, "LM_low", False)
     split(scn.system, (0.422438, -0.452011), 0)
     assert len(solves) == 2          # the spec's two saddles
-    assert sum(steps) == 63
+    assert len(watch_ends) == 3
+    assert sum(steps) == 59
+
+
+def test_one_integration_per_orbit(monkeypatch):
+    # a gap integrates each of its two branches once, and a return map its
+    # orbit once, however many windows the orbit takes
+    calls = []
+    integrate = hi.integrate
+    monkeypatch.setattr(hi, "integrate",
+                        lambda *a, **k: calls.append(1) or integrate(*a, **k))
+    scn = dg.scenario("heart")
+    split = dg._splitting_function(scn, "LM_low", False)
+    split(scn.system, (0.422438, -0.452011), 0)
+    assert len(calls) == 2
+    calls.clear()
+    # x' = -16 y, y' = x / 16 returns to x = 0 after 2 pi, in the seventh
+    # window of 1
+    ellipse = vf.from_dict({
+        "name": "ellipse", "parameters": [],
+        "x_dot": [{"coeff": "-16", "px": 0, "py": 1}],
+        "y_dot": [{"coeff": "1/16", "px": 1, "py": 0}]})
+    sec = hi.CrossSection.at((0.0, 0.0), (1.0, 0.0))
+    _, period = hi.poincare_map(ellipse, {}, sec, (0.0, 1.0), 16.0)
+    assert period == pytest.approx(2 * np.pi, rel=1e-8)
+    assert len(calls) == 1

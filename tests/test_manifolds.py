@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 
+from hetcontour import connections as cn
+from hetcontour import diagrams as dg
 from hetcontour import equilibria as eq
 from hetcontour import integrate as hi
 from hetcontour import manifolds as mf
@@ -13,17 +15,6 @@ def mono_saddle():
     sys_ = vf.builtin("mono_unperturbed")
     params = sys_.full_params()
     return sys_, params, eq.saddle_data(sys_, params, (0.0, 0.0))
-
-
-def _count_chunks(monkeypatch):
-    calls = []
-    integrate = hi.integrate
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return integrate(*args, **kwargs)
-    monkeypatch.setattr(hi, "integrate", counted)
-    return calls
 
 
 def _arclengths(points):
@@ -97,49 +88,48 @@ def test_equilibrium_approach_termination(mono_saddle):
     assert br.curve.termination is hi.Termination.EQUILIBRIUM_APPROACH
 
 
-def test_chained_interpolant_matches_samples(mono_saddle, monkeypatch):
+def test_chained_interpolant_matches_samples(mono_saddle, monkeypatch,
+                                             watch_ends):
     sys_, params, sad = mono_saddle
-    chunks = _count_chunks(monkeypatch)
     monkeypatch.setattr(mf, "CHUNK", 0.5)
     br = mf.grow_branch(sys_, params, sad, mf.Kind.UNSTABLE, 1,
                         arclength_cap=5.0)
-    # the check means something only if the branch ran through a chain
-    assert len(chunks) > 1
+    # the check means something only if the run was read between windows
+    assert len(watch_ends) > 1
     ts = br.curve.t
     zs = br.curve.interpolant(ts)
     assert np.max(np.abs(zs.T - br.points)) < 1e-9
 
 
-def test_branch_into_focus_ends_settled(monkeypatch):
+def test_branch_into_focus_ends_settled(watch_ends):
     # one unstable branch of the origin of the reversible family spirals into
     # the stable focus at (-1, 0); it must stop there, not crawl to time_cap
     sys_ = vf.builtin("revers_gamma")
     params = sys_.full_params({"gamma": 2.5315})
     sad = eq.saddle_data(sys_, params, (0.0, 0.0))
-    chunks = _count_chunks(monkeypatch)
     br = mf.grow_branch(sys_, params, sad, mf.Kind.UNSTABLE, -1,
                         arclength_cap=30.0)
     assert br.curve.termination is hi.Termination.SETTLED
     assert np.linalg.norm(br.points[-1] - np.array([-1.0, 0.0])) < 1e-6
-    assert len(chunks) <= 15
+    assert len(watch_ends) <= 15
 
 
-def test_branch_escaping_slow_saddle_is_not_settled(monkeypatch):
-    # x' = x / 20, y' = -y: after the first chunk the branch is still
-    # within 1e-5 of the saddle and a 5-unit chunk adds less arclength than
-    # the settling threshold at this tolerance, but more than the chunk
-    # before it
+def test_branch_escaping_slow_saddle_is_not_settled(watch_ends):
+    # x' = x / 20, y' = -y: after the first window, 3 / rate = 60 long, the
+    # branch is still within 1e-5 of the saddle and a 5-unit window adds
+    # less arclength than the settling threshold at this tolerance, but
+    # more than the window before it
     sys_ = vf.from_dict({
         "name": "slow_saddle", "parameters": [{"name": "r", "default": "1/20"}],
         "x_dot": [{"coeff": "r", "px": 1, "py": 0}],
         "y_dot": [{"coeff": "-1", "px": 0, "py": 1}]})
     params = sys_.full_params()
     sad = eq.saddle_data(sys_, params, (0.0, 0.0))
-    chunks = _count_chunks(monkeypatch)
     br = mf.grow_branch(sys_, params, sad, mf.Kind.UNSTABLE, 1,
                         arclength_cap=1.0, tol=(1e-8, 1e-8))
     assert br.curve.termination is hi.Termination.ARCLENGTH_CAP
-    assert len(chunks) > 2
+    # the checks before the first window's end do not count
+    assert sum(t >= 60.0 for t in watch_ends) > 2
 
 
 @pytest.fixture(scope="module")
@@ -173,19 +163,67 @@ def test_branch_without_events_runs_out_to_the_default_radius(escaping):
                                                      rel=1e-12)
 
 
-def test_branch_into_a_sink_trap_settles_within_four_chunks(monkeypatch):
+def test_branch_into_a_sink_trap_settles_within_four_chunks(watch_ends):
     # with criterion 3's section y = -gamma/2, the side -1 branch of the
     # origin spirals into the stable focus (-1, 0) without meeting it; the
-    # arclength test alone ends it after 11 chunks
+    # arclength test alone ends it after 11 windows
     sys_ = vf.builtin("revers_gamma")
     gamma = 2.5315
     params = sys_.full_params({"gamma": gamma})
     sad = eq.saddle_data(sys_, params, (0.0, 0.0))
     sec = hi.CrossSection.at((0.0, -gamma / 2), (0.0, 1.0))
-    chunks = _count_chunks(monkeypatch)
     br = mf.grow_branch(sys_, params, sad, mf.Kind.UNSTABLE, -1,
                         arclength_cap=30.0, events=[sec], directions=[0],
                         terminal=[0], tol=(1e-10, 1e-10))
     assert br.curve.termination is hi.Termination.SETTLED
     assert br.curve.event_hits == []
-    assert len(chunks) <= 4
+    assert len(watch_ends) <= 4
+
+
+def _assert_plain_prefix(curve, plain):
+    """``curve`` is, bit for bit, the start of the unwatched run ``plain``."""
+    n = len(curve.t)
+    assert n < len(plain.t)
+    assert np.array_equal(curve.t, plain.t[:n])
+    assert np.array_equal(curve.xy, plain.xy[:n])
+    assert curve.event_hits == [h for h in plain.event_hits
+                                if abs(h[1]) <= abs(curve.t[-1])]
+
+
+def test_settled_branch_takes_the_steps_of_a_plain_run():
+    # the watch reads the run between windows and changes none of its steps
+    sys_ = vf.builtin("revers_gamma")
+    params = sys_.full_params({"gamma": 2.5315})
+    sad = eq.saddle_data(sys_, params, (0.0, 0.0))
+    br = mf.grow_branch(sys_, params, sad, mf.Kind.UNSTABLE, -1,
+                        arclength_cap=30.0)
+    assert br.curve.termination is hi.Termination.SETTLED
+    x0, _ = mf.seed_point(sad, mf.Kind.UNSTABLE, -1)
+    _assert_plain_prefix(br.curve, hi.integrate(sys_, params, x0, (0.0, 1e4)))
+
+
+def test_branch_with_enough_hits_takes_the_steps_of_a_plain_run(monkeypatch):
+    # a winding-1 gap on heart stops its unstable branch by ``until``
+    scn = dg.scenario("heart")
+    params = dg._params_at(scn, (0.410402, -0.436038))
+    recipe = scn.recipes["LM_low"]
+    src, tgt, sec = dg._build_spec(scn.system, params, recipe)
+    spec = cn.ConnectionSpec(src, tgt, sec, recipe.source_side,
+                             recipe.target_side, winding_count=1,
+                             crossing_direction=recipe.crossing_direction)
+    tol = (1e-10, 1e-10)
+    grown = []
+    grow = mf.grow_branch
+    monkeypatch.setattr(mf, "grow_branch", lambda *a, **k: grown.append(
+        grow(*a, **k)) or grown[-1])
+    cn.splitting(scn.system, params, spec, tol=tol,
+                 arclength_cap=recipe.arclength_cap, time_cap=recipe.time_cap)
+    curve = grown[0].curve
+    assert curve.termination is hi.Termination.ENOUGH_HITS
+    x0, _ = mf.seed_point(src, mf.Kind.UNSTABLE, recipe.source_side)
+    plain = hi.integrate(scn.system, params, x0, (0.0, recipe.time_cap),
+                         tol=tol, events=[sec],
+                         directions=[recipe.crossing_direction], terminal=[],
+                         blowup_radius=hi.escape_radius(src.location,
+                                                        sec.base))
+    _assert_plain_prefix(curve, plain)

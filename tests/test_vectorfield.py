@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from hetcontour import equilibria as eq
-from hetcontour import integrate as hi
 from hetcontour import manifolds as mf
 from hetcontour import synthesis as sy
 from hetcontour import vectorfield as vf
@@ -300,9 +299,9 @@ def test_many_parameter_points_leave_the_system_unchanged():
     assert layout() == before
 
 
-def test_fields_are_built_once_per_parameter_point(monkeypatch):
+def test_fields_are_built_once_per_parameter_point(watch_ends):
     # one gap's saddle solves share one point's fields, and so do one
-    # branch's chunks; the system keeps the last point's pair only
+    # branch's windows; the system keeps the last point's pair only
     base = vf.builtin("revers_gamma")
     sys_ = vf.ParametricSystem(base.name, base.parameters, base.x_dot,
                                base.y_dot)
@@ -314,13 +313,9 @@ def test_fields_are_built_once_per_parameter_point(monkeypatch):
                               eq.find_equilibrium(sys_, params, seed)[0])
                for seed in ((0.0, 0.0), (0.0, -2.53))]
     assert len(built) == 1
-    chunks = []
-    integrate = hi.integrate
-    monkeypatch.setattr(hi, "integrate",
-                        lambda *a, **k: chunks.append(1) or integrate(*a, **k))
     mf.grow_branch(sys_, params, saddles[0], mf.Kind.UNSTABLE, 1,
                    time_cap=20.0)
-    assert len(chunks) > 1 and len(built) == 1
+    assert len(watch_ends) > 1 and len(built) == 1
     other = sys_.full_params({"gamma": 2.6})
     sys_.compiled_rhs(other)
     sys_.jacobian(0.1, 0.2, other)
