@@ -1,9 +1,13 @@
 """Splitting of saddle connections measured on cross-sections.
 
-The gap of a connection is the signed difference, in the section coordinate,
-between where the source's unstable branch and the target's stable branch
-hit the section.  Winding counts are accumulated-angle turns around the
-source saddle, which is robust near tangencies.
+A `ConnectionRecipe` names a connection: seeds of its source and target
+saddles, the base point of its section, the branch sides and the caps of
+both branches.  `splitting` measures it at one parameter point and returns
+the row of its gaps at windings 0..k.  A gap is the signed difference, in
+the section coordinate, between where the source's unstable branch and the
+target's stable branch hit the section.  Winding counts are
+accumulated-angle turns around the source saddle, which is robust near
+tangencies.
 """
 from __future__ import annotations
 
@@ -11,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import equilibria as eq
 from . import integrate as hi
 from . import manifolds as mf
-from .errors import (HetContourError, InsufficientWinding, NoContour,
-                     NoIntersection)
+from .errors import HetContourError, NoContour, NoIntersection
 
 # a winding count splits a step whose ends lie more than WINDING_TURN apart
 # in angle into WINDING_PIECES pieces of its dense output, then halves the
@@ -34,30 +38,21 @@ CONTOUR_ARCLENGTH, CONTOUR_TIME = 50.0, 200.0
 
 
 @dataclass(frozen=True)
-class ConnectionSpec:
-    source: object                 # Saddle
-    target: object                 # Saddle
-    section: hi.CrossSection
-    source_side: int = 1
-    target_side: int = 1
-    winding_count: int = 0         # turns around the source saddle
-    crossing_direction: int = 0    # geometric direction filter on the section
-
-
-@dataclass(frozen=True)
-class SplittingResult:
-    gap: float
-    winding_count: int
-    transversal: bool
-    unstable_coord: float
-    stable_coord: float
+class ConnectionRecipe:
+    """How to measure one connection gap: seeds, section, branch sides."""
+    source_seed: tuple
+    target_seed: tuple
+    section_base: tuple
+    source_side: int
+    target_side: int
+    time_cap: float
+    arclength_cap: float
+    crossing_direction: int = 1
 
 
 @dataclass(frozen=True)
 class ContourClass:
     monodromic: bool
-    source_sides: tuple            # (side of W^u(L) used, side of W^u(M) used)
-    cross_signs: tuple             # orientation signs at (L, M)
     probe_agrees: bool | None
 
 
@@ -123,63 +118,48 @@ def _winding_at(traj, center, times):
     return [int(a // (2 * np.pi)) for a in acc[len(fine):]]
 
 
-def splitting(sys, params, spec, tol=(1e-9, 1e-9), arclength_cap=200.0,
-              time_cap=500.0, every_winding=False):
-    """Measure the splitting gap of ``spec`` (at the requested winding).
+def splitting(sys, params, recipe, k=0, tol=hi.DEFAULT_TOL):
+    """The gaps of ``recipe``'s connection at windings 0..k, NaN at a
+    winding its unstable branch has no hit at.
 
-    The gap is the unstable hit's section coordinate minus the stable
-    hit's.  Both hits are transversal when the flow's normal speed there
-    exceeds ``hi.TRANSVERSALITY_MIN``.  The unstable hit at winding k is
-    its first hit of ``_winding_at`` count k; the branch stops at its first
-    hit for k = 0, else at the end of the ``grow_branch`` window of a hit at
-    winding k or more.
-    With ``every_winding``, it returns the tuple of gaps at windings 0..k
-    instead, NaN at a winding with no hit, and checks no transversality.
+    The saddles are solved from the recipe's seeds, and the section runs
+    through its base point across the flow there.  The gap at winding w is
+    the section coordinate of the unstable branch's first hit of
+    ``_winding_at`` count w minus that of the stable branch's first hit.
+    The unstable branch stops at its first hit for k = 0, else at the end
+    of the ``grow_branch`` window of a hit at winding k or more.
+    NoIntersection when either branch never meets the section.
     """
-    k = spec.winding_count
     p = sys.full_params(params)
-    center = spec.source.location
+    source, target = (
+        eq.saddle_data(sys, params, eq.find_equilibrium(sys, params, seed)[0])
+        for seed in (recipe.source_seed, recipe.target_seed))
+    section = hi.CrossSection.transverse_to_flow(sys, p, recipe.section_base)
+    center = source.location
     wound = lambda curve: max(_winding_at(
         curve, center, [h[1] for h in curve.event_hits])) >= k
-    ub = mf.grow_branch(sys, p, spec.source, mf.Kind.UNSTABLE,
-                        spec.source_side, arclength_cap=arclength_cap,
-                        events=[spec.section],
-                        directions=[spec.crossing_direction],
+    ub = mf.grow_branch(sys, p, source, mf.Kind.UNSTABLE, recipe.source_side,
+                        arclength_cap=recipe.arclength_cap, events=[section],
+                        directions=[recipe.crossing_direction],
                         terminal=[0] if k == 0 else [], tol=tol,
-                        time_cap=time_cap, until=wound if k else None)
+                        time_cap=recipe.time_cap, until=wound if k else None)
     hits = ub.curve.event_hits
     if not hits:
         raise NoIntersection("unstable branch never met the section")
     winds = _winding_at(ub.curve, center, [h[1] for h in hits])
     # each winding's first hit: the earliest one is written last
     first = dict(zip(winds[::-1], [z for _, _, z in hits[::-1]]))
-    if k not in first and not every_winding:
-        if k == 0:
-            raise NoIntersection("no section hit at winding 0")
-        raise InsufficientWinding(k, max(winds))
 
-    sb = mf.grow_branch(sys, p, spec.target, mf.Kind.STABLE,
-                        spec.target_side, arclength_cap=arclength_cap,
-                        events=[spec.section],
-                        directions=[spec.crossing_direction], terminal=[0],
-                        tol=tol, time_cap=time_cap)
+    sb = mf.grow_branch(sys, p, target, mf.Kind.STABLE, recipe.target_side,
+                        arclength_cap=recipe.arclength_cap, events=[section],
+                        directions=[recipe.crossing_direction], terminal=[0],
+                        tol=tol, time_cap=recipe.time_cap)
     shits = sb.curve.event_hits
     if not shits:
         raise NoIntersection("stable branch never met the section")
-    z_s = shits[0][2]
-    s_coord = spec.section.coord(z_s)
-    if every_winding:
-        return tuple(float(spec.section.coord(first[w]) - s_coord)
-                     if w in first else np.nan for w in range(k + 1))
-    z_u = first[k]
-    u_coord = spec.section.coord(z_u)
-    n = spec.section.normal
-    fu, fs = (sys.rhs(z[0], z[1], p) for z in (z_u, z_s))
-    transversal = bool(
-        abs(fu[0] * n[0] + fu[1] * n[1]) > hi.TRANSVERSALITY_MIN
-        and abs(fs[0] * n[0] + fs[1] * n[1]) > hi.TRANSVERSALITY_MIN)
-    return SplittingResult(float(u_coord - s_coord), k, transversal,
-                           float(u_coord), float(s_coord))
+    s_coord = section.coord(shits[0][2])
+    return tuple(float(section.coord(first[w]) - s_coord)
+                 if w in first else np.nan for w in range(k + 1))
 
 
 def find_connection_side(sys, params, source, target):
@@ -239,8 +219,7 @@ def classify_contour(sys, params, saddle_L, saddle_M, probe=True):
         seed = contour.mean(axis=0)
         approach = _probe_accumulates(sys, p, seed, contour, CONTOUR_TOL)
         agrees = approach == monodromic
-    return ContourClass(monodromic, (side_LM, side_ML),
-                        (float(s_L), float(s_M)), agrees)
+    return ContourClass(monodromic, agrees)
 
 
 def _probe_accumulates(sys, params, seed, contour, tol):

@@ -19,8 +19,8 @@ import numpy as np
 from . import equilibria as eq
 from . import integrate as hi
 from . import manifolds as mf
-from .errors import (BracketError, CurveStall, Degenerate, HetContourError,
-                     InsufficientWinding, NoConvergence)
+from .errors import (BracketError, CurveStall, Degenerate, DomainError,
+                     HetContourError, InsufficientWinding, NoConvergence)
 from .roots import brent, grid_roots
 
 RESIDUAL_TOL = 1e-6
@@ -123,6 +123,14 @@ def _start_gradient(f, z, f0):
     return g
 
 
+def check_step(step):
+    """DomainError unless the first continuation ``step`` is a positive
+    finite number."""
+    if not 0 < step < math.inf:
+        raise DomainError(f"continuation step must be positive and finite, "
+                          f"got {step!r}")
+
+
 def continue_curve(sys, zero_function, start, tag=CurveTag.H_L, k=0,
                    step=1e-3, step_min=STEP_MIN, step_max=STEP_MAX,
                    bounds=((-np.inf, np.inf), (-np.inf, np.inf)),
@@ -131,10 +139,15 @@ def continue_curve(sys, zero_function, start, tag=CurveTag.H_L, k=0,
     directions.
 
     ``zero_function(sys, point)`` is a scalar gap; the start must already
-    satisfy it to ``residual_tol``.  Returns a BifurcationCurve; corrector
-    divergence below ``step_min`` raises CurveStall carrying the partial
-    curve.
+    satisfy it to ``residual_tol``, and the first ``step`` must pass
+    `check_step`.  Returns a BifurcationCurve whose ``endpoints`` name why
+    each direction ended: ``"bounds"`` when its next point leaves
+    ``bounds``, ``"stall"`` when the corrector fails at ``step_min`` or a
+    step makes no progress, ``"max_points"`` when it holds ``max_points``
+    points.  A stalled curve of fewer than 3 points raises CurveStall
+    carrying the partial curve.
     """
+    check_step(step)
     f = lambda z: float(zero_function(sys, z))
     z0 = np.asarray(start, float)
     f0 = f(z0)

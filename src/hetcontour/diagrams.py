@@ -1,17 +1,19 @@
 """Named contour scenarios and two-parameter bifurcation diagram assembly.
 
 A scenario bundles a built-in system with the geometry of its heteroclinic
-contour: saddle seeds, cross-section base points, branch sides for every
-connection of interest, a guess of each codim-2 contour point, angle
-brackets that start the homoclinic curves, and the location of the interior
-focus used for cycle counting.  Its one-dimensional model map is not
-stored: `model_map_for` reads the saddle indices and the orientation off
-the flow at the first contour point.
+contour: a `connections.ConnectionRecipe` for every connection of interest,
+a guess of each codim-2 contour point, angle brackets that start the
+homoclinic curves, and the location of the interior focus used for cycle
+counting.  Its one-dimensional model map is not stored: `model_map_for`
+reads the saddle indices and the orientation off the flow at the first
+contour point.
 
 Every curve of the diagram starts at a contour point.  The H_L and H_M
 curves of a codim-2 seed are continued from its located point, where both
 gaps vanish; a homoclinic curve starts on a small arc about the first
-point.  Curves are traced in the scenario's two active parameters with the
+point.  A gap is `connections.splitting` of a recipe at a point of the
+scenario's two active parameters: `gap_function` reads its winding-0 gap,
+`winding_gap_function` its row of k-turn gaps.  Curves are traced with the
 pseudo-arclength tracer from `continuation`; fold-of-cycles curves that are
 only resolvable at the model-map level are attached from
 `modelmap.bifurcation_set` in the model's (beta1, beta2) plane.
@@ -30,25 +32,13 @@ from . import equilibria as eq
 from . import integrate as hi
 from . import modelmap as mm
 from . import vectorfield as vf
-from .errors import HetContourError, NotFound
+from .connections import ConnectionRecipe
+from .errors import HetContourError, NoIntersection, NotFound
 from .roots import brent, sample, sign_changes
 
 CIRCLE_XTOL = 1e-7
 CYCLE_SAMPLES = 14            # heights sampled by flow_cycle_count
 CYCLE_TOL = (1e-9, 1e-9)      # integration tolerance of its return maps
-
-
-@dataclass(frozen=True)
-class ConnectionRecipe:
-    """How to measure one connection gap: seeds, section, branch sides."""
-    source_seed: tuple
-    target_seed: tuple
-    section_base: tuple
-    source_side: int
-    target_side: int
-    time_cap: float
-    arclength_cap: float
-    crossing_direction: int = 1
 
 
 @dataclass(frozen=True)
@@ -102,45 +92,26 @@ def _params_at(scn, point):
     return params
 
 
-def _build_spec(sys, params, recipe):
-    p = sys.full_params(params)
-    src = eq.saddle_data(sys, params,
-                         eq.find_equilibrium(sys, params, recipe.source_seed)[0])
-    tgt = eq.saddle_data(sys, params,
-                         eq.find_equilibrium(sys, params, recipe.target_seed)[0])
-    sec = hi.CrossSection.transverse_to_flow(sys, p, recipe.section_base)
-    return src, tgt, sec
-
-
-def _splitting_function(scn, recipe_name, every_winding, tol=(1e-10, 1e-10)):
-    """(sys, point, k) -> ``cn.splitting`` of the k-turn connection."""
-    recipe = scn.recipes[recipe_name]
-
-    def split(sys, point, k):
-        params = _params_at(scn, point)
-        src, tgt, sec = _build_spec(sys, params, recipe)
-        spec = cn.ConnectionSpec(src, tgt, sec, recipe.source_side,
-                                 recipe.target_side, winding_count=k,
-                                 crossing_direction=recipe.crossing_direction)
-        return cn.splitting(sys, params, spec, tol=tol,
-                            time_cap=recipe.time_cap,
-                            arclength_cap=recipe.arclength_cap,
-                            every_winding=every_winding)
-
-    return split
-
-
 def winding_gap_function(scn, recipe_name):
     """(sys, point, k) -> the gaps at windings 0..k from one branch pair,
     NaN at a winding with no hit, for flashing scans."""
-    return _splitting_function(scn, recipe_name, True)
+    recipe = scn.recipes[recipe_name]
+    return lambda sys, point, k: cn.splitting(sys, _params_at(scn, point),
+                                              recipe, k)
 
 
 def gap_function(scn, recipe_name):
     """Scalar zero function (sys, point) -> gap of the direct connection;
-    InsufficientWinding where the branch has no hit."""
-    split = _splitting_function(scn, recipe_name, False)
-    return lambda sys, point: split(sys, point, 0).gap
+    NoIntersection where the branch has no hit at winding 0."""
+    row = winding_gap_function(scn, recipe_name)
+
+    def gap(sys, point):
+        g, = row(sys, point, 0)
+        if math.isnan(g):
+            raise NoIntersection("no section hit at winding 0")
+        return g
+
+    return gap
 
 
 def contour_point(scn, seed):
@@ -177,7 +148,9 @@ def assemble_diagram(scn, bounds=None, k_max=2, step=5e-4, step_min=1e-6,
     ``bounds``, by default its contour point +- ``scn.span``.  With a
     ``model_box`` the model map's curves, read at the first point, are
     added; a failure to derive them is recorded under ``"model_map"``.
+    A ``step`` that fails `continuation.check_step` fails the whole diagram.
     """
+    ct.check_step(step)
     curves, codim2, failures = [], [], {}
     first = None                  # the first seed's contour point
     unlocated = f"scenario {scn.name} has no located first contour point"

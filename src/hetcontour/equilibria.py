@@ -52,12 +52,10 @@ class Saddle:
 
 @dataclass(frozen=True)
 class SubcaseTag:
-    """Position of (lambda, mu, lambda*mu) relative to 1, per the six-case
-    taxonomy, with the reduction to a canonical representative."""
+    """Case of the six-case taxonomy that the positions of (lambda, mu,
+    lambda*mu) relative to 1 name, with the reduction to a canonical
+    representative."""
 
-    lambda_lt_1: bool
-    mu_lt_1: bool
-    product_lt_1: bool
     case_id: int
     canonical_id: int          # 1, 2 or 6
     reductions: tuple          # subset of ("swap", "time_reversal")
@@ -287,7 +285,5 @@ def classify_subcase(saddle_L, saddle_M):
     mu = saddle_M.index
     if abs(lam - 1) < INDEX_DEGENERACY_CUTOFF or abs(mu - 1) < INDEX_DEGENERACY_CUTOFF:
         raise Degenerate(f"saddle index at 1 within tolerance (lambda={lam}, mu={mu})")
-    key = (lam < 1, mu < 1, lam * mu < 1)
-    case_id = _CASE_TABLE[key]
-    canonical, ops = _REDUCTION[case_id]
-    return SubcaseTag(*key, case_id, canonical, ops)
+    case_id = _CASE_TABLE[(lam < 1, mu < 1, lam * mu < 1)]
+    return SubcaseTag(case_id, *_REDUCTION[case_id])

@@ -32,9 +32,6 @@ class Kind(enum.Enum):
 
 @dataclass
 class ManifoldBranch:
-    saddle: object
-    kind: Kind
-    side: int                  # +1 or -1, sign of the eigenvector offset
     curve: hi.Trajectory
 
     @property
@@ -114,4 +111,4 @@ def grow_branch(sys, params, saddle, kind, side, arclength_cap=20.0,
     if curve.termination is hi.Termination.BLOWUP \
             and curve.arclength() < 10 * delta:
         raise BlowupAtSeed(f"branch blew up within {curve.arclength():.2e}")
-    return ManifoldBranch(saddle, kind, side, curve)
+    return ManifoldBranch(curve)

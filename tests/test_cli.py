@@ -188,6 +188,15 @@ def test_modelmap_needs_two_points_a_curve(n, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("step", ["-5e-4", "0"])
+def test_diagram_rejects_a_step_that_is_not_positive(step, tmp_path, capsys):
+    code = run(["diagram", "--scenario", "mono_first", "--step", step,
+                "--out", str(tmp_path)])
+    assert code == cli.EXIT_HARD
+    assert "error: DomainError: continuation step" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("scenario, subcase", [("mono_first", 5),
                                                ("mono_second", 3)])
 def test_mono_diagram_has_its_contour_point_at_the_origin(scenario, subcase,

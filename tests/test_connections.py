@@ -9,8 +9,7 @@ from hetcontour import integrate as hi
 from hetcontour import manifolds as mf
 from hetcontour import modelmap as mm
 from hetcontour import vectorfield as vf
-from hetcontour.errors import (HetContourError, InsufficientWinding,
-                               NoIntersection, StiffnessError)
+from hetcontour.errors import HetContourError, NoIntersection, StiffnessError
 
 
 @pytest.fixture(scope="module")
@@ -52,34 +51,26 @@ def test_no_intersection_when_branch_misses(mono_first):
         g(scn.system, (0.001, 0.0005))
 
 
+def test_gap_is_no_intersection_where_its_row_has_no_winding_0_gap(
+        monkeypatch):
+    monkeypatch.setattr(cn, "splitting", lambda *args: (np.nan,))
+    scn = dg.scenario("mono_first")
+    with pytest.raises(NoIntersection, match="no section hit at winding 0"):
+        dg.gap_function(scn, "axis")(scn.system, (0.0, 0.0))
+
+
 def test_winding_count_tolerance_stable():
     # a one-turn connection point near C1 keeps its winding count when the
     # integration tolerance is halved
     scn = dg.scenario("heart")
-    point = (0.410402, -0.436038)
+    params = dg._params_at(scn, (0.410402, -0.436038))
+    recipe = scn.recipes["LM_low"]
     for tol in ((1e-9, 1e-9), (5e-10, 5e-10)):
-        split = dg._splitting_function(scn, "LM_low", False, tol)
-        assert np.isfinite(split(scn.system, point, 1).gap)
-        with pytest.raises(InsufficientWinding):
-            split(scn.system, point, 3)
-        # the flashing row of the same branch: a gap at 1 turn, none at 3
-        row = dg._splitting_function(scn, "LM_low", True, tol)(
-            scn.system, point, 3)
+        assert np.isfinite(cn.splitting(scn.system, params, recipe, 1,
+                                        tol)[1])
+        # a row grown on to 3 turns: a gap at 1 turn, none at 3
+        row = cn.splitting(scn.system, params, recipe, 3, tol)
         assert np.isfinite(row[1]) and np.isnan(row[3])
-
-
-def test_splitting_result_fields(mono_first):
-    scn = mono_first
-    params = dg._params_at(scn, (1e-4, 0.0))
-    recipe = scn.recipes["axis"]
-    src, tgt, sec = dg._build_spec(scn.system, params, recipe)
-    spec = cn.ConnectionSpec(src, tgt, sec, recipe.source_side,
-                             recipe.target_side,
-                             crossing_direction=recipe.crossing_direction)
-    res = cn.splitting(scn.system, params, spec)
-    assert res.transversal is True
-    assert res.winding_count == 0
-    assert abs(res.gap - (res.unstable_coord - res.stable_coord)) < 1e-14
 
 
 def test_winding_count_follows_a_step_that_turns_one_and_a_half_times():
@@ -95,49 +86,41 @@ def test_winding_count_follows_a_step_that_turns_one_and_a_half_times():
     assert cn._winding_at(traj, (0.0, 0.0), [0.5, 0.9, 1.0]) == [0, 1, 1]
 
 
-def _splitting_from_all_hits(sys, params, spec, tol, arclength_cap,
-                             time_cap, transversality_min=1e-8):
+def _splitting_from_all_hits(sys, params, recipe, k, tol):
     """``splitting`` computed the long way: both branches run to their caps
     with no terminal event, and the hits are picked afterwards."""
     p = sys.full_params(params)
-    center = spec.source.location
+    source, target = (
+        eq.saddle_data(sys, p, eq.find_equilibrium(sys, p, seed)[0])
+        for seed in (recipe.source_seed, recipe.target_seed))
+    section = hi.CrossSection.transverse_to_flow(sys, p, recipe.section_base)
 
     def hits(saddle, kind, side):
         br = mf.grow_branch(sys, p, saddle, kind, side,
-                            arclength_cap=arclength_cap,
-                            events=[spec.section],
-                            directions=[spec.crossing_direction],
-                            terminal=[], tol=tol, time_cap=time_cap)
+                            arclength_cap=recipe.arclength_cap,
+                            events=[section],
+                            directions=[recipe.crossing_direction],
+                            terminal=[], tol=tol, time_cap=recipe.time_cap)
         return br.curve, br.curve.event_hits
 
-    curve, uhits = hits(spec.source, mf.Kind.UNSTABLE, spec.source_side)
+    curve, uhits = hits(source, mf.Kind.UNSTABLE, recipe.source_side)
     if not uhits:
         raise NoIntersection("unstable branch never met the section")
-    winds = cn._winding_at(curve, center, [h[1] for h in uhits])
-    chosen = [(z, w) for (_, _, z), w in zip(uhits, winds)
-              if w == spec.winding_count]
-    if not chosen:
-        if spec.winding_count == 0:
-            raise NoIntersection("no section hit at winding 0")
-        raise InsufficientWinding(spec.winding_count, max(winds))
-    z_u, w_u = chosen[0]
-    _, shits = hits(spec.target, mf.Kind.STABLE, spec.target_side)
+    winds = cn._winding_at(curve, source.location, [h[1] for h in uhits])
+    firsts = [next((z for (_, _, z), w in zip(uhits, winds) if w == want),
+                   None) for want in range(k + 1)]
+    _, shits = hits(target, mf.Kind.STABLE, recipe.target_side)
     if not shits:
         raise NoIntersection("stable branch never met the section")
-    z_s = shits[0][2]
-    n = spec.section.normal
-    fu, fs = sys.rhs(*z_u, p), sys.rhs(*z_s, p)
-    u, s = spec.section.coord(z_u), spec.section.coord(z_s)
-    return cn.SplittingResult(
-        float(u - s), w_u,
-        abs(fu[0] * n[0] + fu[1] * n[1]) > transversality_min
-        and abs(fs[0] * n[0] + fs[1] * n[1]) > transversality_min,
-        float(u), float(s))
+    s = section.coord(shits[0][2])
+    return tuple(np.nan if z is None else float(section.coord(z) - s)
+                 for z in firsts)
 
 
 def _outcome(fn):
+    # a row by its repr, so that rows compare bit for bit, NaN included
     try:
-        return fn()
+        return repr(fn())
     except HetContourError as exc:
         return type(exc), str(exc)
 
@@ -155,18 +138,12 @@ def test_first_hit_gaps_match_all_hits(name, recipe_name, point):
     scn = dg.scenario(name)
     params = dg._params_at(scn, point)
     recipe = scn.recipes[recipe_name]
-    src, tgt, sec = dg._build_spec(scn.system, params, recipe)
     tol = (1e-10, 1e-10)
     for k in (0, 1):
-        spec = cn.ConnectionSpec(src, tgt, sec, recipe.source_side,
-                                 recipe.target_side, winding_count=k,
-                                 crossing_direction=recipe.crossing_direction)
-        caps = dict(tol=tol, arclength_cap=recipe.arclength_cap,
-                    time_cap=recipe.time_cap)
-        got = _outcome(lambda: cn.splitting(scn.system, params, spec,
-                                            **caps))
+        got = _outcome(lambda: cn.splitting(scn.system, params, recipe, k,
+                                            tol))
         want = _outcome(lambda: _splitting_from_all_hits(
-            scn.system, params, spec, **caps))
+            scn.system, params, recipe, k, tol))
         assert got == want, (k, got, want)
 
 
@@ -176,12 +153,7 @@ def test_k_turn_branch_stops_after_its_hit(monkeypatch):
     scn = dg.scenario("heart")
     params = dg._params_at(scn, (0.410402, -0.436038))
     recipe = scn.recipes["LM_low"]
-    src, tgt, sec = dg._build_spec(scn.system, params, recipe)
-    spec = cn.ConnectionSpec(src, tgt, sec, recipe.source_side,
-                             recipe.target_side, winding_count=1,
-                             crossing_direction=recipe.crossing_direction)
-    caps = dict(tol=(1e-10, 1e-10), arclength_cap=recipe.arclength_cap,
-                time_cap=recipe.time_cap)
+    tol = (1e-10, 1e-10)
     grown = []
     grow = mf.grow_branch
 
@@ -190,12 +162,11 @@ def test_k_turn_branch_stops_after_its_hit(monkeypatch):
         return grown[-1]
     monkeypatch.setattr(mf, "grow_branch", recorded)
 
-    got = cn.splitting(scn.system, params, spec, **caps)
-    row = cn.splitting(scn.system, params, spec, every_winding=True, **caps)
+    row = cn.splitting(scn.system, params, recipe, 1, tol)
     stopped = grown[0].curve
     grown.clear()
-    want = _splitting_from_all_hits(scn.system, params, spec, **caps)
-    assert got.gap == want.gap == row[1]
+    want = _splitting_from_all_hits(scn.system, params, recipe, 1, tol)
+    assert np.isfinite(row).all() and row == want
     assert stopped.termination is hi.Termination.ENOUGH_HITS
     assert len(stopped.t) < len(grown[0].curve.t)
 
@@ -268,9 +239,8 @@ def test_chunk_end_sink_checks_make_no_newton_solve(monkeypatch,
     monkeypatch.setattr(hi, "integrate", counted)
     monkeypatch.setattr(eq, "find_equilibrium",
                         lambda *a, **k: solves.append(a) or find(*a, **k))
-    split = dg._splitting_function(scn, "LM_low", False)
-    split(scn.system, (0.422438, -0.452011), 0)
-    assert len(solves) == 2          # the spec's two saddles
+    dg.gap_function(scn, "LM_low")(scn.system, (0.422438, -0.452011))
+    assert len(solves) == 2          # the recipe's two saddles
     assert len(watch_ends) == 3
     assert sum(steps) == 59
 
@@ -283,8 +253,7 @@ def test_one_integration_per_orbit(monkeypatch):
     monkeypatch.setattr(hi, "integrate",
                         lambda *a, **k: calls.append(1) or integrate(*a, **k))
     scn = dg.scenario("heart")
-    split = dg._splitting_function(scn, "LM_low", False)
-    split(scn.system, (0.422438, -0.452011), 0)
+    dg.gap_function(scn, "LM_low")(scn.system, (0.422438, -0.452011))
     assert len(calls) == 2
     calls.clear()
     # x' = -16 y, y' = x / 16 returns to x = 0 after 2 pi, in the seventh

@@ -9,7 +9,7 @@ from hetcontour import continuation as ct
 from hetcontour import diagrams as dg
 from hetcontour import vectorfield as vf
 from hetcontour.errors import (BracketError, CurveStall, Degenerate,
-                               NoIntersection)
+                               DomainError, NoIntersection)
 
 
 def circle_gap(radius):
@@ -90,6 +90,17 @@ def test_continue_curve_respects_bounds():
 def test_continue_curve_rejects_bad_start():
     with pytest.raises(CurveStall):
         ct.continue_curve(None, circle_gap(0.1), (0.2, 0.0))
+
+
+@pytest.mark.parametrize("step", [-5e-4, 0.0, math.inf, math.nan])
+def test_continue_curve_rejects_a_step_that_is_not_positive(step):
+    # step_max never caps a negative step, and a zero one stalls at once
+    calls = []
+    gap = circle_gap(0.1)
+    with pytest.raises(DomainError, match="continuation step"):
+        ct.continue_curve(None, lambda s, z: calls.append(1) or gap(s, z),
+                          (0.1, 0.0), step=step)
+    assert calls == []
 
 
 def test_mirrored_curve():
@@ -174,6 +185,14 @@ def test_reversible_bracket_must_change_sign():
     sys_ = vf.builtin("revers_gamma")
     with pytest.raises(BracketError):
         ct.find_reversible_contour(sys_, (3.0, 3.1))
+
+
+def test_reversible_contour_asymmetry_vanishes_at_the_contour_only():
+    # every section closes at the contour value, none a little past it
+    sys_ = vf.builtin("revers_gamma")
+    gamma0 = ct.find_reversible_contour(sys_, (2.4, 2.6))
+    assert ct.reversible_contour_asymmetry(sys_, gamma0) <= 1e-5
+    assert ct.reversible_contour_asymmetry(sys_, gamma0 + 0.05) >= 0.01
 
 
 def analytic_gaps(sys, p, k):

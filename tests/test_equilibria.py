@@ -250,10 +250,15 @@ def test_gap_spec_makes_no_linalg_call(monkeypatch):
         raise AssertionError("LAPACK call")
     for name in ("solve", "eig", "eigvals", "det", "inv"):
         monkeypatch.setattr(np.linalg, name, refuse)
+    saddles = []
+    saddle_data = eq.saddle_data
+    monkeypatch.setattr(eq, "saddle_data", lambda *a, **k: saddles.append(
+        saddle_data(*a, **k)) or saddles[-1])
     monkeypatch.setattr(eq, "np", _NumpyWithoutLinalg())
     scn = dg.scenario("heart")
-    params = scn.system.full_params(dg._params_at(scn, (0.42, -0.45)))
-    src, tgt, _ = dg._build_spec(scn.system, params, scn.recipes["LM_low"])
+    assert math.isfinite(dg.gap_function(scn, "LM_low")(scn.system,
+                                                       (0.42, -0.45)))
+    src, tgt = saddles
     assert src.location == pytest.approx((0.0, 0.0), abs=1e-12)
     assert 1.0 < src.index < 1.1 and 1.2 < tgt.index < 1.3
 

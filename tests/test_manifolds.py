@@ -207,18 +207,15 @@ def test_branch_with_enough_hits_takes_the_steps_of_a_plain_run(monkeypatch):
     scn = dg.scenario("heart")
     params = dg._params_at(scn, (0.410402, -0.436038))
     recipe = scn.recipes["LM_low"]
-    src, tgt, sec = dg._build_spec(scn.system, params, recipe)
-    spec = cn.ConnectionSpec(src, tgt, sec, recipe.source_side,
-                             recipe.target_side, winding_count=1,
-                             crossing_direction=recipe.crossing_direction)
     tol = (1e-10, 1e-10)
-    grown = []
+    # each branch run with its saddle and section
+    runs = []
     grow = mf.grow_branch
-    monkeypatch.setattr(mf, "grow_branch", lambda *a, **k: grown.append(
-        grow(*a, **k)) or grown[-1])
-    cn.splitting(scn.system, params, spec, tol=tol,
-                 arclength_cap=recipe.arclength_cap, time_cap=recipe.time_cap)
-    curve = grown[0].curve
+    monkeypatch.setattr(mf, "grow_branch", lambda *a, **k: runs.append(
+        (a[2], k["events"][0], grow(*a, **k))) or runs[-1][2])
+    cn.splitting(scn.system, params, recipe, 1, tol)
+    src, sec, branch = runs[0]
+    curve = branch.curve
     assert curve.termination is hi.Termination.ENOUGH_HITS
     x0, _ = mf.seed_point(src, mf.Kind.UNSTABLE, recipe.source_side)
     plain = hi.integrate(scn.system, params, x0, (0.0, recipe.time_cap),

@@ -1,10 +1,12 @@
-"""Every public top-level function and class of the package is used, and
-every name a package module imports is used in it.
+"""Every public top-level function and class of the package is used,
+every field of a package dataclass is read, and every name a package
+module imports is used in it.
 
 A public name that no module, test or demo refers to is dead API: it is
-either gated by a test or deleted.  Only references in code count; a name
-that is merely mentioned in a docstring or a comment is still unused.  No
-package module catches every exception, and only one parses expressions.
+either gated by a test or deleted; so is a dataclass field that nothing
+reads.  Only references in code count; a name that is merely mentioned in
+a docstring or a comment is still unused.  No package module catches every
+exception, and only one parses expressions.
 """
 import ast
 from pathlib import Path
@@ -43,6 +45,31 @@ def test_every_public_name_is_referenced():
               for name in _public_definitions(ast.parse(path.read_text()))
               if name not in referenced]
     assert unused == [], f"public names referenced nowhere: {unused}"
+
+
+def _is_dataclass(node):
+    return isinstance(node, ast.ClassDef) and any(
+        getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+        == "dataclass" for d in node.decorator_list)
+
+
+def test_every_dataclass_field_is_read():
+    # a field is read where some code loads an attribute of its name
+    read = set()
+    for folder in SEARCHED:
+        for path in (ROOT / folder).rglob("*.py"):
+            tree = ast.parse(path.read_text())
+            read |= {node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute)
+                     and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.stem}.{node.name}.{item.target.id}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text()))
+              if _is_dataclass(node)
+              for item in node.body
+              if isinstance(item, ast.AnnAssign)
+              and item.target.id not in read]
+    assert unread == [], f"dataclass fields read nowhere: {unread}"
 
 
 def _imported_names(tree):
