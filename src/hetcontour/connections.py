@@ -7,7 +7,8 @@ the row of its gaps at windings 0..k.  A gap is the signed difference, in
 the section coordinate, between where the source's unstable branch and the
 target's stable branch hit the section.  Winding counts are
 accumulated-angle turns around the source saddle, which is robust near
-tangencies.
+tangencies.  `monodromic` reads a contour's orientation off the branch
+sides of its two recipes.
 """
 from __future__ import annotations
 
@@ -18,23 +19,13 @@ import numpy as np
 from . import equilibria as eq
 from . import integrate as hi
 from . import manifolds as mf
-from .errors import HetContourError, NoContour, NoIntersection
+from .errors import NoIntersection
 
 # a winding count splits a step whose ends lie more than WINDING_TURN apart
 # in angle into WINDING_PIECES pieces of its dense output, then halves the
 # pieces that still do, down to WINDING_PIECES_MAX pieces per step
 WINDING_TURN = np.pi / 4
 WINDING_PIECES, WINDING_PIECES_MAX = 4, 1024
-# a contour probe runs to |t| = PROBE_T_MAX, watched every PROBE_CHUNK; a
-# window that keeps within PROBE_CLOSE times the contour's extent of the
-# contour counts as accumulation
-PROBE_T_MAX = 210.0
-PROBE_CHUNK = 15.0
-PROBE_CLOSE = 0.03
-# a contour's connections are grown at CONTOUR_TOL, up to CONTOUR_ARCLENGTH
-# and CONTOUR_TIME, and one reaches its target within CONTOUR_RADIUS
-CONTOUR_TOL, CONTOUR_RADIUS = (1e-9, 1e-9), 1e-3
-CONTOUR_ARCLENGTH, CONTOUR_TIME = 50.0, 200.0
 
 
 @dataclass(frozen=True)
@@ -48,12 +39,6 @@ class ConnectionRecipe:
     time_cap: float
     arclength_cap: float
     crossing_direction: int = 1
-
-
-@dataclass(frozen=True)
-class ContourClass:
-    monodromic: bool
-    probe_agrees: bool | None
 
 
 def _step_points(traj, n):
@@ -71,14 +56,6 @@ def _step_points(traj, n):
     pts[:, np.r_[True, end]] = traj.xy.T
     pts[:, np.r_[False, ~end]] = traj(times[1:][~end])
     return times, pts
-
-
-def _curve_points(curve, spacing):
-    """Points of ``curve``, each step split into pieces whose chord is about
-    ``spacing`` at most."""
-    chord = np.linalg.norm(np.diff(curve.xy, axis=0), axis=1)
-    n = np.maximum(1, np.ceil(chord / spacing)).astype(int)
-    return _step_points(curve, n)[1].T
 
 
 def _angles(pts, center):
@@ -162,91 +139,19 @@ def splitting(sys, params, recipe, k=0, tol=hi.DEFAULT_TOL):
                  if w in first else np.nan for w in range(k + 1))
 
 
-def find_connection_side(sys, params, source, target):
-    """Which unstable side of ``source`` flows into ``target``.
+def monodromic(saddle_L, saddle_M, to_M, to_L):
+    """Whether the contour of the connections ``to_M`` (L -> M) and
+    ``to_L`` (M -> L) is monodromic, from their recipes' branch sides.
 
-    Returns (side, branch); raises NoContour if neither branch approaches.
+    At each saddle the connection in arrives along ``-target_side v_s``
+    and the one out leaves along the other recipe's ``source_side v_u``.
+    The contour is monodromic when both saddles turn the same way: the
+    cross products of these two directions have one sign.
     """
-    p = sys.full_params(params)
-    best = None
-    for side in (1, -1):
-        br = mf.grow_branch(sys, p, source, mf.Kind.UNSTABLE, side,
-                            arclength_cap=CONTOUR_ARCLENGTH, tol=CONTOUR_TOL,
-                            time_cap=CONTOUR_TIME,
-                            equilibria=[target.location],
-                            equilibrium_radius=CONTOUR_RADIUS)
-        d = np.min(np.linalg.norm(br.points - np.asarray(target.location),
-                                  axis=1))
-        if br.curve.termination is hi.Termination.EQUILIBRIUM_APPROACH \
-                or d < CONTOUR_RADIUS:
-            return side, br
-        if best is None or d < best[1]:
-            best = (side, d)
-    raise NoContour(
-        f"no unstable branch of {source.location} reaches {target.location} "
-        f"(closest approach {best[1]:.2e})")
+    def turn(saddle, arrive, leave):
+        # (-t v_s) x (s v_u) = -t s (v_s x v_u)
+        (sx, sy), (ux, uy) = saddle.v_s, saddle.v_u
+        return (-arrive.target_side * leave.source_side
+                * (sx * uy - sy * ux)) > 0
 
-
-def classify_contour(sys, params, saddle_L, saddle_M, probe=True):
-    """Monodromic vs non-monodromic decision for an existing contour.
-
-    The primary criterion is the relative orientation of incoming and
-    outgoing connection directions at each saddle (equal turning signs =
-    monodromic); a limit-set probe orbit is run as a cross-check.
-    """
-    p = sys.full_params(params)
-    side_LM, br_LM = find_connection_side(sys, p, saddle_L, saddle_M)
-    side_ML, br_ML = find_connection_side(sys, p, saddle_M, saddle_L)
-
-    def cross_sign(branch, target, out_dir):
-        z = branch.points[-2] if len(branch.points) > 1 else branch.points[-1]
-        v = np.asarray(sys.rhs(z[0], z[1], p))
-        d_in = v / np.linalg.norm(v)
-        d_out = np.asarray(out_dir) / np.linalg.norm(out_dir)
-        return np.sign(d_in[0] * d_out[1] - d_in[1] * d_out[0])
-
-    s_M = cross_sign(br_LM, saddle_M, side_ML * np.asarray(saddle_M.v_u))
-    s_L = cross_sign(br_ML, saddle_L, side_LM * np.asarray(saddle_L.v_u))
-    monodromic = bool(s_M == s_L)
-
-    agrees = None
-    if probe:
-        # the contour on its dense output, finer than the probe's closeness
-        samples = np.vstack([br_LM.points, br_ML.points])
-        spacing = 0.5 * PROBE_CLOSE * np.ptp(samples, axis=0).max()
-        contour = np.vstack([_curve_points(br.curve, spacing)
-                             for br in (br_LM, br_ML)])
-        seed = contour.mean(axis=0)
-        approach = _probe_accumulates(sys, p, seed, contour, CONTOUR_TOL)
-        agrees = approach == monodromic
-    return ContourClass(monodromic, agrees)
-
-
-def _probe_accumulates(sys, params, seed, contour, tol):
-    """True if a probe orbit ends up tracking the whole contour.
-
-    A forward or backward window counts as accumulation when *all* of its
-    samples lie near the contour, i.e. a full revolution hugs it; merely
-    passing close to one saddle corner does not qualify.  The watch ends
-    such a run SETTLED.
-    """
-    scale = max(np.ptp(contour[:, 0]), np.ptp(contour[:, 1]))
-    close = PROBE_CLOSE * scale
-
-    def check(run):
-        nonlocal seen
-        d = np.min(np.linalg.norm(run.xy[seen:, None, :] - contour[None, :, :],
-                                  axis=2), axis=1)
-        seen = len(run.t) - 1
-        return hi.Termination.SETTLED if np.max(d) < close else None
-
-    for sign in (1.0, -1.0):
-        seen = 0
-        try:
-            traj = hi.integrate(sys, params, seed, (0.0, sign * PROBE_T_MAX),
-                                tol=tol, watch=(PROBE_CHUNK, check))
-        except HetContourError:
-            continue
-        if traj.termination is hi.Termination.SETTLED:
-            return True
-    return False
+    return bool(turn(saddle_L, to_L, to_M) == turn(saddle_M, to_M, to_L))

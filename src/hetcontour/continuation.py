@@ -23,14 +23,20 @@ from .errors import (BracketError, CurveStall, Degenerate, DomainError,
                      HetContourError, InsufficientWinding, NoConvergence)
 from .roots import brent, grid_roots
 
+# a curve point's gap is at most RESIDUAL_TOL; a failed corrector halves
+# the step down to STEP_MIN, and a good one grows it up to ``step_max``
+# (STEP_MAX by default)
 RESIDUAL_TOL = 1e-6
+STEP_MIN = 1e-6
+STEP_MAX = 1e-2
 # forward-difference steps: the start gradient of a curve, the corrector's
 # fallback slope, and the codim-2 Newton's Jacobian columns
 TANGENT_H = 1e-6
 CORRECTOR_H = 1e-7
 CODIM2_H = 1e-5
-STEP_MIN = 1e-6
-STEP_MAX = 1e-2
+# the codim-2 Newton stops at |F| <= CODIM2_TOL or a step of at most
+# CODIM2_STEP_TOL, and fails after CODIM2_MAX_ITER steps
+CODIM2_TOL, CODIM2_STEP_TOL, CODIM2_MAX_ITER = 1e-9, 1e-8, 25
 K_MAX_DEFAULT = 5
 
 
@@ -132,26 +138,26 @@ def check_step(step):
 
 
 def continue_curve(sys, zero_function, start, tag=CurveTag.H_L, k=0,
-                   step=1e-3, step_min=STEP_MIN, step_max=STEP_MAX,
+                   step=1e-3, step_max=STEP_MAX,
                    bounds=((-np.inf, np.inf), (-np.inf, np.inf)),
-                   max_points=400, residual_tol=RESIDUAL_TOL):
+                   max_points=400):
     """Trace the zero curve of ``zero_function`` through ``start``, in both
     directions.
 
     ``zero_function(sys, point)`` is a scalar gap; the start must already
-    satisfy it to ``residual_tol``, and the first ``step`` must pass
-    `check_step`.  Returns a BifurcationCurve whose ``endpoints`` name why
-    each direction ended: ``"bounds"`` when its next point leaves
-    ``bounds``, ``"stall"`` when the corrector fails at ``step_min`` or a
-    step makes no progress, ``"max_points"`` when it holds ``max_points``
-    points.  A stalled curve of fewer than 3 points raises CurveStall
-    carrying the partial curve.
+    satisfy it to ``RESIDUAL_TOL``, and the first ``step`` must pass
+    `check_step`.  Each direction's first step is ``min(step, step_max)``.
+    Returns a BifurcationCurve whose ``endpoints`` name why each direction
+    ended: ``"bounds"`` when its next point leaves ``bounds``, ``"stall"``
+    when the corrector fails at ``STEP_MIN`` or a step makes no progress,
+    ``"max_points"`` when it holds ``max_points`` points.  A stalled curve
+    of fewer than 3 points raises CurveStall carrying the partial curve.
     """
     check_step(step)
     f = lambda z: float(zero_function(sys, z))
     z0 = np.asarray(start, float)
     f0 = f(z0)
-    if abs(f0) > residual_tol:
+    if abs(f0) > RESIDUAL_TOL:
         raise CurveStall(f"start residual {abs(f0):.2e} above tolerance")
 
     def in_bounds(z):
@@ -167,7 +173,7 @@ def continue_curve(sys, zero_function, start, tag=CurveTag.H_L, k=0,
         tangent = direction * t0
         # each corrector starts from the last slope of the one before
         slope = float(g @ np.array([-tangent[1], tangent[0]]))
-        h = step
+        h = min(step, step_max)
         reason = "max_points"
         while len(pts) < max_points:
             z = pts[-1]
@@ -175,10 +181,10 @@ def continue_curve(sys, zero_function, start, tag=CurveTag.H_L, k=0,
             n = np.array([-tangent[1], tangent[0]])
             try:
                 z_new, f_new, slope = _refine_on_normal(f, zp, n, f(zp),
-                                                        slope, residual_tol)
+                                                        slope, RESIDUAL_TOL)
             except HetContourError:
-                if h > step_min * 1.001:
-                    h = max(step_min, h / 2)
+                if h > STEP_MIN * 1.001:
+                    h = max(STEP_MIN, h / 2)
                     continue
                 reason = "stall"
                 break
@@ -226,8 +232,7 @@ def _newton_step(J, F):
     return np.array([(b * F[1] - d * F[0]) / det, (c * F[0] - a * F[1]) / det])
 
 
-def find_codim2(sys, residual_pair, guess, saddle_seeds, params_at,
-                tol=1e-9, step_tol=1e-8, max_iter=25):
+def find_codim2(sys, residual_pair, guess, saddle_seeds, params_at):
     """2D quasi-Newton on a pair of gap functions.
 
     ``residual_pair(sys, point) -> (r1, r2)``; ``saddle_seeds`` are rough
@@ -239,14 +244,16 @@ def find_codim2(sys, residual_pair, guess, saddle_seeds, params_at,
     *Introduction to Numerical Continuation Methods*, ch. 7).  When a full
     step of an updated Jacobian fails to reduce |F|, the Jacobian is
     differenced afresh and the step is damped by halving until |F| falls.
+    It stops at ``|F| <= CODIM2_TOL`` or a step of at most
+    ``CODIM2_STEP_TOL``; NoConvergence after ``CODIM2_MAX_ITER`` steps.
     """
     pair = lambda z: np.asarray(residual_pair(sys, z), float)
     z = np.asarray(guess, float)
     F = pair(z)
     J, fresh = None, False
-    for _ in range(max_iter):
+    for _ in range(CODIM2_MAX_ITER):
         nF = np.linalg.norm(F)
-        if nF <= tol:
+        if nF <= CODIM2_TOL:
             break
         if J is None:
             J, fresh = _difference_jacobian(pair, z, F), True
@@ -266,7 +273,7 @@ def find_codim2(sys, residual_pair, guess, saddle_seeds, params_at,
         J = J + np.outer(F_new - F - J @ s, s) / (s @ s)
         fresh = False
         z, F = z + s, F_new
-        if np.linalg.norm(s) <= step_tol:
+        if np.linalg.norm(s) <= CODIM2_STEP_TOL:
             break
     else:
         raise NoConvergence("codim-2 Newton did not converge")

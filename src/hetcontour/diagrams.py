@@ -5,8 +5,8 @@ contour: a `connections.ConnectionRecipe` for every connection of interest,
 a guess of each codim-2 contour point, angle brackets that start the
 homoclinic curves, and the location of the interior focus used for cycle
 counting.  Its one-dimensional model map is not stored: `model_map_for`
-reads the saddle indices and the orientation off the flow at the first
-contour point.
+reads the saddle indices off the flow at the first contour point, and the
+orientation off the branch sides of that point's two recipes.
 
 Every curve of the diagram starts at a contour point.  The H_L and H_M
 curves of a codim-2 seed are continued from its located point, where both
@@ -138,8 +138,8 @@ def find_curve_start(scn, start, center):
     return at(brent(f, a, b, f(a), f(b), CIRCLE_XTOL)[0])
 
 
-def assemble_diagram(scn, bounds=None, k_max=2, step=5e-4, step_min=1e-6,
-                     step_max=2e-3, max_points=40, residual_tol=1e-6):
+def assemble_diagram(scn, bounds=None, k_max=2, step=5e-4, step_max=2e-3,
+                     max_points=40):
     """Trace every curve of the scenario; collect per-curve failures.
 
     Each seed's contour point is located once; its H_L and H_M curves are
@@ -165,8 +165,7 @@ def assemble_diagram(scn, bounds=None, k_max=2, step=5e-4, step_min=1e-6,
                 z0 = find_curve_start(scn, start, z0)
             curves.append(ct.continue_curve(
                 scn.system, gap_function(scn, recipe), z0, tag, step=step,
-                step_min=step_min, step_max=step_max, bounds=box,
-                max_points=max_points, residual_tol=residual_tol))
+                step_max=step_max, bounds=box, max_points=max_points))
         except HetContourError as exc:
             failures[f"{tag.name}[0]@{recipe}"] = (
                 f"{type(exc).__name__}: {exc}")
@@ -198,14 +197,14 @@ def assemble_diagram(scn, bounds=None, k_max=2, step=5e-4, step_min=1e-6,
 
 
 def model_map_for(scn, point):
-    """The contour's model map, read from the flow at its contour point
-    ``point`` (a `Codim2Point`): lam is the index of its saddle L, mu is
-    M's, and the orientation is `connections.classify_contour`'s there."""
+    """The contour's model map at ``point``, the located contour point (a
+    `Codim2Point`) of ``scn.codim2[0]``: lam is the index of its saddle L,
+    mu is M's, and the orientation is `connections.monodromic` of that
+    seed's two recipes."""
     L, M = point.saddle_L, point.saddle_M
-    contour = cn.classify_contour(scn.system, _params_at(scn, point.location),
-                                  L, M, probe=False)
+    to_M, to_L = (scn.recipes[name] for name in scn.codim2[0].recipes)
     return mm.ModelMap(L.index, M.index, orientation=mm.Orientation(
-        1 if contour.monodromic else -1))
+        1 if cn.monodromic(L, M, to_M, to_L) else -1))
 
 
 def model_bifurcation_set(scn, k_max, point):

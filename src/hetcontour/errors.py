@@ -69,10 +69,6 @@ class InsufficientWinding(HetContourError):
         self.achieved = achieved
 
 
-class NoContour(HetContourError):
-    """No heteroclinic contour exists at the given parameters."""
-
-
 class CurveStall(HetContourError):
     """Continuation corrector diverged; a partial curve is attached."""
 

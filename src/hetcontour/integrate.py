@@ -34,17 +34,15 @@ class Termination(enum.Enum):
     """Why an integration ended.
 
     ``integrate`` ends on TIME_LIMIT, EVENT, BLOWUP (left the call's escape
-    disc), EQUILIBRIUM_APPROACH, or what its watch returns.  The watch of
-    ``manifolds.grow_branch`` returns ARCLENGTH_CAP, SETTLED for a branch
-    that has come to rest on an attractor, and ENOUGH_HITS for a branch
-    whose section hits so far are all its caller asked for; the contour
-    probe's returns SETTLED for an orbit that tracks the contour.
+    disc), or what its watch returns.  The watch of ``manifolds.grow_branch``
+    returns ARCLENGTH_CAP, SETTLED for a branch that has come to rest on an
+    attractor, and ENOUGH_HITS for a branch whose section hits so far are
+    all its caller asked for.
     """
 
     TIME_LIMIT = "time_limit"
     EVENT = "event"
     BLOWUP = "blowup"
-    EQUILIBRIUM_APPROACH = "equilibrium_approach"
     ARCLENGTH_CAP = "arclength_cap"
     SETTLED = "settled"
     ENOUGH_HITS = "enough_hits"
@@ -290,7 +288,6 @@ class Trajectory:
     interpolant: DenseOutput  # over [t[0], t[-1]]
     termination: Termination
     event_hits: list          # (event_index, t, (x, y)) in time order
-    terminal_index: int | None = None   # index into the events argument
 
     def __call__(self, t):
         return self.interpolant(t)
@@ -352,12 +349,12 @@ def _initial_step(f, t0, x0, y0, fx0, fy0, span, direction, rtol, atol):
     return min(100 * h0, h1, span)
 
 
-def _trajectory(f, ts, zs, hs, ks, termination, hits, index, read):
+def _trajectory(f, ts, zs, hs, ks, termination, hits, read):
     """The run held in the compact arrays, each read by ``read``."""
     t, xy = read(ts), read(zs).reshape(-1, 2)
     return Trajectory(t, xy, DenseOutput(f, t, xy, read(hs),
                                          read(ks).reshape(-1, KEPT)),
-                      termination, hits, index)
+                      termination, hits)
 
 
 def _dop853(f, t0, x0, y0, t_end, rtol, atol, events, n_sections, watch):
@@ -512,7 +509,7 @@ def _dop853(f, t0, x0, y0, t_end, rtol, atol, events, n_sections, watch):
         if stop is None and abs(t - t0) >= due:
             # copies: an array cannot grow while numpy holds its buffer
             stop = check(_trajectory(f, ts, zs, hs, ks, Termination.TIME_LIMIT,
-                                     list(hits), None, np.array))
+                                     list(hits), np.array))
             due = window * (abs(t - t0) // window + 1)
             done = done or stop is not None
         if done:
@@ -522,16 +519,15 @@ def _dop853(f, t0, x0, y0, t_end, rtol, atol, events, n_sections, watch):
 
 def integrate(sys, params, x0, t_span, tol=DEFAULT_TOL, events=(),
               directions=None, terminal=None, blowup_radius=BLOWUP_RADIUS,
-              equilibria=(), equilibrium_radius=1e-8, watch=None):
+              watch=None):
     """Integrate ``sys`` from ``x0`` over ``t_span``.
 
     events: CrossSection instances; crossings are located on the dense
     output to machine precision.  ``directions[i]`` in {-1, 0, 1} filters
     the geometric crossing direction (sign of d/dt of the normal offset in
     forward time).  ``terminal``: indices of events that stop the run.
-    ``equilibria``: points whose ``equilibrium_radius``-neighborhood stops
-    the run (EQUILIBRIUM_APPROACH).  ``tol`` is ``(atol, rtol)``; atol must
-    be positive, since the error is scaled by ``atol + |y| rtol``.
+    ``tol`` is ``(atol, rtol)``; atol must be positive, since the error is
+    scaled by ``atol + |y| rtol``.
     ``watch = (window, check)``: at the first accepted step at or past
     each ``window`` of time from ``t_span[0]``, ``check(run so far)`` (a
     Trajectory with its hits) returns None to go on or a Termination that
@@ -566,31 +562,20 @@ def integrate(sys, params, x0, t_span, tol=DEFAULT_TOL, events=(),
            for i, (s, d) in enumerate(zip(events, directions))]
     r2 = blowup_radius * blowup_radius
     evs.append((lambda x, y: x * x + y * y - r2, 1, True))
-    eq_offset = len(evs)
-    e2 = equilibrium_radius ** 2
-    for q in equilibria:
-        qx, qy = float(q[0]), float(q[1])
-        evs.append((lambda x, y, qx=qx, qy=qy:
-                    (x - qx) * (x - qx) + (y - qy) * (y - qy) - e2, -1, True))
 
     rtol, atol = max(float(tol[1]), 100 * EPS), float(tol[0])
     ts, zs, hs, ks, hits, stop = _dop853(
         f, t0, x, y, t1, rtol, atol, evs, len(events), watch)
 
-    termination, terminal_index = Termination.TIME_LIMIT, None
     if stop is None:
-        pass
+        termination = Termination.TIME_LIMIT
     elif isinstance(stop, Termination):
         termination = stop
     elif stop < len(events):
-        termination, terminal_index = Termination.EVENT, stop
-    elif stop == len(events):
-        termination = Termination.BLOWUP
+        termination = Termination.EVENT
     else:
-        termination = Termination.EQUILIBRIUM_APPROACH
-        terminal_index = stop - eq_offset
-    return _trajectory(f, ts, zs, hs, ks, termination, hits, terminal_index,
-                       np.frombuffer)
+        termination = Termination.BLOWUP
+    return _trajectory(f, ts, zs, hs, ks, termination, hits, np.frombuffer)
 
 
 def poincare_map(sys, params, section, x0_on_section, max_time,

@@ -48,22 +48,20 @@ def seed_point(saddle, kind, side):
 
 def grow_branch(sys, params, saddle, kind, side, arclength_cap=20.0,
                 events=(), directions=None, terminal=None,
-                tol=hi.DEFAULT_TOL, time_cap=1e4,
-                equilibria=(), equilibrium_radius=1e-8, until=None):
+                tol=hi.DEFAULT_TOL, time_cap=1e4, until=None):
     """Grow one of the four branches of ``saddle`` up to ``arclength_cap``.
 
     The branch is one ``integrate`` run to ``time_cap``, watched at each
     multiple of CHUNK in time from ``max(CHUNK, 3 / rate)`` on.  Its
     ``termination`` says why it ended: ARCLENGTH_CAP, TIME_LIMIT at
-    ``time_cap``, EVENT at a terminal event hit, BLOWUP,
-    EQUILIBRIUM_APPROACH to any of the registered ``equilibria``, SETTLED
-    when a full window adds next to no arclength, and no more than the
-    window before it, or ends in a sink's trap that meets none of the
-    ``events`` (the branch has come to rest on an attractor), or
-    ENOUGH_HITS at the end of a window with event hits
-    where ``until(curve so far)`` holds: every step and hit up to it is
-    that of a branch grown on.  With ``events`` BLOWUP is at the
-    ``hi.escape_radius`` of the saddle and section bases, else at 1e6.
+    ``time_cap``, EVENT at a terminal event hit, BLOWUP, SETTLED when a
+    full window adds next to no arclength, and no more than the window
+    before it, or ends in a sink's trap that meets none of the ``events``
+    (the branch has come to rest on an attractor), or ENOUGH_HITS at the
+    end of a window with event hits where ``until(curve so far)`` holds:
+    every step and hit up to it is that of a branch grown on.  With
+    ``events`` BLOWUP is at the ``hi.escape_radius`` of the saddle and
+    section bases, else at 1e6.
     """
     x0, delta = seed_point(saddle, kind, side)
     sign = 1.0 if kind is Kind.UNSTABLE else -1.0
@@ -105,9 +103,8 @@ def grow_branch(sys, params, saddle, kind, side, arclength_cap=20.0,
 
     curve = hi.integrate(sys, p, x0, (0.0, sign * time_cap), tol=tol,
                          events=events, directions=directions,
-                         terminal=terminal, equilibria=equilibria,
-                         equilibrium_radius=equilibrium_radius,
-                         blowup_radius=radius, watch=(CHUNK, check))
+                         terminal=terminal, blowup_radius=radius,
+                         watch=(CHUNK, check))
     if curve.termination is hi.Termination.BLOWUP \
             and curve.arclength() < 10 * delta:
         raise BlowupAtSeed(f"branch blew up within {curve.arclength():.2e}")

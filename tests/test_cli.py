@@ -197,6 +197,17 @@ def test_diagram_rejects_a_step_that_is_not_positive(step, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_diagram_first_step_is_capped_by_step_max(tmp_path):
+    # the diagram's step_max is 2e-3: a first step of 0.5 takes that one
+    csvs = []
+    for step in ("0.5", "2e-3"):
+        out = tmp_path / step
+        assert run(["diagram", "--scenario", "mono_first", "--step", step,
+                    "--out", str(out)]) == cli.EXIT_OK
+        csvs.append((out / "diagram.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 @pytest.mark.parametrize("scenario, subcase", [("mono_first", 5),
                                                ("mono_second", 3)])
 def test_mono_diagram_has_its_contour_point_at_the_origin(scenario, subcase,

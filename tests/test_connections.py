@@ -1,4 +1,6 @@
 """Connection splitting gaps: signs, winding stability, failure modes."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from hetcontour import integrate as hi
 from hetcontour import manifolds as mf
 from hetcontour import modelmap as mm
 from hetcontour import vectorfield as vf
-from hetcontour.errors import HetContourError, NoIntersection, StiffnessError
+from hetcontour.errors import HetContourError, NoIntersection
 
 
 @pytest.fixture(scope="module")
@@ -171,25 +173,32 @@ def test_k_turn_branch_stops_after_its_hit(monkeypatch):
     assert len(stopped.t) < len(grown[0].curve.t)
 
 
-def test_probe_stops_on_toolkit_errors_only(monkeypatch):
-    # a failed probe integration means "no accumulation"; any other
-    # exception is a bug and must surface
-    contour = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.25]])
+def test_monodromic_oracle():
+    # mono_perturbed at alpha = epsilon = 0, c = 3/2: J(L) = [[1, -3],
+    # [0, -2]] at the origin and J(M) = [[-1, c - 3], [0, 2 - c]] at (1, 0),
+    # so by hand v_u(L) = (1, 0), v_s(L) = (1, 1) / sqrt 2, v_s(M) = (1, 0)
+    # and v_u(M) = (1, -1) / sqrt 2.  The axis leaves L to the right and
+    # enters M from the left; the parabola leaves M up-left and enters L
+    # from the upper right: both saddles turn counterclockwise.
+    r = 1 / np.sqrt(2)
+    L = eq.Saddle((0.0, 0.0), -2.0, 1.0, (r, r), (1.0, 0.0))
+    M = eq.Saddle((1.0, 0.0), -1.0, 0.5, (1.0, 0.0), (r, -r))
     scn = dg.scenario("mono_first")
-    params = scn.system.full_params(scn.base_params)
-
-    def stiff(*args, **kwargs):
-        raise StiffnessError("step size underflow")
-    monkeypatch.setattr(cn.hi, "integrate", stiff)
-    assert cn._probe_accumulates(scn.system, params, (0.5, 0.1), contour,
-                                 (1e-9, 1e-9)) is False
-
-    def broken(*args, **kwargs):
-        raise ZeroDivisionError
-    monkeypatch.setattr(cn.hi, "integrate", broken)
-    with pytest.raises(ZeroDivisionError):
-        cn._probe_accumulates(scn.system, params, (0.5, 0.1), contour,
-                              (1e-9, 1e-9))
+    sys_ = scn.system
+    p = sys_.full_params(scn.base_params)
+    for hand in (L, M):
+        flow = eq.saddle_data(sys_, p, hand.location)
+        assert np.allclose(np.hstack(dataclasses.astuple(flow)),
+                           np.hstack(dataclasses.astuple(hand)), atol=1e-12)
+    axis, parabola = scn.recipes["axis"], scn.recipes["parabola"]
+    assert cn.monodromic(L, M, axis, parabola) is True
+    flipped = dataclasses.replace(parabola, target_side=-parabola.target_side)
+    assert cn.monodromic(L, M, axis, flipped) is False
+    heart = dg.scenario("heart")
+    point = dg.contour_point(heart, heart.codim2[0])
+    assert cn.monodromic(point.saddle_L, point.saddle_M,
+                         *(heart.recipes[n] for n in heart.codim2[0].recipes)
+                         ) is False
 
 
 # (lam, mu) of each scenario's model map: the indices of L and M, in order
@@ -204,9 +213,9 @@ PINNED_INDICES = {"mono_first": (2.0, 2.0), "mono_second": (2.0, 2.0 / 3.0),
 ])
 def test_classify_contour_matches_model_indices(scenario, system, params,
                                                 seed_M, monodromic):
-    # each scenario's contour, classified from the flow, against the
-    # orientation and saddle indices of the model map derived for it; empty
-    # params stand for the located contour point (heart's C1)
+    # each scenario's model map, derived at its first contour point: its
+    # orientation, and its indices against the saddles of the flow there;
+    # empty params stand for the located contour point (heart's C1)
     sys_ = vf.builtin(system)
     scn = dg.scenario(scenario)
     point = dg.contour_point(scn, scn.codim2[0])
@@ -215,9 +224,6 @@ def test_classify_contour_matches_model_indices(scenario, system, params,
     p = sys_.full_params(params)
     L, M = (eq.saddle_data(sys_, p, eq.find_equilibrium(sys_, p, seed)[0])
             for seed in ((0.0, 0.0), seed_M))
-    res = cn.classify_contour(sys_, p, L, M)
-    assert res.monodromic is monodromic
-    assert res.probe_agrees is True
     m = dg.model_map_for(scn, point)
     assert (m.orientation is mm.Orientation.MONODROMIC) is monodromic
     assert (m.lam, m.mu) == pytest.approx(PINNED_INDICES[scenario], abs=1e-4)

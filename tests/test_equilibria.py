@@ -116,13 +116,20 @@ def test_subcase_canonicalization(lam, mu):
 
 
 def test_subcase_reduction_idempotent():
-    # a canonical case classifies to itself with no further reductions
-    for lam, mu in ((2.0, 3.0), (0.5, 3.0), (0.5, 0.5)):
+    # one pair of each case; its tag's reductions, applied to the pair (swap
+    # exchanges the indices, time reversal takes reciprocals), give a pair
+    # of the canonical case that needs no further reduction
+    pairs = {1: (0.5, 1.5), 2: (0.5, 3.0), 3: (3.0, 0.5), 4: (1.5, 0.5),
+             5: (2.0, 3.0), 6: (0.5, 0.5)}
+    for case_id, (lam, mu) in pairs.items():
         tag = eq.classify_subcase(_fake_saddle(lam), _fake_saddle(mu))
-        if tag.reductions:
-            continue
+        assert tag.case_id == case_id
+        for reduction in tag.reductions:
+            lam, mu = {"swap": (mu, lam),
+                       "time_reversal": (1 / lam, 1 / mu)}[reduction]
         again = eq.classify_subcase(_fake_saddle(lam), _fake_saddle(mu))
         assert again.case_id == tag.canonical_id
+        assert again.reductions == ()
 
 
 def test_eigenvectors_are_eigenvectors(mono):
@@ -330,8 +337,7 @@ def test_certified_trap_keeps_and_attracts_its_orbits(q, r1, r2, omega, v, w,
     for angle in np.linspace(0.0, 2 * math.pi, 8, endpoint=False):
         u = np.array([math.cos(angle), math.sin(angle)])
         e = u * math.sqrt(level / (u @ P @ u))
-        traj = hi.integrate(sys_, {}, np.asarray(q) + e, (0.0, t_end),
-                            equilibria=[q], equilibrium_radius=1e-7)
+        traj = hi.integrate(sys_, {}, np.asarray(q) + e, (0.0, t_end))
         dist = np.hypot(*(traj.xy - np.asarray(q)).T)
         assert dist.max() <= radius * (1 + 1e-9)
         assert dist[-1] < 1e-6

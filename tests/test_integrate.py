@@ -124,7 +124,6 @@ def test_section_event_matches_scipy_dop853(gamma, span, direction):
     crossing.direction = direction * np.sign(span[1] - span[0])
     ref = dop853_oracle(sys_, params, x0, span, events=[crossing])
     assert traj.termination is hi.Termination.EVENT
-    assert traj.terminal_index == 0
     (_, t_hit, z_hit), = traj.event_hits
     assert abs(t_hit - ref.t_events[0][0]) < 1e-12
     assert np.max(np.abs(np.subtract(z_hit, ref.y_events[0][0]))) < 1e-12
@@ -201,15 +200,6 @@ def test_blowup_detected():
     params = sys_.full_params()
     traj = hi.integrate(sys_, params, (50.0, 50.0), (0.0, 100.0))
     assert traj.termination is hi.Termination.BLOWUP
-
-
-def test_equilibrium_approach_stops():
-    sys_ = vf.builtin("mono_unperturbed")
-    params = sys_.full_params()
-    # inside the contour the focus at (2/3, 1/9) attracts in backward time
-    traj = hi.integrate(sys_, params, (0.60, 0.12), (0.0, -200.0),
-                        equilibria=[(2 / 3, 1 / 9)], equilibrium_radius=1e-3)
-    assert traj.termination is hi.Termination.EQUILIBRIUM_APPROACH
 
 
 def test_nonfinite_start_rejected():

@@ -80,14 +80,6 @@ def test_section_event_recorded(mono_saddle):
     assert abs(z[0] - 0.5) < 1e-9 and abs(z[1]) < 1e-6
 
 
-def test_equilibrium_approach_termination(mono_saddle):
-    sys_, params, sad = mono_saddle
-    br = mf.grow_branch(sys_, params, sad, mf.Kind.UNSTABLE, 1,
-                        arclength_cap=50.0, equilibria=[(1.0, 0.0)],
-                        equilibrium_radius=1e-6)
-    assert br.curve.termination is hi.Termination.EQUILIBRIUM_APPROACH
-
-
 def test_chained_interpolant_matches_samples(mono_saddle, monkeypatch,
                                              watch_ends):
     sys_, params, sad = mono_saddle
