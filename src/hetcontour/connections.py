@@ -95,6 +95,20 @@ def _winding_at(traj, center, times):
     return [int(a // (2 * np.pi)) for a in acc[len(fine):]]
 
 
+def recipe_curve(sys, p, recipe, saddle, kind, section, tol=hi.DEFAULT_TOL,
+                 until=None):
+    """``recipe``'s ``kind`` branch of ``saddle``, grown with its side and
+    caps to the first ``section`` hit in its crossing direction, or to the
+    end of the `grow_branch` window at which ``until`` holds."""
+    side = (recipe.source_side if kind is mf.Kind.UNSTABLE
+            else recipe.target_side)
+    return mf.grow_branch(
+        sys, p, saddle, kind, side, arclength_cap=recipe.arclength_cap,
+        events=[section], directions=[recipe.crossing_direction],
+        terminal=[] if until else [0], tol=tol, time_cap=recipe.time_cap,
+        until=until).curve
+
+
 def splitting(sys, params, recipe, k=0, tol=hi.DEFAULT_TOL):
     """The gaps of ``recipe``'s connection at windings 0..k, NaN at a
     winding its unstable branch has no hit at.
@@ -108,30 +122,23 @@ def splitting(sys, params, recipe, k=0, tol=hi.DEFAULT_TOL):
     NoIntersection when either branch never meets the section.
     """
     p = sys.full_params(params)
-    source, target = (
-        eq.saddle_data(sys, params, eq.find_equilibrium(sys, params, seed)[0])
-        for seed in (recipe.source_seed, recipe.target_seed))
+    source, target = eq.saddles_at(sys, params, (recipe.source_seed,
+                                                 recipe.target_seed))
     section = hi.CrossSection.transverse_to_flow(sys, p, recipe.section_base)
     center = source.location
     wound = lambda curve: max(_winding_at(
         curve, center, [h[1] for h in curve.event_hits])) >= k
-    ub = mf.grow_branch(sys, p, source, mf.Kind.UNSTABLE, recipe.source_side,
-                        arclength_cap=recipe.arclength_cap, events=[section],
-                        directions=[recipe.crossing_direction],
-                        terminal=[0] if k == 0 else [], tol=tol,
-                        time_cap=recipe.time_cap, until=wound if k else None)
-    hits = ub.curve.event_hits
+    ub = recipe_curve(sys, p, recipe, source, mf.Kind.UNSTABLE, section, tol,
+                      until=wound if k else None)
+    hits = ub.event_hits
     if not hits:
         raise NoIntersection("unstable branch never met the section")
-    winds = _winding_at(ub.curve, center, [h[1] for h in hits])
+    winds = _winding_at(ub, center, [h[1] for h in hits])
     # each winding's first hit: the earliest one is written last
     first = dict(zip(winds[::-1], [z for _, _, z in hits[::-1]]))
 
-    sb = mf.grow_branch(sys, p, target, mf.Kind.STABLE, recipe.target_side,
-                        arclength_cap=recipe.arclength_cap, events=[section],
-                        directions=[recipe.crossing_direction], terminal=[0],
-                        tol=tol, time_cap=recipe.time_cap)
-    shits = sb.curve.event_hits
+    shits = recipe_curve(sys, p, recipe, target, mf.Kind.STABLE, section,
+                         tol).event_hits
     if not shits:
         raise NoIntersection("stable branch never met the section")
     s_coord = section.coord(shits[0][2])

@@ -278,11 +278,7 @@ def find_codim2(sys, residual_pair, guess, saddle_seeds, params_at):
     else:
         raise NoConvergence("codim-2 Newton did not converge")
 
-    params = params_at(z)
-    saddles = []
-    for seed in saddle_seeds:
-        loc, _ = eq.find_equilibrium(sys, params, seed)
-        saddles.append(eq.saddle_data(sys, params, loc))
+    saddles = eq.saddles_at(sys, params_at(z), saddle_seeds)
     tag = eq.classify_subcase(saddles[0], saddles[1])
     return Codim2Point(tuple(z), tuple(F), saddles[0], saddles[1], tag)
 
@@ -290,16 +286,15 @@ def find_codim2(sys, residual_pair, guess, saddle_seeds, params_at):
 # -- reversible one-parameter family ---------------------------------------
 
 
-def _crossing(sys, params, seed_loc, section, pick, tol, arclength_cap):
+def _crossing(sys, params, seed_loc, section, pick):
     """``pick`` of the x at which the unstable branches of the saddle near
     ``seed_loc`` first cross ``section``; BracketError if neither does."""
-    loc, _ = eq.find_equilibrium(sys, params, seed_loc)
-    sad = eq.saddle_data(sys, params, loc)
+    sad, = eq.saddles_at(sys, params, [seed_loc])
     xs = []
     for side in (1, -1):
         br = mf.grow_branch(sys, params, sad, mf.Kind.UNSTABLE, side,
-                            arclength_cap=arclength_cap, events=[section],
-                            directions=[0], terminal=[0], tol=tol)
+                            arclength_cap=30.0, events=[section],
+                            directions=[0], terminal=[0])
         xs.extend(z[0] for _, _, z in br.curve.event_hits)
     if not xs:
         raise BracketError(
@@ -307,8 +302,7 @@ def _crossing(sys, params, seed_loc, section, pick, tol, arclength_cap):
     return pick(xs)
 
 
-def _reversible_splitting(sys, gamma, tol=(1e-10, 1e-10), arclength_cap=30.0,
-                          frac=0.5):
+def _reversible_splitting(sys, gamma, frac=0.5):
     """Scalar contour condition for the x -> -x reversible family.
 
     The two saddles sit on the symmetry axis at (0,0) and (0,-gamma); the
@@ -319,30 +313,28 @@ def _reversible_splitting(sys, gamma, tol=(1e-10, 1e-10), arclength_cap=30.0,
     params = sys.full_params({"gamma": gamma})
     section = hi.CrossSection.at((0.0, -gamma * frac), (0.0, 1.0))
     # the branch on the x > 0 side, and the one whose mirror matches it
-    x_L = _crossing(sys, params, (0.0, 0.0), section, max, tol, arclength_cap)
-    x_M = _crossing(sys, params, (0.0, -gamma), section, min, tol,
-                    arclength_cap)
+    x_L = _crossing(sys, params, (0.0, 0.0), section, max)
+    x_M = _crossing(sys, params, (0.0, -gamma), section, min)
     return x_L + x_M
 
 
-def find_reversible_contour(sys, bracket, xtol=1e-6, tol=(1e-10, 1e-10)):
+def find_reversible_contour(sys, bracket, xtol=1e-6):
     """Parameter value at which the reversible family has a full contour.
 
     Brent's method on the scalar splitting; raises BracketError when the
     splitting does not change sign on ``bracket``.
     """
-    f = lambda gamma: _reversible_splitting(sys, gamma, tol=tol)
+    f = lambda gamma: _reversible_splitting(sys, gamma)
     a, b = float(bracket[0]), float(bracket[1])
     return brent(f, a, b, f(a), f(b), xtol)[0]
 
 
-def reversible_contour_asymmetry(sys, gamma, fractions=(0.25, 0.5, 0.75),
-                                 tol=(1e-10, 1e-10)):
-    """Largest |x_L + x_M| over several horizontal sections of the contour."""
+def reversible_contour_asymmetry(sys, gamma):
+    """Largest |x_L + x_M| over three horizontal sections of the contour."""
     worst = 0.0
-    for frac in fractions:
+    for frac in (0.25, 0.5, 0.75):
         try:
-            split = _reversible_splitting(sys, gamma, tol, frac=frac)
+            split = _reversible_splitting(sys, gamma, frac)
         except BracketError:
             continue                  # a section no branch reaches
         worst = max(worst, abs(split))

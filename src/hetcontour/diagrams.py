@@ -3,10 +3,10 @@
 A scenario bundles a built-in system with the geometry of its heteroclinic
 contour: a `connections.ConnectionRecipe` for every connection of interest,
 a guess of each codim-2 contour point, angle brackets that start the
-homoclinic curves, and the location of the interior focus used for cycle
-counting.  Its one-dimensional model map is not stored: `model_map_for`
-reads the saddle indices off the flow at the first contour point, and the
-orientation off the branch sides of that point's two recipes.
+homoclinic curves, and the interior focus; cycles are counted on the line
+through it, up from where the L -> M branches cross it.  The model map is
+not stored: `model_map_for` reads the saddle indices off the flow at the
+first contour point, and the orientation off its two recipes' branch sides.
 
 Every curve of the diagram starts at a contour point.  The H_L and H_M
 curves of a codim-2 seed are continued from its located point, where both
@@ -30,14 +30,16 @@ from . import continuation as ct
 from . import cycles as cy
 from . import equilibria as eq
 from . import integrate as hi
+from . import manifolds as mf
 from . import modelmap as mm
 from . import vectorfield as vf
 from .connections import ConnectionRecipe
-from .errors import HetContourError, NoIntersection, NotFound
+from .errors import DomainError, HetContourError, NoIntersection, NotFound
 from .roots import brent, sample, sign_changes
 
 CIRCLE_XTOL = 1e-7
-CYCLE_SAMPLES = 14            # heights sampled by flow_cycle_count
+CYCLE_SAMPLES = 8             # starts sampled by flow_cycle_count
+CYCLE_WINDOW = (1e-11, 0.9)   # their fractions of the way edge -> focus
 CYCLE_TOL = (1e-9, 1e-9)      # integration tolerance of its return maps
 
 
@@ -69,9 +71,7 @@ class Scenario:
     curves: tuple = ()
     recipes: dict = field(default_factory=dict)
     codim2: tuple = ()
-    focus_seed: tuple | None = None
-    cycle_bracket: tuple | None = None   # (d_lo, d_hi) distances above the
-                                         # lower contour edge, log-sampled
+    focus_seed: tuple | None = None      # cycles' centre; None: no count
     model_box: tuple | None = None       # (beta1, beta2) half-widths
     notes: str = ""
 
@@ -148,9 +148,12 @@ def assemble_diagram(scn, bounds=None, k_max=2, step=5e-4, step_max=2e-3,
     ``bounds``, by default its contour point +- ``scn.span``.  With a
     ``model_box`` the model map's curves, read at the first point, are
     added; a failure to derive them is recorded under ``"model_map"``.
-    A ``step`` that fails `continuation.check_step` fails the whole diagram.
+    A bad ``step``, ``max_points < 2`` or ``k_max < 0`` is DomainError.
     """
     ct.check_step(step)
+    if max_points < 2 or k_max < 0:
+        raise DomainError(f"need max_points >= 2 and k_max >= 0, got "
+                          f"{max_points} and {k_max}")
     curves, codim2, failures = [], [], {}
     first = None                  # the first seed's contour point
     unlocated = f"scenario {scn.name} has no located first contour point"
@@ -214,24 +217,32 @@ def model_bifurcation_set(scn, k_max, point):
 
 
 def flow_cycle_count(scn, point):
-    """Number of limit cycles crossing the scenario's counting window.
+    """Number of limit cycles between the contour's edge and the focus.
 
-    The section runs through the interior focus; return displacements are
-    sampled at ``CYCLE_SAMPLES`` log-spaced heights above the lower contour
-    edge (cycles near a contour live at exponentially small heights).  A
-    zero displacement sample counts one cycle, so does each cell of strictly
-    opposite end signs, and a sample whose orbit cannot return (it escapes,
-    or a sink captures it) brackets nothing.
+    On the vertical line through the focus, the edge is the higher of the
+    first hits below the focus of the two branches of ``scn.codim2[0]``'s
+    L -> M recipe, grown as `splitting` grows them (NoIntersection if none
+    is there).  Return displacements are sampled from ``CYCLE_SAMPLES``
+    points edge + u (focus - edge), u log-spaced over ``CYCLE_WINDOW``.  A
+    zero sample counts one cycle, so does each cell of strictly opposite
+    end signs, and a sample whose orbit cannot return (it escapes, or a
+    sink captures it) brackets nothing.
     """
-    if scn.focus_seed is None or scn.cycle_bracket is None:
-        raise NotFound(f"scenario {scn.name} has no cycle-counting window")
-    params = _params_at(scn, point)
-    focus, _ = eq.find_equilibrium(scn.system, params, scn.focus_seed)
+    if scn.focus_seed is None:
+        raise NotFound(f"scenario {scn.name} has no focus to count about")
+    sys, params = scn.system, _params_at(scn, point)
+    focus, _ = eq.find_equilibrium(sys, params, scn.focus_seed)
     section = hi.CrossSection.at(tuple(focus), (1.0, 0.0))
-    d_lo, d_hi = scn.cycle_bracket
-    xs = np.geomspace(d_lo, d_hi, CYCLE_SAMPLES) - focus[1]
-    g = lambda x: cy.return_map(scn.system, params, section, x,
-                                tol=CYCLE_TOL) - x
+    to_M = scn.recipes[scn.codim2[0].recipes[0]]
+    L, M = eq.saddles_at(sys, params, (to_M.source_seed, to_M.target_seed))
+    firsts = [section.coord(hits[0][2]) for hits in (
+        cn.recipe_curve(sys, params, to_M, s, kind, section).event_hits
+        for s, kind in ((L, mf.Kind.UNSTABLE), (M, mf.Kind.STABLE))) if hits]
+    below = [c for c in firsts if c < 0]
+    if not below:
+        raise NoIntersection("no edge branch meets the focus line below it")
+    xs = max(below) * (1 - np.geomspace(*CYCLE_WINDOW, CYCLE_SAMPLES))
+    g = lambda x: cy.return_map(sys, params, section, x, tol=CYCLE_TOL) - x
     return len(sign_changes(sample(g, xs)))
 
 
@@ -243,8 +254,8 @@ def hausdorff(points_a, points_b):
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
-def _mono_scenario(name, c, span, curves, focus_seed, cycle_bracket,
-                   model_box=None, notes=""):
+def _mono_scenario(name, c, span, curves, focus_seed, model_box=None,
+                   notes=""):
     return Scenario(
         name=name,
         system=vf.builtin("mono_perturbed"),
@@ -271,7 +282,6 @@ def _mono_scenario(name, c, span, curves, focus_seed, cycle_bracket,
         # the contour exists at alpha = epsilon = 0 by construction
         codim2=(Codim2Seed((0.0, 0.0), ("axis", "parabola")),),
         focus_seed=focus_seed,
-        cycle_bracket=cycle_bracket,
         model_box=model_box,
         notes=notes,
     )
@@ -319,7 +329,6 @@ def _mono_first():
             CurveStart(ct.CurveTag.P_M, "loop_M", (262.0, 280.0)),
         ),
         focus_seed=(2 / 3, 1 / 9),
-        cycle_bracket=(1e-4, 0.1),
         notes="both saddle indices exceed 1: no fold-of-cycles curve",
     )
 
@@ -330,7 +339,6 @@ def _mono_second():
         curves=(CurveStart(ct.CurveTag.P_M, "loop_M", (268.0, 273.0)),),
         model_box=(0.12, 0.12),
         focus_seed=(6 / 11, 1 / 11),
-        cycle_bracket=(3e-6, 0.08),
         notes="saddle indices 2 and 2/3 straddle 1: the fold-of-cycles "
               "curve exists and is computed from the model map, and so is "
               "P_L: the flow's loop_L gap keeps its sign on circles of "

@@ -248,6 +248,12 @@ def saddle_data(sys, params, point):
     return Saddle((float(point[0]), float(point[1])), lam_s, lam_u, *pairs)
 
 
+def saddles_at(sys, params, seeds):
+    """`saddle_data` of the equilibrium found from each of ``seeds``."""
+    return [saddle_data(sys, params, find_equilibrium(sys, params, s)[0])
+            for s in seeds]
+
+
 def _normalize(v):
     n = math.hypot(*v)
     v = (v[0] / n, v[1] / n)

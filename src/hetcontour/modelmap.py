@@ -463,10 +463,10 @@ def bifurcation_set(m, box=((-0.5, 0.5), (-0.5, 0.5)), n=101,
     ``_k_turn_curves``; n is the number of points per piece.  A
     monodromic H^(k>0) is >= 0 where defined and 0 only at the origin, so
     none is drawn.  Residuals are NaN where a condition is undefined.
-    DomainError for n < 2.
+    DomainError for n < 2 or k_max < 0.
     """
-    if n < 2:
-        raise DomainError(f"a curve needs n >= 2 points, got {n}")
+    if n < 2 or k_max < 0:
+        raise DomainError(f"need n >= 2 and k_max >= 0, got {n} and {k_max}")
     _check_generic(m)
     (b1lo, b1hi), (b2lo, b2hi) = box
     s, lam, mu = m.sign, float(m.lam), float(m.mu)

@@ -197,6 +197,19 @@ def test_diagram_rejects_a_step_that_is_not_positive(step, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag, value", [("--max-points", "0"),
+                                         ("--max-points", "-3"),
+                                         ("--kmax", "-2")])
+def test_diagram_rejects_a_cap_that_draws_nothing(flag, value, tmp_path,
+                                                  capsys):
+    code = run(["diagram", "--scenario", "mono_first", flag, value,
+                "--out", str(tmp_path)])
+    assert code == cli.EXIT_HARD
+    assert "error: DomainError: need max_points >= 2 and k_max >= 0" \
+        in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_diagram_first_step_is_capped_by_step_max(tmp_path):
     # the diagram's step_max is 2e-3: a first step of 0.5 takes that one
     csvs = []

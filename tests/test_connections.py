@@ -211,8 +211,8 @@ PINNED_INDICES = {"mono_first": (2.0, 2.0), "mono_second": (2.0, 2.0 / 3.0),
     ("mono_second", "mono_unperturbed", {"c": 0.5}, (1.0, 0.0), True),
     ("heart", "diss_heart", {}, (-0.57, -2.6), False),
 ])
-def test_classify_contour_matches_model_indices(scenario, system, params,
-                                                seed_M, monodromic):
+def test_model_map_orientation_and_indices_at_first_contour_point(
+        scenario, system, params, seed_M, monodromic):
     # each scenario's model map, derived at its first contour point: its
     # orientation, and its indices against the saddles of the flow there;
     # empty params stand for the located contour point (heart's C1)

@@ -1,14 +1,15 @@
 """Return maps, cycle detection, multipliers."""
 import math
+from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
+from hetcontour import connections as cn
 from hetcontour import cycles as cy
 from hetcontour import diagrams as dg
 from hetcontour import equilibria as eq
 from hetcontour import integrate as hi
-from hetcontour.errors import NoCycleInBracket, NoReturn
+from hetcontour.errors import NoCycleInBracket, NoIntersection, NoReturn
 
 
 @pytest.fixture(scope="module")
@@ -114,13 +115,17 @@ def test_fixed_points_take_a_zero_sample_once(monkeypatch):
 
 
 def test_flow_cycle_counts_change_into_wedge():
+    # on the ring of radius 2e-3, P_L crosses at 176.75 deg and P_M at
+    # 270.12 deg; next to P_M the cycle hugs the edge of the broken contour
     scn = dg.scenario("mono_first")
+    angles = (170.0, 176.0, 178.0, 225.0, 260.0, 265.0, 270.0, 271.0, 275.0,
+              280.0)
     counts = []
-    for theta in (170.0, 225.0, 280.0):
+    for theta in angles:
         th = math.radians(theta)
         counts.append(dg.flow_cycle_count(
             scn, (2e-3 * math.cos(th), 2e-3 * math.sin(th))))
-    assert counts == [0, 1, 0]
+    assert counts == [0, 0, 1, 1, 1, 1, 1, 0, 0, 0]
 
 
 def test_flow_cycle_count_counts_a_zero_sample(monkeypatch):
@@ -128,12 +133,24 @@ def test_flow_cycle_count_counts_a_zero_sample(monkeypatch):
     scn = dg.scenario("mono_first")
     point = (2e-3 * math.cos(math.radians(225.0)),
              2e-3 * math.sin(math.radians(225.0)))
-    focus, _ = eq.find_equilibrium(scn.system, dg._params_at(scn, point),
-                                   scn.focus_seed)
-    xs = np.geomspace(*scn.cycle_bracket, dg.CYCLE_SAMPLES) - focus[1]
+    xs = []
+    monkeypatch.setattr(cy, "return_map", lambda sys, params, section, x,
+                        **kwargs: xs.append(x) or x + 1.0)
+    assert dg.flow_cycle_count(scn, point) == 0
+    assert len(xs) == dg.CYCLE_SAMPLES
     monkeypatch.setattr(cy, "return_map", lambda sys, params, section, x,
                         **kwargs: x + abs(x - xs[5]))
     assert dg.flow_cycle_count(scn, point) == 1
+
+
+def test_flow_cycle_count_needs_an_edge_below_the_focus(monkeypatch):
+    # both edge branches hit the focus line only far above the focus, so
+    # there is no window to count on
+    scn = dg.scenario("mono_first")
+    monkeypatch.setattr(cn, "recipe_curve", lambda *args, **kwargs:
+                        SimpleNamespace(event_hits=[(0, 1.0, (0.7, 10.0))]))
+    with pytest.raises(NoIntersection, match="below"):
+        dg.flow_cycle_count(scn, (-1.4e-3, -1.4e-3))
 
 
 def _count_rk_steps(monkeypatch):
@@ -149,9 +166,10 @@ def _count_rk_steps(monkeypatch):
 
 
 def test_cycle_count_stops_samples_that_cannot_return(monkeypatch):
-    # at 58.92 deg on the mono_first ring, 3 of the 14 samples fall into the
-    # stable node near (4/3, -4/9) and 5 escape: followed to max_time and
-    # to |z| = 1e6 they made the count cost 4 760 RK steps
+    # at 58.92 deg on the mono_first ring, 7 of the 8 samples escape, and a
+    # start 1e-4 above the axis falls into the stable node near (4/3, -4/9);
+    # followed to max_time and to |z| = 1e6, such starts made a count cost
+    # 4 760 RK steps, where about 500 suffice with both edge branches
     scn = dg.scenario("mono_first")
     th = math.radians(58.92)
     point = (2e-3 * math.cos(th), 2e-3 * math.sin(th))
@@ -162,7 +180,7 @@ def test_cycle_count_stops_samples_that_cannot_return(monkeypatch):
     params = dg._params_at(scn, point)
     focus, _ = eq.find_equilibrium(scn.system, params, scn.focus_seed)
     section = hi.CrossSection.at(tuple(focus), (1.0, 0.0))
-    lowest = scn.cycle_bracket[0] - focus[1]
+    low = 1e-4 - focus[1]
     with pytest.raises(NoReturn, match=r"captured by the sink at "
                                        r"\(1\.33283, -0\.444022\) by t = 31\.25"):
-        cy.return_map(scn.system, params, section, lowest, tol=dg.CYCLE_TOL)
+        cy.return_map(scn.system, params, section, low, tol=dg.CYCLE_TOL)

@@ -106,6 +106,12 @@ def test_nonpositive_indices_rejected():
         mm.ModelMap(2.0, -1.0)
 
 
+@pytest.mark.parametrize("n, k_max", [(1, 0), (101, -1)])
+def test_bifurcation_set_rejects_too_few_points_or_turns(n, k_max):
+    with pytest.raises(DomainError, match="need n >= 2 and k_max >= 0"):
+        mm.bifurcation_set(mm.ModelMap(2.0, 2.0), n=n, k_max=k_max)
+
+
 def test_degenerate_indices_rejected_by_bifurcation_set():
     for lam, mu in ((1.0, 2.0), (2.0, 1.0), (2.0, 0.5)):
         with pytest.raises(Degenerate):
