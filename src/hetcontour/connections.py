@@ -12,6 +12,7 @@ sides of its two recipes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,43 @@ from .errors import NoIntersection
 # pieces that still do, down to WINDING_PIECES_MAX pieces per step
 WINDING_TURN = np.pi / 4
 WINDING_PIECES, WINDING_PIECES_MAX = 4, 1024
+# 8-point Gauss-Legendre on [0, 1]: the nodes, the weights, and row i of
+# GL_CUMULATIVE the integrals from 0 to node i of the Lagrange basis
+# polynomials of the nodes, so that GL_CUMULATIVE @ v integrates the
+# polynomial through the node values v from 0 to each node
+GL_NODES = np.array([
+    0.019855071751231884, 0.10166676129318664, 0.2372337950418355,
+    0.4082826787521751, 0.591717321247825, 0.7627662049581645,
+    0.8983332387068134, 0.9801449282487681])
+GL_WEIGHTS = np.array([
+    0.05061426814518813, 0.11119051722668724, 0.15685332293894363,
+    0.181341891689181, 0.181341891689181, 0.15685332293894363,
+    0.11119051722668724, 0.05061426814518813])
+GL_CUMULATIVE = np.array([
+    [0.025307134072594065, -0.009105943305970076, 0.006280831147030474,
+     -0.004483015613054752, 0.0030784913683267797, -0.0019176752546369523,
+     0.0009727576640592635, -0.0002775083271169192],
+    [0.05475932176755432, 0.05559525861334362, -0.01363979623578167,
+     0.008149708858360551, -0.0052153520891471536, 0.003139752985463669,
+     -0.0015649349109489424, 0.00044280230434223783],
+    [0.048587535998912884, 0.12085952499717317, 0.07842666146947182,
+     -0.01597510336187843, 0.008371732720226163, -0.00464346586210448,
+     0.0022257147752849, -0.0006188056952505154],
+    [0.05186552097058123, 0.1061934901483484, 0.17067113427455363,
+     0.0906709458445905, -0.016021041321025012, 0.00724120656122227,
+     -0.0031978143103607703, 0.0008592365842648527],
+    [0.04975503156092328, 0.114388331537048, 0.14961211637772137,
+     0.197362933010206, 0.0906709458445905, -0.013817811335609978,
+     0.004997027078338829, -0.001251252825393105],
+    [0.051233073840438646, 0.10896480245140233, 0.16149678880104812,
+     0.17297015896895482, 0.19731699505105943, 0.07842666146947182,
+     -0.009669007770485932, 0.0020267321462752487],
+    [0.05017146584084589, 0.11275545213763617, 0.15371356995347998,
+     0.18655724377832814, 0.17319218283082044, 0.17049311917472532,
+     0.05559525861334362, -0.004145053622366191],
+    [0.05089177647230505, 0.11021775956262797, 0.1587709981935806,
+     0.17826340032085422, 0.18582490730223575, 0.15057249179191318,
+     0.12029646053265731, 0.025307134072594065]])
 
 
 @dataclass(frozen=True)
@@ -109,18 +147,10 @@ def recipe_curve(sys, p, recipe, saddle, kind, section, tol=hi.DEFAULT_TOL,
         until=until).curve
 
 
-def splitting(sys, params, recipe, k=0, tol=hi.DEFAULT_TOL):
-    """The gaps of ``recipe``'s connection at windings 0..k, NaN at a
-    winding its unstable branch has no hit at.
-
-    The saddles are solved from the recipe's seeds, and the section runs
-    through its base point across the flow there.  The gap at winding w is
-    the section coordinate of the unstable branch's first hit of
-    ``_winding_at`` count w minus that of the stable branch's first hit.
-    The unstable branch stops at its first hit for k = 0, else at the end
-    of the ``grow_branch`` window of a hit at winding k or more.
-    NoIntersection when either branch never meets the section.
-    """
+def _measure(sys, params, recipe, k, tol):
+    """``splitting``'s row of gaps, with what it was measured from: the
+    full parameters, the source saddle, the target saddle, the section and
+    the unstable and stable branch curves."""
     p = sys.full_params(params)
     source, target = eq.saddles_at(sys, params, (recipe.source_seed,
                                                  recipe.target_seed))
@@ -137,13 +167,108 @@ def splitting(sys, params, recipe, k=0, tol=hi.DEFAULT_TOL):
     # each winding's first hit: the earliest one is written last
     first = dict(zip(winds[::-1], [z for _, _, z in hits[::-1]]))
 
-    shits = recipe_curve(sys, p, recipe, target, mf.Kind.STABLE, section,
-                         tol).event_hits
-    if not shits:
+    sb = recipe_curve(sys, p, recipe, target, mf.Kind.STABLE, section, tol)
+    if not sb.event_hits:
         raise NoIntersection("stable branch never met the section")
-    s_coord = section.coord(shits[0][2])
-    return tuple(float(section.coord(first[w]) - s_coord)
-                 if w in first else np.nan for w in range(k + 1))
+    s_coord = section.coord(sb.event_hits[0][2])
+    row = tuple(float(section.coord(first[w]) - s_coord)
+                if w in first else np.nan for w in range(k + 1))
+    return row, (p, source, target, section, ub, sb)
+
+
+def splitting(sys, params, recipe, k=0, tol=hi.DEFAULT_TOL):
+    """The gaps of ``recipe``'s connection at windings 0..k, NaN at a
+    winding its unstable branch has no hit at.
+
+    The saddles are solved from the recipe's seeds, and the section runs
+    through its base point across the flow there.  The gap at winding w is
+    the section coordinate of the unstable branch's first hit of
+    ``_winding_at`` count w minus that of the stable branch's first hit.
+    The unstable branch stops at its first hit for k = 0, else at the end
+    of the ``grow_branch`` window of a hit at winding k or more.
+    NoIntersection when either branch never meets the section.
+    """
+    return _measure(sys, params, recipe, k, tol)[0]
+
+
+def _branch_integrals(rhs, variation, curves, rows):
+    """Per curve, the integrals over its run of ``e^(D(end) - D) f ^ g``
+    for the ``rows`` of ``variation`` that hold g = (gx, gy), with D the
+    running integral of the divergence along the run from its start.
+
+    Each step is summed by GL_NODES-point Gauss-Legendre on its dense
+    output, with D at the nodes from GL_CUMULATIVE.  The steps of all the
+    curves are read in one array pass.  Returns the integrals, shape
+    ``(len(curves), len(rows))``, and ``e^D(end)`` of each curve.
+    """
+    step_t = [np.diff(c.t) for c in curves]
+    start = np.concatenate([c.xy[:-1] for c in curves]).T
+    dt = np.concatenate(step_t)
+    h = np.concatenate([c.interpolant.h for c in curves])
+    k = np.concatenate([c.interpolant.k for c in curves]).T
+    F = np.array(hi._dense_coefficients(rhs, *start, h, k))[:, :, None]
+    x, y = hi._interpolate(F, start[0, :, None], start[1, :, None],
+                           (dt / h)[:, None] * GL_NODES)
+    fx, fy = rhs(0.0, (x, y))
+    var = variation(x, y)
+    wedge = np.array([fx * var[i + 1] - fy * var[i] for i in rows])
+    integrals, growth = [], []
+    ends = np.cumsum([0] + [len(t) for t in step_t])
+    for a, b in zip(ends[:-1], ends[1:]):
+        step, div = dt[a:b], var[0, a:b]
+        d_step = step * (div @ GL_WEIGHTS)
+        d_end = np.cumsum(d_step)
+        d = (d_end - d_step)[:, None] + step[:, None] * (div @ GL_CUMULATIVE.T)
+        integrals.append(wedge[:, a:b] * np.exp(d_end[-1] - d)
+                         @ GL_WEIGHTS @ step)
+        growth.append(np.exp(d_end[-1]))
+    return np.array(integrals), np.array(growth)
+
+
+def gap_gradient(sys, params, recipe, active, tol=hi.DEFAULT_TOL):
+    """``(gap, gradient)``: ``recipe``'s winding-0 gap as `splitting`
+    measures it, and its partial derivatives in the two ``active``
+    parameters, from the same two branches.
+
+    Melnikov's first-order formula on each branch (Guckenheimer & Holmes,
+    *Nonlinear Oscillations*, 4.5): with g = df/dp, div the divergence and
+    the weight e^(-int div) normalised at the hit q, the unstable hit moves
+    by I_u / (n . f(q)) and the stable one by -I_s / (n . f(q)), where I_u
+    integrates the weighted f ^ g from the saddle to q and I_s from q to
+    the saddle.  The part between saddle and seed is the integrand at the
+    seed over |lambda_s| (unstable) or lambda_u (stable).  The section's
+    normal follows f at its base, so it turns by T . g(base) / |f(base)|,
+    and a hit at coordinate s moves by -s (f . T) / (f . n) times that.
+    NoIntersection where `splitting` has no winding-0 gap.
+    """
+    (gap,), (p, source, target, section, ub, sb) = _measure(
+        sys, params, recipe, 0, tol)
+    if math.isnan(gap):
+        raise NoIntersection("no section hit at winding 0")
+    names = [n for n, _ in sys.parameters]
+    rows = [1 + 2 * names.index(a) for a in active]
+    rhs, _, variation = sys.fields(p)
+    integrals, growth = _branch_integrals(rhs, variation, (ub, sb), rows)
+
+    # seeds, hits and the section base, in one array
+    pts = np.array([ub.xy[0], sb.xy[0], ub.event_hits[0][2],
+                    sb.event_hits[0][2], section.base]).T
+    fx, fy = rhs(0.0, pts)
+    var = variation(*pts)
+    gx, gy = var[rows], var[[r + 1 for r in rows]]
+    wedge = fx[:2] * gy[:, :2] - fy[:2] * gx[:, :2]
+    rates = np.array([-source.lambda_s, target.lambda_u])
+    # I_u and I_s: the stable run goes backward in time, from q to its seed
+    i_u, i_s = integrals * [[1.0], [-1.0]] + (growth * wedge / rates).T
+    n, t = np.array(section.normal), np.array(section.tangent)
+    f_hit = np.array([fx[2:4], fy[2:4]])
+    normal_speed = n @ f_hit
+    turn = (t @ [gx[:, 4], gy[:, 4]]) / math.hypot(fx[4], fy[4])
+    s_u, s_s = (section.coord(q) for q in pts[:, 2:4].T)
+    shift = -(t @ f_hit) / normal_speed * [s_u, s_s]
+    grad = (i_u / normal_speed[0] + i_s / normal_speed[1]
+            + (shift[0] - shift[1]) * turn)
+    return gap, grad
 
 
 def monodromic(saddle_L, saddle_M, to_M, to_L):

@@ -2,11 +2,11 @@
 
 Curves are zero sets of scalar gap functions, traced by pseudo-arclength
 continuation (secant predictor, 1D secant corrector transverse to the
-tangent, each corrector starting from the last slope of the one before).
-Codim-2 contour points are found by 2D Broyden quasi-Newton on a pair of
-gaps;
-the reversible one-parameter family is handled by a dedicated scalar search
-that exploits the x -> -x symmetry.
+tangent, each corrector starting from the last slope of the one before)
+from a start whose gap and gradient the caller supplies.  Codim-2 contour
+points are found by damped Newton on a pair of gaps and their exact
+Jacobian; the reversible one-parameter family is handled by a dedicated
+scalar search that exploits the x -> -x symmetry.
 """
 from __future__ import annotations
 
@@ -29,11 +29,8 @@ from .roots import brent, grid_roots
 RESIDUAL_TOL = 1e-6
 STEP_MIN = 1e-6
 STEP_MAX = 1e-2
-# forward-difference steps: the start gradient of a curve, the corrector's
-# fallback slope, and the codim-2 Newton's Jacobian columns
-TANGENT_H = 1e-6
+# the forward-difference step of the corrector's fallback slope
 CORRECTOR_H = 1e-7
-CODIM2_H = 1e-5
 # the codim-2 Newton stops at |F| <= CODIM2_TOL or a step of at most
 # CODIM2_STEP_TOL, and fails after CODIM2_MAX_ITER steps
 CODIM2_TOL, CODIM2_STEP_TOL, CODIM2_MAX_ITER = 1e-9, 1e-8, 25
@@ -70,6 +67,7 @@ class BifurcationCurve:
 class Codim2Point:
     location: tuple
     residuals: tuple
+    jacobian: tuple             # rows: the residuals' gradients there
     saddle_L: eq.Saddle
     saddle_M: eq.Saddle
     subcase: eq.SubcaseTag
@@ -119,16 +117,6 @@ def _refine_on_normal(f, z, n, f0, slope, tol, max_iter=12):
     raise NoConvergence(f"corrector stalled (|f|={abs(fs):.2e})")
 
 
-def _start_gradient(f, z, f0):
-    """Forward-difference gradient of f at the start, over ``TANGENT_H``."""
-    g = np.array([f(z + np.array([TANGENT_H, 0.0])) - f0,
-                  f(z + np.array([0.0, TANGENT_H])) - f0]) / TANGENT_H
-    ng = np.linalg.norm(g)
-    if ng == 0 or not np.isfinite(ng):
-        raise NoConvergence("gap gradient vanished at the start point")
-    return g
-
-
 def check_step(step):
     """DomainError unless the first continuation ``step`` is a positive
     finite number."""
@@ -137,16 +125,19 @@ def check_step(step):
                           f"got {step!r}")
 
 
-def continue_curve(sys, zero_function, start, tag=CurveTag.H_L, k=0,
-                   step=1e-3, step_max=STEP_MAX,
+def continue_curve(sys, zero_function, start, start_gap, start_gradient,
+                   tag=CurveTag.H_L, k=0, step=1e-3, step_max=STEP_MAX,
                    bounds=((-np.inf, np.inf), (-np.inf, np.inf)),
                    max_points=400):
     """Trace the zero curve of ``zero_function`` through ``start``, in both
     directions.
 
-    ``zero_function(sys, point)`` is a scalar gap; the start must already
-    satisfy it to ``RESIDUAL_TOL``, and the first ``step`` must pass
-    `check_step`.  Each direction's first step is ``min(step, step_max)``.
+    ``zero_function(sys, point)`` is a scalar gap.  ``start_gap`` and
+    ``start_gradient`` are its value and gradient at the start, which the
+    caller has measured: the value must be within ``RESIDUAL_TOL`` of zero,
+    the gradient finite and nonzero (else NoConvergence), and the first
+    ``step`` must pass `check_step`.  Each direction's first step is
+    ``min(step, step_max)``.
     Returns a BifurcationCurve whose ``endpoints`` name why each direction
     ended: ``"bounds"`` when its next point leaves ``bounds``, ``"stall"``
     when the corrector fails at ``STEP_MIN`` or a step makes no progress,
@@ -156,16 +147,20 @@ def continue_curve(sys, zero_function, start, tag=CurveTag.H_L, k=0,
     check_step(step)
     f = lambda z: float(zero_function(sys, z))
     z0 = np.asarray(start, float)
-    f0 = f(z0)
+    f0 = float(start_gap)
     if abs(f0) > RESIDUAL_TOL:
         raise CurveStall(f"start residual {abs(f0):.2e} above tolerance")
+    g = np.asarray(start_gradient, float)
+    ng = np.linalg.norm(g)
+    if ng == 0 or not np.isfinite(ng):
+        raise NoConvergence("gap gradient vanished or is not finite at "
+                            "the start point")
 
     def in_bounds(z):
         return (bounds[0][0] <= z[0] <= bounds[0][1]
                 and bounds[1][0] <= z[1] <= bounds[1][1])
 
-    g = _start_gradient(f, z0, f0)
-    t0 = np.array([-g[1], g[0]]) / np.linalg.norm(g)
+    t0 = np.array([-g[1], g[0]]) / ng
     halves = []
     for direction in (1.0, -1.0):
         pts = [z0.copy()]
@@ -214,15 +209,6 @@ def continue_curve(sys, zero_function, start, tag=CurveTag.H_L, k=0,
 # -- codim-2 Newton --------------------------------------------------------
 
 
-def _difference_jacobian(pair, z, F):
-    J = np.empty((2, 2))
-    for j in range(2):
-        dz = np.zeros(2)
-        dz[j] = CODIM2_H
-        J[:, j] = (pair(z + dz) - F) / CODIM2_H
-    return J
-
-
 def _newton_step(J, F):
     """-J^-1 F by Cramer's rule; Degenerate for a singular J."""
     (a, b), (c, d) = J
@@ -233,54 +219,46 @@ def _newton_step(J, F):
 
 
 def find_codim2(sys, residual_pair, guess, saddle_seeds, params_at):
-    """2D quasi-Newton on a pair of gap functions.
+    """Damped Newton on a pair of gap functions with their Jacobian.
 
-    ``residual_pair(sys, point) -> (r1, r2)``; ``saddle_seeds`` are rough
-    locations of the two saddles, used to attach eigen-data and the subcase
-    tag at the solution, with the parameters ``params_at(point)``.
+    ``residual_pair(sys, point) -> ((r1, r2), J)``, J the 2x2 Jacobian of
+    the pair at the point; ``saddle_seeds`` are rough locations of the two
+    saddles, used to attach eigen-data and the subcase tag at the solution,
+    with the parameters ``params_at(point)``.
 
-    The Jacobian is a forward difference at the guess, then Broyden's
-    rank-one update after each accepted step (Allgower & Georg,
-    *Introduction to Numerical Continuation Methods*, ch. 7).  When a full
-    step of an updated Jacobian fails to reduce |F|, the Jacobian is
-    differenced afresh and the step is damped by halving until |F| falls.
+    A full Newton step that does not reduce |F| is halved until it does.
     It stops at ``|F| <= CODIM2_TOL`` or a step of at most
-    ``CODIM2_STEP_TOL``; NoConvergence after ``CODIM2_MAX_ITER`` steps.
+    ``CODIM2_STEP_TOL``, and keeps the residuals and Jacobian of the point
+    it stops at; NoConvergence after ``CODIM2_MAX_ITER`` steps.
     """
-    pair = lambda z: np.asarray(residual_pair(sys, z), float)
+    def pair(z):
+        F, J = residual_pair(sys, z)
+        return np.asarray(F, float), np.asarray(J, float)
+
     z = np.asarray(guess, float)
-    F = pair(z)
-    J, fresh = None, False
+    F, J = pair(z)
     for _ in range(CODIM2_MAX_ITER):
         nF = np.linalg.norm(F)
         if nF <= CODIM2_TOL:
             break
-        if J is None:
-            J, fresh = _difference_jacobian(pair, z, F), True
         step = _newton_step(J, F)
-        F_new = pair(z + step)
         lam = 1.0
-        if not np.linalg.norm(F_new) < nF and not fresh:
-            J, fresh = _difference_jacobian(pair, z, F), True
-            step = _newton_step(J, F)
-            F_new = pair(z + step)
+        F_new, J_new = pair(z + step)
         while not np.linalg.norm(F_new) < nF:
             lam *= 0.5
             if lam <= 1e-6:
                 raise NoConvergence(f"codim-2 Newton stagnated at {tuple(z)}")
-            F_new = pair(z + lam * step)
-        s = lam * step
-        J = J + np.outer(F_new - F - J @ s, s) / (s @ s)
-        fresh = False
-        z, F = z + s, F_new
-        if np.linalg.norm(s) <= CODIM2_STEP_TOL:
+            F_new, J_new = pair(z + lam * step)
+        z, F, J = z + lam * step, F_new, J_new
+        if lam * np.linalg.norm(step) <= CODIM2_STEP_TOL:
             break
     else:
         raise NoConvergence("codim-2 Newton did not converge")
 
     saddles = eq.saddles_at(sys, params_at(z), saddle_seeds)
     tag = eq.classify_subcase(saddles[0], saddles[1])
-    return Codim2Point(tuple(z), tuple(F), saddles[0], saddles[1], tag)
+    return Codim2Point(tuple(z), tuple(F), tuple(map(tuple, J)), saddles[0],
+                       saddles[1], tag)
 
 
 # -- reversible one-parameter family ---------------------------------------

@@ -13,9 +13,11 @@ curves of a codim-2 seed are continued from its located point, where both
 gaps vanish; a homoclinic curve starts on a small arc about the first
 point.  A gap is `connections.splitting` of a recipe at a point of the
 scenario's two active parameters: `gap_function` reads its winding-0 gap,
-`winding_gap_function` its row of k-turn gaps.  Curves are traced with the
-pseudo-arclength tracer from `continuation`; fold-of-cycles curves that are
-only resolvable at the model-map level are attached from
+`winding_gap_function` its row of k-turn gaps, and `gradient_function`
+the winding-0 gap with its gradient (`connections.gap_gradient`), which
+the contour point's Newton and every curve start take.  Curves are traced
+with the pseudo-arclength tracer from `continuation`; fold-of-cycles
+curves that are only resolvable at the model-map level are attached from
 `modelmap.bifurcation_set` in the model's (beta1, beta2) plane.
 """
 from __future__ import annotations
@@ -114,14 +116,27 @@ def gap_function(scn, recipe_name):
     return gap
 
 
+def gradient_function(scn, recipe_name):
+    """(sys, point) -> (gap, gradient in the active parameters) of the
+    direct connection, by `connections.gap_gradient`."""
+    recipe = scn.recipes[recipe_name]
+    return lambda sys, point: cn.gap_gradient(sys, _params_at(scn, point),
+                                              recipe, scn.active)
+
+
 def contour_point(scn, seed):
     """The seed's codim-2 contour point, by `continuation.find_codim2` on
-    the gaps of its two recipes, with L and M the first recipe's saddles."""
-    gaps = [gap_function(scn, name) for name in seed.recipes]
+    the gaps and gradients of its two recipes, with L and M the first
+    recipe's saddles."""
+    grads = [gradient_function(scn, name) for name in seed.recipes]
     recipe = scn.recipes[seed.recipes[0]]
-    return ct.find_codim2(scn.system,
-                          lambda sys, z: tuple(g(sys, z) for g in gaps),
-                          seed.guess, [recipe.source_seed, recipe.target_seed],
+
+    def pair(sys, z):
+        (g1, j1), (g2, j2) = (g(sys, z) for g in grads)
+        return (g1, g2), (j1, j2)
+
+    return ct.find_codim2(scn.system, pair, seed.guess,
+                          [recipe.source_seed, recipe.target_seed],
                           lambda z: _params_at(scn, z))
 
 
@@ -143,11 +158,12 @@ def assemble_diagram(scn, bounds=None, k_max=2, step=5e-4, step_max=2e-3,
     """Trace every curve of the scenario; collect per-curve failures.
 
     Each seed's contour point is located once; its H_L and H_M curves are
-    continued both ways from it, and each homoclinic curve from the sign
-    change on its arc about the first point.  A curve stays inside
-    ``bounds``, by default its contour point +- ``scn.span``.  With a
-    ``model_box`` the model map's curves, read at the first point, are
-    added; a failure to derive them is recorded under ``"model_map"``.
+    continued both ways from it, starting from its residuals and Jacobian
+    rows, and each homoclinic curve from the sign change on its arc about
+    the first point, starting from one `gradient_function` there.  A curve
+    stays inside ``bounds``, by default its contour point +- ``scn.span``.
+    With a ``model_box`` the model map's curves, read at the first point,
+    are added; a failure to derive them is recorded under ``"model_map"``.
     A bad ``step``, ``max_points < 2`` or ``k_max < 0`` is DomainError.
     """
     ct.check_step(step)
@@ -158,17 +174,21 @@ def assemble_diagram(scn, bounds=None, k_max=2, step=5e-4, step_max=2e-3,
     first = None                  # the first seed's contour point
     unlocated = f"scenario {scn.name} has no located first contour point"
 
-    def trace(tag, recipe, point, start):
+    def trace(tag, recipe, point, start, row=None):
         try:
             if point is None:
                 raise NotFound(unlocated)
             z0 = point.location
             box = bounds or tuple((c - scn.span, c + scn.span) for c in z0)
-            if start is not None:
+            if start is None:
+                gap, grad = point.residuals[row], point.jacobian[row]
+            else:
                 z0 = find_curve_start(scn, start, z0)
+                gap, grad = gradient_function(scn, recipe)(scn.system, z0)
             curves.append(ct.continue_curve(
-                scn.system, gap_function(scn, recipe), z0, tag, step=step,
-                step_max=step_max, bounds=box, max_points=max_points))
+                scn.system, gap_function(scn, recipe), z0, gap, grad, tag,
+                step=step, step_max=step_max, bounds=box,
+                max_points=max_points))
         except HetContourError as exc:
             failures[f"{tag.name}[0]@{recipe}"] = (
                 f"{type(exc).__name__}: {exc}")
@@ -181,9 +201,9 @@ def assemble_diagram(scn, bounds=None, k_max=2, step=5e-4, step_max=2e-3,
             continue
         codim2.append(point)
         first = point if i == 0 else first
-        for tag, recipe in zip((ct.CurveTag.H_L, ct.CurveTag.H_M),
-                               seed.recipes):
-            trace(tag, recipe, point, None)
+        for row, (tag, recipe) in enumerate(zip(
+                (ct.CurveTag.H_L, ct.CurveTag.H_M), seed.recipes)):
+            trace(tag, recipe, point, None, row)
     for start in scn.curves:
         trace(start.tag, start.recipe, first, start)
 

@@ -76,7 +76,7 @@ def find_equilibrium(sys, params=None, guess=(0.0, 0.0), tol=1e-12,
     solve by Cramer's rule.
     """
     p = sys.full_params(params)
-    rhs, jacobian = sys.fields(p)
+    rhs, jacobian, _ = sys.fields(p)
 
     def field(x, y):
         check_state(x, y)
@@ -157,7 +157,7 @@ def sink_trap(sys, params, z, sections=()):
     V = e^T P e on the trap V <= lambda_min(P) r*^2, so every orbit in it
     stays there and tends to q (Khalil, *Nonlinear Systems*, 3rd ed., 8.2).
     """
-    rhs, jacobian = sys.fields(params)
+    rhs, jacobian, _ = sys.fields(params)
     # plain steps, not find_equilibrium's damped search: every iterate
     # must pass the sink and step-length tests below
     q = (float(z[0]), float(z[1]))

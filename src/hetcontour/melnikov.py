@@ -107,9 +107,10 @@ def _pieces(parabola, a, b, c):
         # term x(1-x)(2x-1), negated as time runs from x=1 to x=0: q = 1 - 2x
         div = [-5 * c, 4 * c - 4 * a - 2 * b, 2 * a + b]
         return [x / -c for x in div], [0.0, 1.0, -(a + b) / c], [-2.0, 1.0]
-    # f on y = 0: a x (1 - x) = -a (x)(x-1); divergence: (2a+b) - (3a+2b+c)x;
-    # perturbation term -x(1-x): q = -1
-    div = [-(3 * a + 2 * b + c), 2 * a + b]
+    # f on y = 0: a x (1 - x) = -a (x)(x-1); divergence: (a - 2ax) +
+    # ((a+b) - (2a+2b+c)x) = (2a+b) - (4a+2b+c)x; perturbation term
+    # -x(1-x): q = -1
+    div = [-(4 * a + 2 * b + c), 2 * a + b]
     return [x / -a for x in div], [0.0, 1.0], [-1.0]
 
 

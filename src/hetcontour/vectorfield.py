@@ -45,15 +45,18 @@ class ParametricSystem:
                     raise ParseError(f"coefficient uses undeclared "
                                      f"parameter(s) {sorted(undeclared)}", key)
         # f, g and their partials df/dx, df/dy, dg/dx, dg/dy: one flat
-        # coefficient list feeds one closure factory compiled here
+        # coefficient list feeds one closure factory compiled here; the
+        # parameter partials of f and g have constant coefficients
         polys = (self.x_dot, self.y_dot, poly_dx(self.x_dot),
                  poly_dy(self.x_dot), poly_dx(self.y_dot), poly_dy(self.y_dot))
         names = [n for n, _ in self.parameters]
         self._coeffs = tuple(_float_affine(c, names)
                              for poly in polys for c in poly.values())
-        self._field_factory = _compile_factory(polys)
-        # the last parameter point's (rhs, jacobian), keyed by its floats:
-        # a branch's run and a gap's saddle solves share one point
+        self._field_factory = _compile_factory(polys, [
+            {m: float(c.terms[n]) for m, c in poly.items() if n in c.terms}
+            for n in names for poly in (self.x_dot, self.y_dot)])
+        # the last parameter point's closures, keyed by its floats: a
+        # branch's run and a gap's saddle solves share one point
         self._last_fields = (None, None)
 
     # -- parameters -------------------------------------------------------
@@ -106,11 +109,15 @@ class ParametricSystem:
         return self.fields(params)[0]
 
     def fields(self, params):
-        """The (rhs, jacobian) closures at one parameter point, built together.
+        """The (rhs, jacobian, variation) closures at one parameter point,
+        built together.
 
-        Each coefficient is summed as ``AffineExpr.evaluate`` sums it in
-        floats, term by term in the same order, so the values are the same.
-        The pair of the last point asked for is kept and handed out again.
+        ``variation(x, y)`` is the array of the divergence of the field and
+        the partials (df/dp, dg/dp) of each parameter in declaration order,
+        at a point or elementwise on arrays.  Each coefficient is summed as
+        ``AffineExpr.evaluate`` sums it in floats, term by term in the same
+        order, so the values are the same.  The closures of the last point
+        asked for are kept and handed out again.
         """
         p = self._resolve(params)
         vals = tuple(float(p[n]) for n, _ in self.parameters)
@@ -180,18 +187,25 @@ def _float_affine(expr, names):
                                     for k in expr.param_names())
 
 
-def _compile_factory(polys):
-    """``factory(*coeffs) -> (rhs, jacobian)`` for the six polynomials,
-    each summed in its key order."""
-    args, sources = [], []
-    for poly in polys:
-        parts = []
-        for px, py in poly:
-            c = f"c{len(args)}"
-            args.append(c)
-            parts.append("*".join([c] + ["x"] * px + ["y"] * py))
-        sources.append(" + ".join(parts) if parts else "0.0")
-    f, g, fx, fy, gx, gy = sources
+def _compile_factory(polys, partials):
+    """``factory(*coeffs) -> (rhs, jacobian, variation)`` for the six
+    polynomials, each summed in its key order, and the ``partials``, whose
+    float coefficients are written into the source."""
+    args = []
+
+    def arg(_):
+        args.append(f"c{len(args)}")
+        return args[-1]
+
+    def source(poly, coeff):
+        parts = ["*".join([coeff(c)] + ["x"] * px + ["y"] * py)
+                 for (px, py), c in poly.items()]
+        return " + ".join(parts) if parts else "0.0"
+
+    f, g, fx, fy, gx, gy = (source(poly, arg) for poly in polys)
+    # every row gets ``z``, so that a constant one takes the shape of x
+    rows = ", ".join(f"{r} + z" for r in [f"{fx} + {gy}"] + [
+        source(poly, repr) for poly in partials])
     ns = {"np": np}
     exec(f"def _factory({', '.join(args)}):\n"
          " def rhs(t, z):\n"
@@ -199,7 +213,10 @@ def _compile_factory(polys):
          f"  return [{f}, {g}]\n"
          " def jacobian(x, y):\n"
          f"  return np.array([[{fx}, {fy}], [{gx}, {gy}]])\n"
-         " return rhs, jacobian\n", ns)
+         " def variation(x, y):\n"
+         "  z = 0.0 * x\n"
+         f"  return np.array([{rows}])\n"
+         " return rhs, jacobian, variation\n", ns)
     return ns["_factory"]
 
 

@@ -272,3 +272,77 @@ def test_one_integration_per_orbit(monkeypatch):
     _, period = hi.poincare_map(ellipse, {}, sec, (0.0, 1.0), 16.0)
     assert period == pytest.approx(2 * np.pi, rel=1e-8)
     assert len(calls) == 1
+
+
+# gap_gradient's test points: every recipe of the three scenarios, at the
+# contour points and up to 0.1 off them; the homoclinic recipes where their
+# branch meets its section, about the P curves
+GRADIENT_POINTS = [
+    ("heart", recipe, point)
+    for recipe in ("LM_low", "ML_low")
+    for point in ((0.4224379964, -0.4520108994), (0.5, -0.5), (0.3, -0.35))
+] + [
+    ("heart", recipe, point)
+    for recipe in ("LM_up", "ML_up")
+    for point in ((-0.4224379963, 0.4520108994), (-0.5, 0.5))
+] + [
+    (name, recipe, point)
+    for name in ("mono_first", "mono_second")
+    for recipe in ("axis", "parabola")
+    for point in ((0.0, 0.0), (-0.007071, 0.007071))
+] + [
+    ("mono_first", "loop_L", (-0.001992, 0.000174)),
+    ("mono_first", "loop_L", (-0.001414, -0.001414)),
+    ("mono_first", "loop_M", (-0.001414, -0.001414)),
+    ("mono_first", "loop_M", (0.001, -0.001732)),
+    ("mono_second", "loop_L", (-0.02, 0.0)),
+    ("mono_second", "loop_L", (-0.014142, -0.014142)),
+    ("mono_second", "loop_M", (-0.014142, -0.014142)),
+    ("mono_second", "loop_M", (0.01, -0.017321)),
+]
+
+
+@pytest.mark.parametrize("name,recipe_name,point", GRADIENT_POINTS)
+def test_gap_gradient_matches_central_differences(name, recipe_name, point):
+    # the differences over h = 1e-5 of gaps measured at a tolerance of
+    # 1e-12 agree to 1.6e-7 or better; the bound of 1e-6 still sees the
+    # saddle-to-seed term, 1.5e-6 of the gradient on heart
+    scn = dg.scenario(name)
+    recipe = scn.recipes[recipe_name]
+    at = lambda z: dg._params_at(scn, z)
+    gap, grad = cn.gap_gradient(scn.system, at(point), recipe, scn.active)
+    assert gap == cn.splitting(scn.system, at(point), recipe)[0]
+    h, tol = 1e-5, (1e-12, 1e-12)
+    diff = [(cn.splitting(scn.system, at(np.add(point, step)), recipe, 0,
+                          tol)[0]
+             - cn.splitting(scn.system, at(np.subtract(point, step)), recipe,
+                            0, tol)[0]) / (2 * h)
+            for step in ((h, 0.0), (0.0, h))]
+    assert np.linalg.norm(grad - diff) <= 1e-6 * np.linalg.norm(grad)
+
+
+def test_gap_gradient_has_no_winding_0_gap_where_splitting_has_none(
+        monkeypatch):
+    # splitting's row with no winding-0 hit: NoIntersection, as gap_function
+    scn = dg.scenario("mono_first")
+    measure = cn._measure
+    monkeypatch.setattr(cn, "_measure", lambda *a: ((np.nan,),
+                                                    measure(*a)[1]))
+    with pytest.raises(NoIntersection, match="no section hit at winding 0"):
+        cn.gap_gradient(scn.system, dg._params_at(scn, (0.0, 0.0)),
+                        scn.recipes["axis"], scn.active)
+
+
+def test_gauss_legendre_constants():
+    # the nodes and weights on [0, 1], and the integrals from 0 to each node
+    # of the Lagrange basis polynomials of the nodes
+    from numpy.polynomial import legendre
+
+    xi, w = legendre.leggauss(8)
+    assert np.allclose(cn.GL_NODES, (1 + xi) / 2, rtol=0, atol=1e-15)
+    assert np.allclose(cn.GL_WEIGHTS, w / 2, rtol=0, atol=1e-15)
+    basis = np.linalg.inv(legendre.legvander(xi, 7))
+    cumulative = np.array([[legendre.legval(x, legendre.legint(basis[:, j],
+                                                               lbnd=-1)) / 2
+                            for j in range(8)] for x in xi])
+    assert np.allclose(cn.GL_CUMULATIVE, cumulative, rtol=0, atol=1e-14)

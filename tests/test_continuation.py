@@ -9,7 +9,7 @@ from hetcontour import continuation as ct
 from hetcontour import diagrams as dg
 from hetcontour import vectorfield as vf
 from hetcontour.errors import (BracketError, CurveStall, Degenerate,
-                               DomainError, NoIntersection)
+                               DomainError, NoConvergence, NoIntersection)
 
 
 def circle_gap(radius):
@@ -17,9 +17,14 @@ def circle_gap(radius):
     return lambda sys, z: z[0] ** 2 + z[1] ** 2 - radius ** 2
 
 
+def circle_start(radius):
+    # the start (r, 0) of the circle, its gap and its gradient there
+    return (radius, 0.0), 0.0, (2 * radius, 0.0)
+
+
 def test_continue_curve_traces_circle():
     r = 0.1
-    curve = ct.continue_curve(None, circle_gap(r), (r, 0.0),
+    curve = ct.continue_curve(None, circle_gap(r), *circle_start(r),
                               step=5e-3, max_points=200)
     radii = np.linalg.norm(curve.points, axis=1)
     # residual tol 1e-6 on r^2 - r0^2 allows radius error ~ tol / (2 r0)
@@ -31,32 +36,36 @@ def test_continue_curve_traces_circle():
 
 
 def _gap_budget(curve):
-    # the gap and two differences at the start, then the predictor and one
-    # secant step from the carried slope per continuation point
-    return 3 + 2 * (len(curve.points) - 1)
+    # no gap at the start, whose gap and gradient the caller gives; then
+    # the predictor and one secant step from the carried slope per
+    # continuation point
+    return 2 * (len(curve.points) - 1)
 
 
 def test_continue_curve_gap_budget_on_the_circle():
     calls = []
     gap = circle_gap(0.1)
     curve = ct.continue_curve(None, lambda s, z: calls.append(1) or gap(s, z),
-                              (0.1, 0.0), step=5e-3, max_points=200)
+                              *circle_start(0.1), step=5e-3, max_points=200)
     assert len(curve.points) == 399
     assert len(calls) <= _gap_budget(curve)
 
 
 def test_continue_curve_gap_budget_on_heart():
-    # the first heart curve, H_L from C1, as assemble_diagram traces it,
-    # at 20 points a side: three gaps a point with a difference slope in
-    # every corrector
+    # the first heart curve, H_L from C1, as assemble_diagram traces it
+    # from the contour point's first residual and Jacobian row, at 20
+    # points a side: three gaps a point with a difference slope in every
+    # corrector
     scn = dg.scenario("heart")
     seed = scn.codim2[0]
-    z0 = dg.contour_point(scn, seed).location
+    point = dg.contour_point(scn, seed)
+    z0 = point.location
     gap = dg.gap_function(scn, seed.recipes[0])
     calls = []
     box = tuple((c - scn.span, c + scn.span) for c in z0)
     curve = ct.continue_curve(scn.system,
                               lambda s, z: calls.append(1) or gap(s, z), z0,
+                              point.residuals[0], point.jacobian[0],
                               ct.CurveTag.H_L, step=5e-4, step_max=2e-3,
                               bounds=box, max_points=20)
     assert curve.endpoints == ("max_points", "max_points")
@@ -80,7 +89,8 @@ def test_corrector_falls_back_to_a_difference_slope():
 
 def test_continue_curve_respects_bounds():
     r = 0.1
-    curve = ct.continue_curve(None, circle_gap(r), (r, 0.0), step=5e-3,
+    curve = ct.continue_curve(None, circle_gap(r), *circle_start(r),
+                              step=5e-3,
                               bounds=((0.0, np.inf), (-np.inf, np.inf)),
                               max_points=400)
     assert "bounds" in curve.endpoints
@@ -89,7 +99,14 @@ def test_continue_curve_respects_bounds():
 
 def test_continue_curve_rejects_bad_start():
     with pytest.raises(CurveStall):
-        ct.continue_curve(None, circle_gap(0.1), (0.2, 0.0))
+        ct.continue_curve(None, circle_gap(0.1), (0.2, 0.0), 0.03,
+                          (0.4, 0.0))
+
+
+@pytest.mark.parametrize("gradient", [(0.0, 0.0), (math.nan, 1.0)])
+def test_continue_curve_rejects_a_start_gradient_with_no_direction(gradient):
+    with pytest.raises(NoConvergence, match="gradient vanished"):
+        ct.continue_curve(None, circle_gap(0.1), (0.1, 0.0), 0.0, gradient)
 
 
 @pytest.mark.parametrize("step", [-5e-4, 0.0, math.inf, math.nan])
@@ -99,12 +116,12 @@ def test_continue_curve_rejects_a_step_that_is_not_positive(step):
     gap = circle_gap(0.1)
     with pytest.raises(DomainError, match="continuation step"):
         ct.continue_curve(None, lambda s, z: calls.append(1) or gap(s, z),
-                          (0.1, 0.0), step=step)
+                          *circle_start(0.1), step=step)
     assert calls == []
 
 
 def test_mirrored_curve():
-    curve = ct.continue_curve(None, circle_gap(0.05), (0.05, 0.0),
+    curve = ct.continue_curve(None, circle_gap(0.05), *circle_start(0.05),
                               step=5e-3, max_points=30)
     mir = curve.mirrored()
     assert np.allclose(mir.points, -curve.points[::-1])
@@ -115,7 +132,7 @@ def test_find_codim2_analytic_pair():
     # the residual pair vanishes exactly at the default (b, c) of the cubic
     # family, so the attached saddle data matches the default system
     sys_ = vf.builtin("mono_unperturbed")
-    pair = lambda s, z: (z[0] + 3.0, z[1] - 1.5)
+    pair = lambda s, z: ((z[0] + 3.0, z[1] - 1.5), np.eye(2))
     pt = ct.find_codim2(sys_, pair, (-2.9, 1.4), ((0.0, 0.0), (1.0, 0.0)),
                         lambda z: {"b": z[0], "c": z[1]})
     assert np.allclose(pt.location, (-3.0, 1.5), atol=1e-8)
@@ -129,7 +146,7 @@ def test_find_codim2_attaches_saddles_at_the_scenario_parameters():
     # mono_second runs at c = 1/2, not the system's default 3/2: there the
     # saddle M at (1, 0) has index 2/3 and L at (0, 0) has index 2
     scn = dg.scenario("mono_second")
-    pair = lambda s, z: (z[0], z[1])
+    pair = lambda s, z: ((z[0], z[1]), np.eye(2))
     pt = ct.find_codim2(scn.system, pair, (1e-3, -1e-3),
                         ((0.0, 0.0), (1.0, 0.0)),
                         lambda z: dg._params_at(scn, z))
@@ -139,23 +156,25 @@ def test_find_codim2_attaches_saddles_at_the_scenario_parameters():
 
 
 def test_find_codim2_step_rule_exit_reuses_the_accepted_residuals():
-    # a steep cubic: the forward-difference slope over h = 1e-5 dwarfs the
-    # true one 1e-6 from the root, so the first Newton step is below
-    # step_tol while |F| is still above tol, and the loop ends on the step
-    # rule; one pair at the guess, two for the Jacobian, one accepted
+    # a steep cubic with its exact Jacobian, 1e-8 from its root: Newton's
+    # step there, a third of that, is below step_tol while |F| = 1e-8 is
+    # above tol, so the loop ends on the step rule after one pair at the
+    # guess and one accepted, and keeps the accepted pair
     sys_ = vf.builtin("mono_unperturbed")
     seen = []
 
     def pair(s, z):
         seen.append(tuple(z))
-        return (1e10 * (z[0] - 0.3) ** 3, z[1] - 0.2)
+        return ((1e16 * (z[0] - 0.3) ** 3, z[1] - 0.2),
+                ((3e16 * (z[0] - 0.3) ** 2, 0.0), (0.0, 1.0)))
 
-    pt = ct.find_codim2(sys_, pair, (0.3 + 1e-6, 0.2),
+    pt = ct.find_codim2(sys_, pair, (0.3 + 1e-8, 0.2),
                         ((0.0, 0.0), (1.0, 0.0)), lambda z: {})
     assert np.linalg.norm(pt.residuals) > 1e-9
-    assert len(seen) == 4 and len(set(seen)) == 4
+    assert len(seen) == 2 and len(set(seen)) == 2
     assert pt.location == seen[-1]
-    assert pt.residuals == pair(None, pt.location)
+    F, J = pair(None, pt.location)
+    assert pt.residuals == F and pt.jacobian == J
 
 
 @pytest.mark.parametrize("index,before", [
@@ -163,20 +182,25 @@ def test_find_codim2_step_rule_exit_reuses_the_accepted_residuals():
     (1, (-0.4224379961738838, 0.4520108993193541))])
 def test_find_codim2_on_heart_takes_few_pairs(index, before, monkeypatch):
     # ``before``: the points a Newton step with a fresh difference Jacobian
-    # at every iterate found, from ten pairs each; a pair is two splittings
+    # at every iterate found, from ten pairs each; a pair is now two gaps
+    # with their gradients, and no other gap is measured
     calls = []
-    splitting = cn.splitting
-    monkeypatch.setattr(cn, "splitting",
-                        lambda *a, **k: calls.append(1) or splitting(*a, **k))
+    gap_gradient, splitting = cn.gap_gradient, cn.splitting
+    monkeypatch.setattr(
+        cn, "gap_gradient",
+        lambda *a, **k: calls.append(1) or gap_gradient(*a, **k))
+    monkeypatch.setattr(
+        cn, "splitting", lambda *a, **k: calls.append(0) or splitting(*a, **k))
     scn = dg.scenario("heart")
     pt = dg.contour_point(scn, scn.codim2[index])
-    assert len(calls) <= 2 * 8
+    assert 0 not in calls and len(calls) <= 2 * 4
     assert np.max(np.abs(np.subtract(pt.location, before))) <= 1e-9
     assert np.linalg.norm(pt.residuals) <= 1e-9
 
 
 def test_find_codim2_singular_jacobian():
-    pair = lambda s, z: (z[0] + z[1], 2.0 * (z[0] + z[1]) + 1.0)
+    pair = lambda s, z: ((z[0] + z[1], 2.0 * (z[0] + z[1]) + 1.0),
+                         ((1.0, 1.0), (2.0, 2.0)))
     with pytest.raises(Degenerate):
         ct.find_codim2(None, pair, (0.3, 0.2), (), None)
 

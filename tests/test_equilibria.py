@@ -377,8 +377,9 @@ def test_cheap_filter_makes_no_newton_step(monkeypatch):
     fields = vf.ParametricSystem.fields
 
     def counted(self, params):
-        rhs, jacobian = fields(self, params)
-        return rhs, lambda x, y: evaluated.append((x, y)) or jacobian(x, y)
+        rhs, jacobian, variation = fields(self, params)
+        return (rhs, lambda x, y: evaluated.append((x, y)) or jacobian(x, y),
+                variation)
     monkeypatch.setattr(vf.ParametricSystem, "fields", counted)
     # a Newton step far above TRAP_NEWTON_STEP, and det J < 0: one
     # Jacobian each

@@ -3,10 +3,13 @@ closed form and against scipy's quad."""
 import math
 import warnings
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from hetcontour import equilibria as eq
 from hetcontour import melnikov as ml
+from hetcontour import vectorfield as vf
 from hetcontour.errors import QuadratureError
 
 
@@ -43,7 +46,7 @@ def test_broken_connection_rejected():
 
 
 @pytest.mark.parametrize("connection, a, c, reason", [
-    # res_1 = c - 2 = 3: the integrand goes like (1 - x)^-2 at x = 1
+    # res_1 = c - 1 = 4: the integrand goes like (1 - x)^-3 at x = 1
     (ml.Connection.X_AXIS, 1.0, 5.0, "divergent integral"),
     # r_3 = -(a + b)/c = 1 is a double root of dx/dt
     (ml.Connection.PARABOLA, 1.0, 2.0, "coincident roots"),
@@ -64,19 +67,40 @@ def test_faulty_integrals_are_decided_without_a_warning(connection, a, c,
 
 
 @pytest.mark.parametrize("a, b, c", [
-    (1.0, -3.0, 0.6), (1.0, -3.0, 1.5), (1.0, -3.0, 3.0), (1.0, -3.0, 3.9),
+    (1.0, -3.0, 0.6), (1.0, -3.0, 1.0), (1.0, -3.0, 1.5), (1.0, -3.0, 1.9),
     (2.0, -5.0, 1.0),
 ])
 def test_axis_integral_is_a_beta_function(a, b, c):
-    # the weight is (2x)^-r0 (2(1-x))^-r1 with residues r0 = (2a+b)/a and
-    # r1 = (a+b+c)/a, so the integral is -2^-(r0+r1) B(2 - r0, 2 - r1)
-    r0, r1 = (2 * a + b) / a, (a + b + c) / a
+    # on the axis the weight exp(-int_{1/2}^x div / f) is (2x)^-r0
+    # (2(1-x))^-r1, with the residues of div / f at the saddles: r0 =
+    # 1 + lambda_s / lambda_u at L and r1 = 1 + lambda_u / lambda_s at M,
+    # read off the field's own eigenvalues; so the integral is
+    # -2^-(r0+r1) B(2 - r0, 2 - r1).  M is a saddle for c < 2
+    sys_ = vf.builtin("mono_unperturbed")
+    p = sys_.full_params({"a": a, "b": b, "c": c})
+    L, M = (eq.saddle_data(sys_, p, z) for z in ((0.0, 0.0), (1.0, 0.0)))
+    r0, r1 = 1 + L.lambda_s / L.lambda_u, 1 + M.lambda_u / M.lambda_s
     exact = -2 ** -(r0 + r1) * math.gamma(2 - r0) * math.gamma(2 - r1) \
         / math.gamma(4 - r0 - r1)
     res = ml.melnikov_integral(ml.MelnikovProblem(
         a=a, b=b, c=c, connection=ml.Connection.X_AXIS))
     assert abs(res.value - exact) <= 1e-14 * abs(exact)
     assert res.error_estimate <= 1e-9
+
+
+@pytest.mark.parametrize("c, expected", [(0.5, -0.1436661), (1.5, -0.2154992)])
+def test_axis_integral_matches_nested_scipy_quadrature(c, expected):
+    # the divergence from the trace of the field's own Jacobian on y = 0
+    sys_ = vf.builtin("mono_unperturbed")
+    p = sys_.full_params({"c": c})
+    f = lambda x: sys_.rhs(x, 0.0, p)[0]
+    div = lambda x: float(np.trace(sys_.jacobian(x, 0.0, p)))
+    weight = lambda x: math.exp(-quad(lambda s: div(s) / f(s), 0.5, x)[0])
+    ref = quad(lambda x: -x * (1 - x) * weight(x), 0, 1)[0]
+    value = ml.melnikov_integral(ml.MelnikovProblem(
+        c=c, connection=ml.Connection.X_AXIS)).value
+    assert abs(value - ref) <= 1e-10
+    assert abs(value - expected) <= 1e-7
 
 
 @pytest.mark.parametrize("c", [0.5, 1.0, 1.5, 1.9])

@@ -6,9 +6,13 @@ A public name that no module, test or demo refers to is dead API: it is
 either gated by a test or deleted; so is a dataclass field that nothing
 reads.  Only references in code count; a name that is merely mentioned in
 a docstring or a comment is still unused.  No package module catches every
-exception, and only one parses expressions.
+exception, and only one parses expressions.  Importing the command line
+computes no quadrature table.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -123,3 +127,15 @@ def test_one_module_parses_expressions():
                and node.func.value.id == "ast"
                for node in ast.walk(ast.parse(path.read_text()))))
     assert parsers == ["affine"]
+
+
+def test_importing_the_cli_loads_no_numpy_polynomial():
+    # constants such as the Gauss-Legendre table are written out: deriving
+    # them at import would load numpy.polynomial, and add its start-up time
+    # and memory to every run
+    code = ("import sys, hetcontour.cli; "
+            "print('numpy.polynomial' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

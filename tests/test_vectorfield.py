@@ -271,6 +271,27 @@ def test_compiled_rhs_matches_rhs(rng):
                                rtol=1e-13, atol=1e-13), name
 
 
+@pytest.mark.parametrize("name", vf.BUILTIN_NAMES)
+def test_variation_is_the_divergence_and_the_parameter_partials(name, rng):
+    # the field is affine in each parameter, so a central difference in a
+    # parameter is its partial up to rounding; constant rows (revers_base's
+    # zero divergence) take the shape of the points
+    sys_ = vf.builtin(name)
+    names = [n for n, _ in sys_.parameters]
+    params = {n: float(rng.uniform(-2, 2)) for n in names}
+    x, y = rng.uniform(-2, 2, size=(2, 7))
+    rows = sys_.fields(params)[2](x, y)
+    assert rows.shape == (1 + 2 * len(names), 7)
+    for i in range(7):
+        assert rows[0, i] == pytest.approx(
+            np.trace(sys_.jacobian(x[i], y[i], params)), abs=1e-12)
+    for j, n in enumerate(names):
+        up, down = (np.array(sys_.compiled_rhs(dict(params, **{n: v}))(
+            0.0, (x, y))) for v in (params[n] + 0.5, params[n] - 0.5))
+        assert np.allclose(rows[1 + 2 * j:3 + 2 * j], up - down,
+                           rtol=0, atol=1e-12)
+
+
 def test_compiled_rhs_keeps_its_parameter_point():
     sys_ = vf.builtin("diss_heart")
     p1 = sys_.full_params({"alpha": 0.3, "epsilon": -0.2})
