@@ -225,7 +225,7 @@ def _branch_integrals(rhs, variation, curves, rows):
     return np.array(integrals), np.array(growth)
 
 
-def gap_gradient(sys, params, recipe, active, tol=hi.DEFAULT_TOL):
+def gap_gradient(sys, params, recipe, active):
     """``(gap, gradient)``: ``recipe``'s winding-0 gap as `splitting`
     measures it, and its partial derivatives in the two ``active``
     parameters, from the same two branches.
@@ -242,7 +242,7 @@ def gap_gradient(sys, params, recipe, active, tol=hi.DEFAULT_TOL):
     NoIntersection where `splitting` has no winding-0 gap.
     """
     (gap,), (p, source, target, section, ub, sb) = _measure(
-        sys, params, recipe, 0, tol)
+        sys, params, recipe, 0, hi.DEFAULT_TOL)
     if math.isnan(gap):
         raise NoIntersection("no section hit at winding 0")
     names = [n for n, _ in sys.parameters]
