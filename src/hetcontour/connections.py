@@ -100,16 +100,17 @@ def _angles(pts, center):
     return np.arctan2(pts[1] - center[1], pts[0] - center[0])
 
 
-def _winding_at(traj, center, times):
-    """Accumulated |angle| around ``center`` at each of ``times``, in turns.
+def _winding_at(traj, center, hits):
+    """Accumulated |angle| around ``center`` at each of the ``event_hits``
+    entries ``hits`` of ``traj``, in turns.
 
     The angle is followed along the samples.  A step whose ends lie more
     than WINDING_TURN apart in angle is split on the dense output, and its
     pieces are halved until none does.  A piece of an orbit that turns by
     less than 3 pi / 4 sweeps less than 7 pi / 4 around any point, so each
     piece has then swept less than WINDING_TURN, and unwrapping keeps every
-    turn however far a step sweeps.  The orbit at ``times`` is read off the
-    dense output, not interpolated between samples.
+    turn however far a step sweeps.  The orbit at a hit is the point the
+    run located it at, not one interpolated between samples.
     """
     n = np.ones(len(traj.t) - 1, int)
     fine, pts = traj.t, traj.xy.T
@@ -123,9 +124,10 @@ def _winding_at(traj, center, times):
             break
         n[grow] = np.maximum(2 * n[grow], WINDING_PIECES)
         fine, pts = _step_points(traj, n)
-    tq = np.concatenate([fine, times])
-    pq = np.concatenate([pts, traj(np.asarray(times, float)).reshape(2, -1)],
-                        axis=1)
+    tq = np.concatenate([fine, [t for _, t, _ in hits]])
+    pq = np.concatenate(
+        [pts, np.array([z for _, _, z in hits], float).reshape(-1, 2).T],
+        axis=1)
     order = np.argsort(tq if fine[-1] >= fine[0] else -tq, kind="stable")
     acc = np.empty(len(tq))
     ang = np.unwrap(_angles(pq[:, order], center))
@@ -156,14 +158,14 @@ def _measure(sys, params, recipe, k, tol):
                                                  recipe.target_seed))
     section = hi.CrossSection.transverse_to_flow(sys, p, recipe.section_base)
     center = source.location
-    wound = lambda curve: max(_winding_at(
-        curve, center, [h[1] for h in curve.event_hits])) >= k
+    wound = lambda curve: max(_winding_at(curve, center,
+                                          curve.event_hits)) >= k
     ub = recipe_curve(sys, p, recipe, source, mf.Kind.UNSTABLE, section, tol,
                       until=wound if k else None)
     hits = ub.event_hits
     if not hits:
         raise NoIntersection("unstable branch never met the section")
-    winds = _winding_at(ub, center, [h[1] for h in hits])
+    winds = _winding_at(ub, center, hits)
     # each winding's first hit: the earliest one is written last
     first = dict(zip(winds[::-1], [z for _, _, z in hits[::-1]]))
 

@@ -3,18 +3,27 @@
 One DOP853 loop over plain floats (Dormand & Prince 1980; Hairer, Norsett &
 Wanner, *Solving ODEs I*, II.4 and II.10): the tableau, initial step,
 error norm and step-size control of SciPy's DOP853, with its seventh-order
-interpolant for the dense output.  The interpolant costs three more field
-calls per step, so the loop builds it only for a step with an event to
-locate, and a trajectory only for a step that is read.  Events are located
-on it with ``roots.brent`` by SciPy's event rules (Shampine & Thompson,
-"Event location for ODEs", 2000).  Around the loop sit the
-trajectory/termination bookkeeping and the cross-section geometry the rest
-of the toolkit works with.
+interpolant for the dense output.  The loop is compiled once per field, at
+its first run, from a source template: each stage evaluates the field's
+polynomials inline, summed as its ``rhs`` closure sums them, so a run is
+the same float for float, and the tableau is written in as literals.  The
+last stage is evaluated only for an accepted step, since no error estimate
+reads it.  The interpolant costs three more field calls per step, so the
+loop builds it only for a step with an event to locate, and a trajectory
+only for a step that is read.  Events are located on it with
+``roots.brent`` by SciPy's event rules (Shampine & Thompson, "Event
+location for ODEs", 2000).  Around the loop sit the trajectory/termination
+bookkeeping and the cross-section geometry the rest of the toolkit works
+with.
 """
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import re
+import string
+import textwrap
 from array import array
 from dataclasses import dataclass
 
@@ -357,29 +366,33 @@ def _trajectory(f, ts, zs, hs, ks, termination, hits, read):
                       termination, hits)
 
 
-def _dop853(f, t0, x0, y0, t_end, rtol, atol, events, n_sections, watch):
-    """DOP853 from ``(x0, y0)`` at ``t0`` towards ``t_end``.
-
-    ``events``: ``(g, direction, terminal)`` triples with ``g(x, y)``; a
-    step is searched for a root of ``g`` when ``g <= 0 <= g_new`` (or the
-    reverse) in a direction ``direction`` admits, and roots are kept up to
-    and including the first terminal one.  ``watch``: see ``integrate``.
-    Returns the sample, step-size and kept-stage arrays, the hits of the
-    first ``n_sections`` events and why the run ended: the index of the
-    event, a watch's Termination, or None at ``t_end``.
-    """
+# DOP853 from ``(u, v)`` at ``t0`` towards ``t_end``, the source that
+# ``_compile_loop`` compiles once per field: ``$f`` and ``$g`` stand for the
+# field's dx/dt and dy/dt at the stage point ``(x, y)``, as its ``rhs``
+# closure sums them (so the state is ``(u, v)``), and the module's float
+# constants are written in as their values.  ``(k1x, k1y)`` is the field at the start; ``f``, the field's
+# closure, serves the initial step and the interpolant.  ``events``:
+# ``(g, direction, terminal)`` triples with ``g(x, y)``; a step is searched
+# for a root of ``g`` when ``g <= 0 <= g_new`` (or the reverse) in a
+# direction ``direction`` admits, and roots are kept up to and including the
+# first terminal one.  ``watch``: see ``integrate``.  Returns the sample,
+# step-size and kept-stage arrays, the hits of the first ``n_sections``
+# events and why the run ended: the index of the event, a watch's
+# Termination, or None at ``t_end``.
+_LOOP = """\
+def dop853(f, t0, u, v, k1x, k1y, t_end, rtol, atol, events, n_sections,
+           watch):
     direction = 1.0 if t_end >= t0 else -1.0
     window, check = watch or (math.inf, None)
     due = window
     # samples, step sizes and kept stages, compact until the end
-    ts, zs = array("d", (t0,)), array("d", (x0, y0))
+    ts, zs = array("d", (t0,)), array("d", (u, v))
     hs, ks = array("d"), array("d")
     hits, stop = [], None
-    t, x, y = t0, x0, y0
-    k1x, k1y = f(t, (x, y))
-    h_abs = _initial_step(f, t, x, y, k1x, k1y, abs(t_end - t0), direction,
+    t = t0
+    h_abs = _initial_step(f, t, u, v, k1x, k1y, abs(t_end - t0), direction,
                           rtol, atol)
-    g = [ev(x, y) for ev, _, _ in events]
+    g = [ev(u, v) for ev, _, _ in events]
     while True:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         if h_abs < min_step:
@@ -395,56 +408,61 @@ def _dop853(f, t0, x0, y0, t_end, rtol, atol, events, n_sections, watch):
                 t_new = t_end
             h = t_new - t
             h_abs = abs(h)
-            k2x, k2y = f(t, (x + A21 * k1x * h, y + A21 * k1y * h))
-            k3x, k3y = f(t, (x + (A31 * k1x + A32 * k2x) * h,
-                             y + (A31 * k1y + A32 * k2y) * h))
-            k4x, k4y = f(t, (x + (A41 * k1x + A43 * k3x) * h,
-                             y + (A41 * k1y + A43 * k3y) * h))
-            k5x, k5y = f(t, (x + (A51 * k1x + A53 * k3x + A54 * k4x) * h,
-                             y + (A51 * k1y + A53 * k3y + A54 * k4y) * h))
-            k6x, k6y = f(t, (x + (A61 * k1x + A64 * k4x + A65 * k5x) * h,
-                             y + (A61 * k1y + A64 * k4y + A65 * k5y) * h))
-            k7x, k7y = f(t, (
-                x + (A71 * k1x + A74 * k4x + A75 * k5x + A76 * k6x) * h,
-                y + (A71 * k1y + A74 * k4y + A75 * k5y + A76 * k6y) * h))
-            k8x, k8y = f(t, (
-                x + (A81 * k1x + A84 * k4x + A85 * k5x + A86 * k6x
-                     + A87 * k7x) * h,
-                y + (A81 * k1y + A84 * k4y + A85 * k5y + A86 * k6y
-                     + A87 * k7y) * h))
-            k9x, k9y = f(t, (
-                x + (A91 * k1x + A94 * k4x + A95 * k5x + A96 * k6x
-                     + A97 * k7x + A98 * k8x) * h,
-                y + (A91 * k1y + A94 * k4y + A95 * k5y + A96 * k6y
-                     + A97 * k7y + A98 * k8y) * h))
-            k10x, k10y = f(t, (
-                x + (A101 * k1x + A104 * k4x + A105 * k5x + A106 * k6x
-                     + A107 * k7x + A108 * k8x + A109 * k9x) * h,
-                y + (A101 * k1y + A104 * k4y + A105 * k5y + A106 * k6y
-                     + A107 * k7y + A108 * k8y + A109 * k9y) * h))
-            k11x, k11y = f(t, (
-                x + (A111 * k1x + A114 * k4x + A115 * k5x + A116 * k6x
+            x = u + A21 * k1x * h
+            y = v + A21 * k1y * h
+            k2x, k2y = $f, $g
+            x = u + (A31 * k1x + A32 * k2x) * h
+            y = v + (A31 * k1y + A32 * k2y) * h
+            k3x, k3y = $f, $g
+            x = u + (A41 * k1x + A43 * k3x) * h
+            y = v + (A41 * k1y + A43 * k3y) * h
+            k4x, k4y = $f, $g
+            x = u + (A51 * k1x + A53 * k3x + A54 * k4x) * h
+            y = v + (A51 * k1y + A53 * k3y + A54 * k4y) * h
+            k5x, k5y = $f, $g
+            x = u + (A61 * k1x + A64 * k4x + A65 * k5x) * h
+            y = v + (A61 * k1y + A64 * k4y + A65 * k5y) * h
+            k6x, k6y = $f, $g
+            x = u + (A71 * k1x + A74 * k4x + A75 * k5x + A76 * k6x) * h
+            y = v + (A71 * k1y + A74 * k4y + A75 * k5y + A76 * k6y) * h
+            k7x, k7y = $f, $g
+            x = u + (A81 * k1x + A84 * k4x + A85 * k5x + A86 * k6x
+                     + A87 * k7x) * h
+            y = v + (A81 * k1y + A84 * k4y + A85 * k5y + A86 * k6y
+                     + A87 * k7y) * h
+            k8x, k8y = $f, $g
+            x = u + (A91 * k1x + A94 * k4x + A95 * k5x + A96 * k6x
+                     + A97 * k7x + A98 * k8x) * h
+            y = v + (A91 * k1y + A94 * k4y + A95 * k5y + A96 * k6y
+                     + A97 * k7y + A98 * k8y) * h
+            k9x, k9y = $f, $g
+            x = u + (A101 * k1x + A104 * k4x + A105 * k5x + A106 * k6x
+                     + A107 * k7x + A108 * k8x + A109 * k9x) * h
+            y = v + (A101 * k1y + A104 * k4y + A105 * k5y + A106 * k6y
+                     + A107 * k7y + A108 * k8y + A109 * k9y) * h
+            k10x, k10y = $f, $g
+            x = u + (A111 * k1x + A114 * k4x + A115 * k5x + A116 * k6x
                      + A117 * k7x + A118 * k8x + A119 * k9x
-                     + A1110 * k10x) * h,
-                y + (A111 * k1y + A114 * k4y + A115 * k5y + A116 * k6y
+                     + A1110 * k10x) * h
+            y = v + (A111 * k1y + A114 * k4y + A115 * k5y + A116 * k6y
                      + A117 * k7y + A118 * k8y + A119 * k9y
-                     + A1110 * k10y) * h))
-            k12x, k12y = f(t, (
-                x + (A121 * k1x + A124 * k4x + A125 * k5x + A126 * k6x
+                     + A1110 * k10y) * h
+            k11x, k11y = $f, $g
+            x = u + (A121 * k1x + A124 * k4x + A125 * k5x + A126 * k6x
                      + A127 * k7x + A128 * k8x + A129 * k9x + A1210 * k10x
-                     + A1211 * k11x) * h,
-                y + (A121 * k1y + A124 * k4y + A125 * k5y + A126 * k6y
+                     + A1211 * k11x) * h
+            y = v + (A121 * k1y + A124 * k4y + A125 * k5y + A126 * k6y
                      + A127 * k7y + A128 * k8y + A129 * k9y + A1210 * k10y
-                     + A1211 * k11y) * h))
+                     + A1211 * k11y) * h
+            k12x, k12y = $f, $g
             bx = (B1 * k1x + B6 * k6x + B7 * k7x + B8 * k8x + B9 * k9x
                   + B10 * k10x + B11 * k11x + B12 * k12x)
             by = (B1 * k1y + B6 * k6y + B7 * k7y + B8 * k8y + B9 * k9y
                   + B10 * k10y + B11 * k11y + B12 * k12y)
-            xn, yn = x + h * bx, y + h * by
-            k13x, k13y = f(t_new, (xn, yn))
+            un, vn = u + h * bx, v + h * by
             # the fifth- and third-order error estimates, scaled
-            sx = atol + max(abs(x), abs(xn)) * rtol
-            sy = atol + max(abs(y), abs(yn)) * rtol
+            sx = atol + max(abs(u), abs(un)) * rtol
+            sy = atol + max(abs(v), abs(vn)) * rtol
             e5x = (ER1 * k1x + ER6 * k6x + ER7 * k7x + ER8 * k8x + ER9 * k9x
                    + ER10 * k10x + ER11 * k11x + ER12 * k12x) / sx
             e5y = (ER1 * k1y + ER6 * k6y + ER7 * k7y + ER8 * k8y + ER9 * k9y
@@ -464,24 +482,27 @@ def _dop853(f, t0, x0, y0, t_end, rtol, atol, events, n_sections, watch):
             h_abs *= max(MIN_FACTOR, SAFETY * err ** ERROR_EXPONENT)
             rejected = True
 
+        # the last stage, read by no error estimate, only once accepted
+        x, y = un, vn
+        k13x, k13y = $f, $g
         stages = (k1x, k1y, k6x, k6y, k7x, k7y, k8x, k8y, k9x, k9y,
                   k10x, k10y, k11x, k11y, k12x, k12y, k13x, k13y)
-        t_old, x_old, y_old = t, x, y
-        t, x, y = t_new, xn, yn
+        t_old, u_old, v_old = t, u, v
+        t, u, v = t_new, un, vn
         k1x, k1y = k13x, k13y
         done = direction * (t - t_end) >= 0
 
         active = []
         for i, (ev, d, _) in enumerate(events):
-            g_old, g[i] = g[i], ev(x, y)
+            g_old, g[i] = g[i], ev(u, v)
             if (g_old <= 0 <= g[i] and d >= 0) or (g_old >= 0 >= g[i]
                                                    and d <= 0):
                 active.append(i)
         if active:
-            F = _dense_coefficients(f, x_old, y_old, h, stages)
+            F = _dense_coefficients(f, u_old, v_old, h, stages)
 
             def dense(s):
-                return _interpolate(F, x_old, y_old, (s - t_old) / h)
+                return _interpolate(F, u_old, v_old, (s - t_old) / h)
             roots = []
             for i in active:
                 ev_t = lambda s, ev=events[i][0]: ev(*dense(s))
@@ -497,13 +518,13 @@ def _dop853(f, t0, x0, y0, t_end, rtol, atol, events, n_sections, watch):
                     hits.append((i, t_root, dense(t_root)))
             if cut is not None:
                 t, stop = roots[-1]
-                x, y = dense(t)
+                u, v = dense(t)
                 done = True
                 if len(ts) > 1 and t == ts[-1]:
                     # the run ended at the previous sample: no new step
                     break
         ts.append(t)
-        zs.extend((x, y))
+        zs.extend((u, v))
         hs.append(h)
         ks.extend(stages)
         if stop is None and abs(t - t0) >= due:
@@ -515,6 +536,34 @@ def _dop853(f, t0, x0, y0, t_end, rtol, atol, events, n_sections, watch):
         if done:
             break
     return ts, zs, hs, ks, hits, stop
+"""
+
+
+def _literal(name):
+    """A float constant of this module, named in upper case, as source."""
+    value = globals().get(name.group())
+    if not isinstance(value, float):
+        return name.group()
+    return repr(value) if value >= 0 else f"({value!r})"
+
+
+@functools.lru_cache(maxsize=16)
+def _compile_loop(source):
+    """The loop factory for one field source ``(names, f, g)`` of
+    ``ParametricSystem.rhs_source``: ``factory(*coefficients)`` binds it."""
+    names, f, g = source
+    text = (f"def factory({', '.join([*names, '*_'])}):\n"
+            + textwrap.indent(string.Template(_LOOP).substitute(f=f, g=g), " ")
+            + " return dop853\n")
+    text = re.sub(r"\b[A-Z][A-Z0-9_]*\b", _literal, text)
+    # what the loop reads besides its field and its constants
+    scope = {"array": array, "brent": brent, "math": math, "np": np,
+             "StiffnessError": StiffnessError, "Termination": Termination,
+             "_dense_coefficients": _dense_coefficients,
+             "_initial_step": _initial_step, "_interpolate": _interpolate,
+             "_trajectory": _trajectory}
+    exec(compile(text, f"<DOP853 loop of {f} | {g}>", "exec"), scope)
+    return scope["factory"]
 
 
 def integrate(sys, params, x0, t_span, tol=DEFAULT_TOL, events=(),
@@ -564,8 +613,9 @@ def integrate(sys, params, x0, t_span, tol=DEFAULT_TOL, events=(),
     evs.append((lambda x, y: x * x + y * y - r2, 1, True))
 
     rtol, atol = max(float(tol[1]), 100 * EPS), float(tol[0])
-    ts, zs, hs, ks, hits, stop = _dop853(
-        f, t0, x, y, t1, rtol, atol, evs, len(events), watch)
+    dop853 = _compile_loop(sys.rhs_source)(*sys.coefficients(p))
+    ts, zs, hs, ks, hits, stop = dop853(
+        f, t0, x, y, fx0, fy0, t1, rtol, atol, evs, len(events), watch)
 
     if stop is None:
         termination = Termination.TIME_LIMIT

@@ -52,7 +52,9 @@ class ParametricSystem:
         names = [n for n, _ in self.parameters]
         self._coeffs = tuple(_float_affine(c, names)
                              for poly in polys for c in poly.values())
-        self._field_factory = _compile_factory(polys, [
+        # rhs_source: the coefficient names and expressions of f and g, for
+        # code that evaluates the field inline
+        self._field_factory, self.rhs_source = _compile_factory(polys, [
             {m: float(c.terms[n]) for m, c in poly.items() if n in c.terms}
             for n in names for poly in (self.x_dot, self.y_dot)])
         # the last parameter point's closures, keyed by its floats: a
@@ -119,19 +121,30 @@ class ParametricSystem:
         order, so the values are the same.  The closures of the last point
         asked for are kept and handed out again.
         """
+        return self._at(params)[1]
+
+    def coefficients(self, params):
+        """The float coefficients ``c0, c1, ...`` at ``params`` that the
+        closures of `fields` are bound to; those of ``rhs_source`` come
+        first."""
+        return self._at(params)[0]
+
+    def _at(self, params):
+        """The coefficients and the closures at ``params``, kept for the
+        last point asked for."""
         p = self._resolve(params)
         vals = tuple(float(p[n]) for n, _ in self.parameters)
-        key, pair = self._last_fields
+        key, at = self._last_fields
         if key == vals:
-            return pair
+            return at
         coeffs = []
         for acc, weights in self._coeffs:
             for i, w in weights:
                 acc += w * vals[i]
             coeffs.append(acc)
-        pair = self._field_factory(*coeffs)
-        self._last_fields = (vals, pair)
-        return pair
+        at = (tuple(coeffs), self._field_factory(*coeffs))
+        self._last_fields = (vals, at)
+        return at
 
     def finite_difference_jacobian(self, x, y, params=None, h=1e-7):
         f = self.compiled_rhs(params)
@@ -190,7 +203,9 @@ def _float_affine(expr, names):
 def _compile_factory(polys, partials):
     """``factory(*coeffs) -> (rhs, jacobian, variation)`` for the six
     polynomials, each summed in its key order, and the ``partials``, whose
-    float coefficients are written into the source."""
+    float coefficients are written into the source; and the source
+    ``(names, f, g)`` of the first two, in ``x``, ``y`` and the coefficient
+    names ``c0, c1, ...`` they use."""
     args = []
 
     def arg(_):
@@ -202,7 +217,9 @@ def _compile_factory(polys, partials):
                  for (px, py), c in poly.items()]
         return " + ".join(parts) if parts else "0.0"
 
-    f, g, fx, fy, gx, gy = (source(poly, arg) for poly in polys)
+    f, g = source(polys[0], arg), source(polys[1], arg)
+    rhs_source = (tuple(args), f, g)
+    fx, fy, gx, gy = (source(poly, arg) for poly in polys[2:])
     # every row gets ``z``, so that a constant one takes the shape of x
     rows = ", ".join(f"{r} + z" for r in [f"{fx} + {gy}"] + [
         source(poly, repr) for poly in partials])
@@ -217,7 +234,7 @@ def _compile_factory(polys, partials):
          "  z = 0.0 * x\n"
          f"  return np.array([{rows}])\n"
          " return rhs, jacobian, variation\n", ns)
-    return ns["_factory"]
+    return ns["_factory"], rhs_source
 
 
 # -- the built-in systems ------------------------------------------------

@@ -85,7 +85,8 @@ def test_winding_count_follows_a_step_that_turns_one_and_a_half_times():
     ends = np.array([0.0, 1.0])
     traj = hi.Trajectory(ends, spiral(ends).T, spiral,
                          hi.Termination.TIME_LIMIT, [])
-    assert cn._winding_at(traj, (0.0, 0.0), [0.5, 0.9, 1.0]) == [0, 1, 1]
+    hits = [(0, t, tuple(spiral(t))) for t in (0.5, 0.9, 1.0)]
+    assert cn._winding_at(traj, (0.0, 0.0), hits) == [0, 1, 1]
 
 
 def _splitting_from_all_hits(sys, params, recipe, k, tol):
@@ -108,7 +109,7 @@ def _splitting_from_all_hits(sys, params, recipe, k, tol):
     curve, uhits = hits(source, mf.Kind.UNSTABLE, recipe.source_side)
     if not uhits:
         raise NoIntersection("unstable branch never met the section")
-    winds = cn._winding_at(curve, source.location, [h[1] for h in uhits])
+    winds = cn._winding_at(curve, source.location, uhits)
     firsts = [next((z for (_, _, z), w in zip(uhits, winds) if w == want),
                    None) for want in range(k + 1)]
     _, shits = hits(target, mf.Kind.STABLE, recipe.target_side)

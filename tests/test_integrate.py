@@ -1,5 +1,10 @@
 """Adaptive integration against a fixed-step RK4 oracle and scipy's DOP853,
 events, sections."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -277,3 +282,130 @@ def test_bare_integrate_runs_out_to_the_default_radius():
     traj = hi.integrate(saddle, {}, (1.0, 0.0), (0.0, 100.0))
     assert traj.termination is hi.Termination.BLOWUP
     assert np.hypot(*traj.end) == pytest.approx(hi.BLOWUP_RADIUS, rel=1e-12)
+
+
+def _sextic():
+    """x' = a x - y - x^3 y^3 / 4 - x^5, y' = 0: a degree-6 term and an
+    empty y_dot."""
+    term = lambda c, px, py: {"coeff": c, "px": px, "py": py}
+    return vf.from_dict({
+        "name": "sextic", "parameters": [{"name": "a", "default": "1/2"}],
+        "x_dot": [term("-1", 0, 1), term("a", 1, 0), term("-1/4", 3, 3),
+                  term("-1", 5, 0)],
+        "y_dot": []})
+
+
+# float.hex of runs of the loop that called the field's closure at every
+# stage: steps, termination, end point, last step size and the first hit of
+# a section 0.05 behind the start, from (0.3, 0.2) over (0, 20)
+PINNED = {
+    "mono_unperturbed": (
+        {}, (0.0, 1.0), 40, "time_limit",
+        ("0x1.951e8d8ff42fep-1", "0x1.52464feb2e283p-3"),
+        "0x1.ada4f34eed240p-2",
+        ("0x1.5d47833905237p-2", ("0x1.a8080ff64b6fcp-3",
+                                  "0x1.3333333333334p-3"))),
+    "mono_perturbed": (
+        {"alpha": 0.01, "epsilon": -0.02}, (0.0, 1.0), 46, "time_limit",
+        ("0x1.537aa021b190fp+0", "-0x1.b5e77714d3909p-2"),
+        "0x1.e25d743b15000p-2",
+        ("0x1.5c6f112404890p-2", ("0x1.a5b76264e3f3dp-3",
+                                  "0x1.3333333333334p-3"))),
+    "revers_base": (
+        {}, (0.0, 1.0), 94, "time_limit",
+        ("-0x1.0051dd2158f6ap+0", "0x1.2153bc6414378p-14"),
+        "0x1.596da7aa683c0p-2",
+        ("0x1.18cf845305c0bp+1", ("0x1.032b8006554e8p+1",
+                                  "0x1.33333333332a5p-3"))),
+    "revers_gamma": (
+        {"gamma": 2.5}, (0.0, 1.0), 158, "blowup",
+        ("0x1.094aa78c9d21dp+15", "-0x1.e7ffe935c8f1cp+19"),
+        "0x1.6603340000000p-29",
+        ("0x1.21d8bf816eea7p+0", ("0x1.b72be0dbc19bcp+0",
+                                  "0x1.3333333333335p-3"))),
+    "diss_heart": (
+        {"alpha": 0.3, "epsilon": -0.1}, (0.0, 1.0), 154, "blowup",
+        ("0x1.094aa5df7ee96p+15", "-0x1.e7ffe880c72dfp+19"),
+        "0x1.7c2b640000000p-29",
+        ("0x1.15402e9305265p+0", ("0x1.d1e1526dcc9d1p+0",
+                                  "0x1.333333333333cp-3"))),
+    "sextic": (
+        {}, (1.0, 0.0), 37, "time_limit",
+        ("-0x1.d6ef1955e540dp-1", "0x1.999999999999ap-3"),
+        "0x1.24f4e7376ddb0p+1",
+        ("0x1.93929ffe03c72p-1", ("0x1.0000000000000p-2",
+                                  "0x1.999999999999ap-3"))),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_runs_are_pinned_bit_for_bit(name):
+    # the compiled loop sums every stage as the field's closure does, so
+    # each float of a run is the one the closure-calling loop gave
+    params, normal, steps, end_reason, end, last_h, hit = PINNED[name]
+    sys_ = _sextic() if name == "sextic" else vf.builtin(name)
+    x0 = (0.3, 0.2)
+    sec = hi.CrossSection.at((x0[0] - 0.05 * normal[0],
+                              x0[1] - 0.05 * normal[1]), normal)
+    traj = hi.integrate(sys_, sys_.full_params(params), x0, (0.0, 20.0),
+                        events=[sec], terminal=[])
+    _, t_hit, z_hit = traj.event_hits[0]
+    assert (len(traj.t) - 1, traj.termination.value) == (steps, end_reason)
+    assert tuple(float(v).hex() for v in traj.end) == end
+    assert float(traj.interpolant.h[-1]).hex() == last_h
+    assert (t_hit.hex(), tuple(v.hex() for v in z_hit)) == hit
+
+
+def test_a_run_calls_the_field_closure_only_to_start_and_locate(monkeypatch):
+    # the stages are evaluated inline: the closure serves the first step's
+    # field and size, and the interpolant of a step with a hit to locate
+    sys_ = vf.from_dict(vf.builtin("revers_gamma").to_dict())
+    compiled_rhs, calls = sys_.compiled_rhs, [0]
+
+    def counted(params):
+        f = compiled_rhs(params)
+
+        def rhs(t, z):
+            calls[0] += 1
+            return f(t, z)
+        return rhs
+    monkeypatch.setattr(sys_, "compiled_rhs", counted)
+    x0, span = (0.3, 0.2), (0.0, 30.0)
+    free = hi.integrate(sys_, {}, x0, span)
+    assert len(free.t) > 200 and calls[0] == 2
+    # three more calls for each step that holds a section hit
+    sec = hi.CrossSection.at((0.3, 0.15), (0.0, 1.0))
+    calls[0] = 0
+    cut = hi.integrate(sys_, {}, x0, span, events=[sec], terminal=[])
+    steps = {int(np.searchsorted(cut.t, t)) for _, t, _ in cut.event_hits}
+    assert len(cut.t) == len(free.t) and steps
+    assert calls[0] == 2 + 3 * len(steps)
+
+
+def test_importing_the_cli_compiles_no_loop():
+    code = ("from hetcontour import cli, integrate\n"
+            "print(integrate._compile_loop.cache_info().currsize)\n")
+    src = str(Path(hi.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0"]
+
+
+def test_one_compiled_loop_serves_every_parameter_point():
+    # one field source, one compile; each run binds its point's
+    # coefficients, and the system holds what it held before
+    sys_ = vf.from_dict(vf.builtin("diss_heart").to_dict())
+    hi.integrate(sys_, {}, (0.3, 0.2), (0.0, 0.01))
+
+    def layout():
+        return {k: len(v) if hasattr(v, "__len__") else None
+                for k, v in vars(sys_).items()}
+    before, misses = layout(), hi._compile_loop.cache_info().misses
+    runs = [hi.integrate(sys_, {"alpha": i * 1e-3, "epsilon": -i * 1e-3},
+                         (0.3, 0.2), (0.0, 0.01)).end for i in range(1000)]
+    assert hi._compile_loop.cache_info().misses == misses
+    assert layout() == before
+    # each run has its own point's field
+    assert len({tuple(end) for end in runs}) == 1000
