@@ -264,20 +264,26 @@ def find_codim2(sys, residual_pair, guess, saddle_seeds, params_at):
 # -- reversible one-parameter family ---------------------------------------
 
 
-def _crossing(sys, params, seed_loc, section, pick):
-    """``pick`` of the x at which the unstable branches of the saddle near
-    ``seed_loc`` first cross ``section``; BracketError if neither does."""
+def _crossing(sys, params, seed_loc, section, x_sign):
+    """x at which one unstable branch of the saddle near ``seed_loc``, the
+    one leaving towards ``x_sign`` x, first crosses ``section``.  Only that
+    branch is grown.  Degenerate if v_u has no x component; BracketError,
+    naming the branch's termination, if the branch never hits."""
     sad, = eq.saddles_at(sys, params, [seed_loc])
-    xs = []
-    for side in (1, -1):
-        br = mf.grow_branch(sys, params, sad, mf.Kind.UNSTABLE, side,
-                            arclength_cap=30.0, events=[section],
-                            directions=[0], terminal=[0])
-        xs.extend(z[0] for _, _, z in br.curve.event_hits)
-    if not xs:
+    if sad.v_u[0] == 0:
+        raise Degenerate(f"the unstable eigenvector {sad.v_u} of the saddle "
+                         f"at {sad.location} has no x side")
+    side = x_sign if sad.v_u[0] > 0 else -x_sign
+    curve = mf.grow_branch(sys, params, sad, mf.Kind.UNSTABLE, side,
+                           arclength_cap=30.0, events=[section],
+                           directions=[0], terminal=[0]).curve
+    if not curve.event_hits:
+        x, y = sad.location
         raise BracketError(
-            f"no unstable branch of {seed_loc} reached y = {section.base[1]}")
-    return pick(xs)
+            f"the x {'>' if x_sign > 0 else '<'} 0 unstable branch of the "
+            f"saddle at ({x:.6g}, {y:.6g}) ended {curve.termination.value} "
+            f"before y = {section.base[1]:.6g}")
+    return curve.event_hits[0][2][0]
 
 
 def _reversible_splitting(sys, gamma, frac=0.5):
@@ -285,14 +291,14 @@ def _reversible_splitting(sys, gamma, frac=0.5):
 
     The two saddles sit on the symmetry axis at (0,0) and (0,-gamma); the
     mirror of the unstable manifold of one is the stable manifold of the
-    other, so the contour closes exactly when the two unstable branches
-    cross a line y = -frac*gamma at opposite x.  Returns x_L + x_M.
+    other, so the contour closes exactly when L's unstable branch towards
+    x > 0 and its mirror, M's towards x < 0 (the only two grown), cross a
+    line y = -frac*gamma at opposite x.  Returns x_L + x_M.
     """
     params = sys.full_params({"gamma": gamma})
     section = hi.CrossSection.at((0.0, -gamma * frac), (0.0, 1.0))
-    # the branch on the x > 0 side, and the one whose mirror matches it
-    x_L = _crossing(sys, params, (0.0, 0.0), section, max)
-    x_M = _crossing(sys, params, (0.0, -gamma), section, min)
+    x_L = _crossing(sys, params, (0.0, 0.0), section, 1)
+    x_M = _crossing(sys, params, (0.0, -gamma), section, -1)
     return x_L + x_M
 
 
@@ -308,15 +314,17 @@ def find_reversible_contour(sys, bracket, xtol=1e-6):
 
 
 def reversible_contour_asymmetry(sys, gamma):
-    """Largest |x_L + x_M| over three horizontal sections of the contour."""
-    worst = 0.0
+    """Largest |x_L + x_M| over the three horizontal sections of the
+    contour that its branches reach; BracketError if they reach none."""
+    splits = []
     for frac in (0.25, 0.5, 0.75):
         try:
-            split = _reversible_splitting(sys, gamma, frac)
-        except BracketError:
-            continue                  # a section no branch reaches
-        worst = max(worst, abs(split))
-    return worst
+            splits.append(abs(_reversible_splitting(sys, gamma, frac)))
+        except BracketError as exc:
+            missed = exc              # a section no branch reaches
+    if not splits:
+        raise BracketError(f"no section reached at gamma = {gamma}: {missed}")
+    return max(splits)
 
 
 # -- flashing series -------------------------------------------------------

@@ -7,6 +7,8 @@ import pytest
 from hetcontour import connections as cn
 from hetcontour import continuation as ct
 from hetcontour import diagrams as dg
+from hetcontour import integrate as hi
+from hetcontour import manifolds as mf
 from hetcontour import vectorfield as vf
 from hetcontour.errors import (BracketError, CurveStall, Degenerate,
                                DomainError, NoConvergence, NoIntersection)
@@ -217,6 +219,75 @@ def test_reversible_contour_asymmetry_vanishes_at_the_contour_only():
     gamma0 = ct.find_reversible_contour(sys_, (2.4, 2.6))
     assert ct.reversible_contour_asymmetry(sys_, gamma0) <= 1e-5
     assert ct.reversible_contour_asymmetry(sys_, gamma0 + 0.05) >= 0.01
+
+
+# _reversible_splitting recorded when it grew all four unstable branches and
+# kept the largest hit of L's and the smallest of M's; None: BracketError
+REVERSIBLE_SPLITS = [
+    (1.5, 0.25, "0x1.27181e38ea640p-1"),
+    (2.0, 0.5, "0x1.dc2ac6e7b3a34p-2"),
+    (2.5315, 0.5, "-0x1.7bcefa7380000p-13"),
+    (2.6, 0.75, "-0x1.a9aa0a317e77ap-2"),
+    (2.9, 0.5, "-0x1.ae407d78141e9p-1"),
+    (3.0, 0.5, None),
+]
+
+
+@pytest.mark.parametrize("gamma,frac,split", REVERSIBLE_SPLITS)
+def test_reversible_splitting_is_pinned_bit_for_bit(gamma, frac, split):
+    sys_ = vf.builtin("revers_gamma")
+    if split is None:
+        with pytest.raises(BracketError):
+            ct._reversible_splitting(sys_, gamma, frac)
+    else:
+        assert ct._reversible_splitting(sys_, gamma, frac).hex() == split
+
+
+@pytest.fixture
+def grown(monkeypatch):
+    # the terminations of the branches mf.grow_branch grows
+    ends = []
+    grow_branch = mf.grow_branch
+
+    def counted(*a, **k):
+        br = grow_branch(*a, **k)
+        ends.append(br.curve.termination)
+        return br
+    monkeypatch.setattr(mf, "grow_branch", counted)
+    return ends
+
+
+def test_reversible_splitting_grows_one_branch_per_saddle(grown):
+    ct._reversible_splitting(vf.builtin("revers_gamma"), 2.5315)
+    assert grown == [hi.Termination.EVENT] * 2
+
+
+def test_reversible_splitting_names_the_branch_that_missed(grown):
+    # from gamma = 2.95 on, the x > 0 branch of L turns back into the sink
+    # trap of the focus (-1, 0) before it reaches y = -gamma / 2
+    with pytest.raises(BracketError, match=(
+            r"^the x > 0 unstable branch of the saddle at \(0, 0\) ended "
+            r"settled before y = -2$")):
+        ct._reversible_splitting(vf.builtin("revers_gamma"), 4.0)
+    assert grown == [hi.Termination.SETTLED]
+
+
+def test_crossing_needs_a_saddle_with_an_x_side(grown):
+    # x' = -x, y' = y: both unstable branches run along the y axis
+    sys_ = vf.from_dict({
+        "name": "axis_saddle", "parameters": [],
+        "x_dot": [{"coeff": "-1", "px": 1, "py": 0}],
+        "y_dot": [{"coeff": "1", "px": 0, "py": 1}]})
+    section = hi.CrossSection.at((0.0, 1.0), (0.0, 1.0))
+    with pytest.raises(Degenerate, match="no x side"):
+        ct._crossing(sys_, sys_.full_params(), (0.0, 0.0), section, 1)
+    assert grown == []
+
+
+def test_reversible_contour_asymmetry_needs_a_section_reached():
+    # at gamma = 4 no section is reached: no asymmetry was measured
+    with pytest.raises(BracketError, match="no section reached"):
+        ct.reversible_contour_asymmetry(vf.builtin("revers_gamma"), 4.0)
 
 
 def analytic_gaps(sys, p, k):
