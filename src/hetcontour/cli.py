@@ -337,7 +337,7 @@ def cmd_synthesize(args):
     names = tuple(args.names.split(",")) if args.names else None
     fam = sy.solve_family(variety, args.degree, parameter_names=names,
                           free_symbols=free)
-    doc = json.dumps(fam.field.to_dict(), indent=2, sort_keys=True) + "\n"
+    doc = vf.to_json(fam.field)
     print(doc, end="")
     w = ArtifactWriter(args.out, args.format)
     w.write("family.json", "json", doc)

@@ -3,13 +3,14 @@
 The map is the composition of two saddle passages and two global
 excursions:  P(xi) = beta1 + s*theta2*(beta2 + s*theta1*xi**lam)**mu  with
 s = +1 (monodromic) or s = -1 (non-monodromic).  Points whose inner base is
-negative miss the second section; that is reported as OutOfDomain, never
-clamped.  Connection conditions (homoclinic P_L / P_M and the k-turn
-heteroclinic series H^(k)) and the fold-of-cycles curve F are drawn in the
-(beta1, beta2) plane by one arclength tracer, each from an exact
-parametrisation: closed form for P_L, P_M, F and H^(1), and for each
-non-monodromic H^(k), k >= 2, one Brent solve from H^(k-1) on an exact
-bracket.  No curve is found by a sampled search.
+negative miss the second section; the map, its derivative and every
+condition that needs them are NaN there, never clamped.  Connection
+conditions (homoclinic P_L / P_M and the k-turn heteroclinic series H^(k))
+and the fold-of-cycles curve F are drawn in the (beta1, beta2) plane by one
+arclength tracer, each from an exact parametrisation: closed form for P_L,
+P_M, F and H^(1), and for each non-monodromic H^(k), k >= 2, one Brent
+solve from H^(k-1) on an exact bracket.  No curve is found by a sampled
+search.
 
 Fixed points and folds are counted exactly, on the at most four points
 between which P' - 1 and P(xi) - xi are monotone, not on a sample grid.
@@ -32,26 +33,6 @@ from .errors import Degenerate, DomainError
 from .roots import brent, grid_roots, sample, sign_changes
 
 XI_MIN, XI_MAX = 1e-12, 10.0    # the searched part of the domain
-
-
-class _OutOfDomain:
-    """Singleton marker: the orbit misses the far section."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "OutOfDomain"
-
-    def __bool__(self):
-        return False
-
-
-OUT_OF_DOMAIN = _OutOfDomain()
 
 
 class Orientation(enum.Enum):
@@ -82,79 +63,75 @@ class ModelMap:
                         self.orientation, float(beta1), float(beta2))
 
 
+def _base(m, xi):
+    """The inner base beta2 + s*theta1*xi**lam, NaN unless xi >= 0."""
+    return m.beta2 + m.sign * m.theta1 * xi ** m.lam if xi >= 0 else math.nan
+
+
 def eval_map(m, xi):
-    """P(xi), or OUT_OF_DOMAIN when the inner base is negative."""
+    """P(xi), NaN where the inner base is negative.  DomainError for
+    xi < 0."""
     if xi < 0:
         raise DomainError(f"xi must be >= 0, got {xi}")
-    s = m.sign
-    base = m.beta2 + s * m.theta1 * xi ** m.lam
-    if base < 0:
-        return OUT_OF_DOMAIN
-    return m.beta1 + s * m.theta2 * base ** m.mu
+    base = _base(m, xi)
+    if not base >= 0:
+        return math.nan
+    return m.beta1 + m.sign * m.theta2 * base ** m.mu
 
 
 def eval_derivative(m, xi):
-    """P'(xi) on the interior of the domain."""
+    """P'(xi) on the interior of the domain, NaN outside it."""
     if xi <= 0:
         raise DomainError("derivative needs xi > 0")
-    s = m.sign
-    base = m.beta2 + s * m.theta1 * xi ** m.lam
-    if base <= 0:
-        return OUT_OF_DOMAIN
+    base = _base(m, xi)
+    if not base > 0:
+        return math.nan
     return (m.theta2 * m.mu * base ** (m.mu - 1)
             * m.theta1 * m.lam * xi ** (m.lam - 1))
 
 
 def iterate(m, xi, k):
-    """k-fold composition; an OUT_OF_DOMAIN or negative iterate stops it."""
+    """k-fold composition, stopped at the first iterate that is not >= 0
+    (negative, or NaN off the domain), which it returns."""
     for _ in range(k):
-        if xi is OUT_OF_DOMAIN or xi < 0:
+        if not xi >= 0:
             break
         xi = eval_map(m, xi)
     return xi
 
 
 # -- connection conditions -------------------------------------------------
+# Each is NaN where it is undefined.
 
 
 def condition_P_L(m):
     """Homoclinic loop of L: the critical value P(0) lands back on xi=0."""
-    if m.beta2 < 0:
-        return None
-    return m.beta1 + m.sign * m.theta2 * m.beta2 ** m.mu
+    return eval_map(m, 0.0)
 
 
 def condition_P_M(m):
     """Homoclinic loop of M: the mirror critical value closes on Sigma_M."""
-    if m.beta1 < 0:
-        return None
-    return m.beta2 + m.sign * m.theta1 * m.beta1 ** m.lam
+    return _base(m, m.beta1)
 
 
 def condition_H_M(m, k):
     """k-turn heteroclinic from M to L: P^k(beta1) = 0."""
-    v = _H_M_row(m, k)[k]
-    return None if math.isnan(v) else v
+    return _H_M_row(m, k)[k]
 
 
 def _H_M_row(m, k):
-    """H_M^(0..k), NaN where undefined: beta1 (before any saddle passage,
-    the signed coordinate), then its images, one ``iterate`` step each."""
+    """H_M^(0..k): beta1 (before any saddle passage, the signed
+    coordinate), then its images, one ``iterate`` step each."""
     if m.beta1 < 0:
         return [m.beta1] + [math.nan] * k
-    return [_fin(v) for v in accumulate(
-        range(k), lambda xi, _: iterate(m, xi, 1), initial=m.beta1)]
+    return list(accumulate(range(k), lambda xi, _: iterate(m, xi, 1),
+                           initial=m.beta1))
 
 
 def condition_H_L(m, k):
     """k-turn heteroclinic from L to M: the k-th image of the L-critical
     value lands on the Sigma_M boundary."""
-    if k == 0:
-        return m.beta2
-    v = iterate(m, 0.0, k)
-    if v is OUT_OF_DOMAIN or v < 0:
-        return None
-    return m.beta2 + m.sign * m.theta1 * v ** m.lam
+    return m.beta2 if k == 0 else _base(m, iterate(m, 0.0, k))
 
 
 def fold_points(m, xi_max=XI_MAX):
@@ -177,7 +154,7 @@ def _fold_scan(m, xi_max):
     turn = t ** (1.0 / m.lam) if t > 0 else 0.0
     if xs and xs[0] < turn < xs[1]:
         xs.insert(1, turn)
-    f = lambda x: _fin(eval_derivative(m, x)) - 1.0
+    f = lambda x: eval_derivative(m, x) - 1.0
     return f, xs, sample(f, xs)
 
 
@@ -185,22 +162,11 @@ def condition_F(m, xi_max=XI_MAX):
     """Signed distance to the nearest fold of fixed points.
 
     P(xi) - xi evaluated at the P'(xi) = 1 point closest to balance;
-    None when no P' = 1 point exists.
+    NaN when P is defined at no P' = 1 point.
     """
-    best = None
-    for xi in fold_points(m, xi_max):
-        p = eval_map(m, xi)
-        if p is OUT_OF_DOMAIN:
-            continue
-        r = p - xi
-        if best is None or abs(r) < abs(best):
-            best = r
-    return best
-
-
-def _fin(v):
-    """``v`` as a float, NaN for OUT_OF_DOMAIN or a missing value."""
-    return math.nan if v is None or v is OUT_OF_DOMAIN else float(v)
+    rs = [eval_map(m, xi) - xi for xi in fold_points(m, xi_max)]
+    return min((r for r in rs if not math.isnan(r)), key=abs,
+               default=math.nan)
 
 
 # -- fixed points ----------------------------------------------------------
@@ -241,10 +207,10 @@ def _inside(m, edge, d):
     (the power that computed it can leave it many ulps off), then moved in
     direction d by the fewest ulps, in powers of two, at which the inner
     base is positive, so that P and P' are defined there."""
-    c = m.sign * m.theta1
-    edge -= (m.beta2 + c * edge ** m.lam) / (c * m.lam * edge ** (m.lam - 1))
+    edge -= _base(m, edge) / (m.sign * m.theta1 * m.lam
+                              * edge ** (m.lam - 1))
     step = math.ulp(edge)
-    while m.beta2 + c * (edge + d * step) ** m.lam <= 0:
+    while _base(m, edge + d * step) <= 0:
         step *= 2
     return edge + d * step
 
@@ -252,7 +218,7 @@ def _inside(m, edge, d):
 def _displacement_scan(m, xi_max):
     """P(xi) - xi, the ends and fold points between which it is monotone,
     and its values there."""
-    f = lambda x: _fin(eval_map(m, x)) - x
+    f = lambda x: eval_map(m, x) - x
     xs = _ends(m, xi_max)
     if xs:
         xs[1:1] = [x for x in fold_points(m, xi_max) if xs[0] < x < xs[-1]]
@@ -292,9 +258,9 @@ def _add_curve(curves, tag, k, pieces, residual_fn):
     """Append a curve through each nonempty piece of points in ``pieces``;
     its residuals are ``residual_fn``'s, NaN where it is undefined."""
     for piece in filter(len, pieces):
-        res = [residual_fn(b1, b2) for b1, b2 in piece]
         curves.append(BifurcationCurve(
-            tag, k, np.asarray(piece), np.asarray([_fin(r) for r in res]),
+            tag, k, np.asarray(piece),
+            np.asarray([residual_fn(b1, b2) for b1, b2 in piece]),
             ("range", "range")))
 
 
@@ -426,7 +392,7 @@ def _next_turn(m, cond, k, p, j, loop):
     strict bracket the end nearer a zero stands in, unconfirmed.  Each end
     is valued once, moved inside by ``_defined`` if undefined."""
     at = lambda x: (x, p[1]) if j == 0 else (p[0], x)
-    f = lambda x: _fin(cond(m.at(*at(x)), k))
+    f = lambda x: cond(m.at(*at(x)), k)
     ends = _defined(f, p[j], loop), _defined(f, loop, p[j])
     if None in ends:
         return math.nan, math.nan, False

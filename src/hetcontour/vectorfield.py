@@ -327,10 +327,15 @@ def from_dict(data):
         data["name"], params, read_poly("x_dot"), read_poly("y_dot"))
 
 
+def to_json(sys):
+    """The text of ``sys`` in the JSON schema, ending in a newline."""
+    return json.dumps(sys.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
 def save(sys, path_or_file):
-    payload = json.dumps(sys.to_dict(), indent=2, sort_keys=True)
+    text = to_json(sys)
     if hasattr(path_or_file, "write"):
-        path_or_file.write(payload)
+        path_or_file.write(text)
     else:
         with open(path_or_file, "w") as fh:
-            fh.write(payload)
+            fh.write(text)

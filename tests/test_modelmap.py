@@ -1,4 +1,5 @@
 """One-dimensional model return map: monotonicity, conditions, curves."""
+import hashlib
 import math
 from dataclasses import replace
 
@@ -32,7 +33,7 @@ def test_map_strictly_increasing_on_domain(lam, mu, orient, b1, b2, x0, dx):
     m = _make(lam, mu, orient, b1, b2)
     x1 = x0 + dx
     p0, p1 = mm.eval_map(m, x0), mm.eval_map(m, x1)
-    if p0 is mm.OUT_OF_DOMAIN or p1 is mm.OUT_OF_DOMAIN:
+    if math.isnan(p0) or math.isnan(p1):
         return
     # P rises strictly, unless the rise of the term added to beta1 is below
     # the float spacing at P, so that the sum rounds to the same value
@@ -55,12 +56,11 @@ def test_homoclinic_conditions_vanish_on_their_curves(lam, mu, orient, b2):
     b2_on = -s * m0.theta1 * b1 ** lam
     if b2_on >= 0 or s > 0:
         v = mm.condition_P_M(m0.at(b1, b2_on))
-        assert v is None or abs(v) < 1e-14
+        assert math.isnan(v) or abs(v) < 1e-14
 
 
 def _displacement(m, x):
-    p = mm.eval_map(m, x) if x >= 0 else mm.OUT_OF_DOMAIN
-    return math.nan if p is mm.OUT_OF_DOMAIN else p - x
+    return mm.eval_map(m, x) - x if x >= 0 else math.nan
 
 
 @settings(max_examples=60, deadline=None)
@@ -74,7 +74,7 @@ def test_fixed_points_are_fixed_and_counted(lam, mu, orient, b1, b2):
     m = _make(lam, mu, orient, b1, b2)
     roots = mm.fixed_points(m, xi_max=5.0)
     for r in roots:
-        assert mm.eval_map(m, r) is not mm.OUT_OF_DOMAIN
+        assert not math.isnan(mm.eval_map(m, r))
         # P(x) - x changes sign within twice the bracket brentq stops at
         # (xtol 1e-15, rtol 4 eps) around r; the grid is fine enough to see a
         # change squeezed between r and the edge of the domain
@@ -85,12 +85,14 @@ def test_fixed_points_are_fixed_and_counted(lam, mu, orient, b1, b2):
     assert mm.fixed_point_count(m, xi_max=5.0) == len(roots)
 
 
-def test_out_of_domain_is_a_falsy_singleton():
+def test_out_of_domain_is_nan_never_clamped():
     m = _make(2.0, 2.0, mm.Orientation.NON_MONODROMIC, 0.0, 0.01)
-    v = mm.eval_map(m, 1.0)   # inner base 0.01 - 1 < 0
-    assert v is mm.OUT_OF_DOMAIN
-    assert not v
-    assert mm.OUT_OF_DOMAIN is mm._OutOfDomain()
+    # inner base 0.01 - 1 < 0: clamped to 0 it would give P = 0, P' = 0
+    assert math.isnan(mm.eval_map(m, 1.0))
+    assert math.isnan(mm.eval_derivative(m, 1.0))
+    assert math.isnan(mm.iterate(m, 1.0, 2))
+    # inside the domain, which ends at xi = 0.1, P is defined
+    assert mm.eval_map(m, 0.05) == pytest.approx(-0.0075 ** 2)
 
 
 def test_negative_xi_rejected():
@@ -295,7 +297,7 @@ def test_monodromic_k_turn_conditions_are_nonnegative():
         for k in range(1, 5):
             for cond in (mm.condition_H_L, mm.condition_H_M):
                 v = cond(m, k)
-                if v is not None:
+                if not math.isnan(v):
                     assert v >= 0.0
                     checked += 1
     assert checked > 500
@@ -359,3 +361,78 @@ def test_domain_interval_edges():
     assert mm.domain_interval(
         mm.ModelMap(2.0, 2.0, orientation=mm.Orientation.NON_MONODROMIC,
                     beta2=-0.1)) is None
+
+
+def _token(v):
+    """v as float.hex, with one token for every undefined value."""
+    try:
+        v = float(v)
+    except TypeError:       # None, or a marker that is not a number
+        return "undefined"
+    return "undefined" if math.isnan(v) else v.hex()
+
+
+def _map_values(m):
+    """Every condition, iterate, count and map value of m, as tokens."""
+    vals = [mm.condition_P_L(m), mm.condition_P_M(m), mm.condition_F(m),
+            mm.fixed_point_count(m)]
+    vals += [c(m, k) for c in (mm.condition_H_L, mm.condition_H_M)
+             for k in range(4)]
+    vals += [mm.iterate(m, xi, k) for xi in (0.0, 0.1, 1.5)
+             for k in range(1, 4)]
+    vals += [mm.eval_map(m, xi) for xi in (0.0, 0.1, 1.5)]
+    vals += [mm.eval_derivative(m, xi) for xi in (0.1, 1.5)]
+    return [_token(v) for v in vals]
+
+
+def _curves_digest(curves):
+    h = hashlib.sha256()
+    for c in curves:
+        h.update(repr((c.tag.name, c.k, c.endpoints)).encode())
+        h.update(c.points.tobytes())
+        h.update(c.residuals.tobytes())
+    return h.hexdigest()
+
+
+# recorded when the map and the conditions marked an undefined value with
+# a singleton and None, before NaN became the one marker
+PINNED_GRID = (
+    "da647a77eb690d2c0e4cdef7639aeed210ad467499d5f88c38eae8276247d441", 3001)
+PINNED_SETS = {
+    (0.5, 0.5, "NON_MONODROMIC", 0.3):
+        "c412cfa4a2388aa0c2520280236826f047c56ec20873e35e60a68399378d3ed5",
+    (3.0, 3.0, "NON_MONODROMIC", 0.3):
+        "6177e9ada81cbdacd3f7c65cf9fa613357d42867b763680664ee7e120011a156",
+    (2 / 3, 2.0, "MONODROMIC", 0.12):
+        "3aa8eba6309a46f10d564d01c472c887e2e35dd2e484a82750a09c82579f0edc"}
+PINNED_SERIES = [
+    (0, "0x1.0690690690691p-3", "0x1.0000000000000p-59",
+     "0x1.0000000000000p-2"),
+    (1, "0x1.cfe78befb8ad0p-1", "0x1.f10864e9a2e43p-5",
+     "0x1.0000000000000p-2"),
+    (2, "0x1.dbe29847ab062p-1", "0x1.fffc12036cfd7p-5",
+     "0x1.0000000000000p-2")]
+
+
+def test_model_map_is_pinned_bit_for_bit():
+    grid = [_map_values(mm.ModelMap(lam, mu, orientation=ori, beta1=b1,
+                                    beta2=b2))
+            for lam in (0.5, 2 / 3, 2.0) for mu in (0.5, 2.0, 3.0)
+            for ori in mm.Orientation
+            for b1 in (-0.05, 0.0, 0.03, 0.2)
+            for b2 in (-0.05, 0.0, 0.03, 0.2)]
+    tokens = [t for row in grid for t in row]
+    assert (hashlib.sha256(" ".join(tokens).encode()).hexdigest(),
+            tokens.count("undefined")) == PINNED_GRID
+    sets = {(lam, mu, ori.name, h): _curves_digest(mm.bifurcation_set(
+                mm.ModelMap(lam, mu, orientation=ori),
+                ((-h, h), (-h, h)), k_max=3))
+            for lam, mu, ori, h in ((0.5, 0.5, NON_MONO, 0.3),
+                                    (3.0, 3.0, NON_MONO, 0.3),
+                                    (2 / 3, 2.0, MONO, 0.12))}
+    assert sets == PINNED_SETS
+    series = mm.flashing_series_map(
+        mm.ModelMap(0.5, 0.5, orientation=NON_MONO),
+        ((-0.01, 0.25), (0.068, 0.25)), 5)
+    assert [(k, _token(t), _token(b1), _token(b2))
+            for k, t, (b1, b2) in series] == PINNED_SERIES

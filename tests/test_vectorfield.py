@@ -158,6 +158,7 @@ def test_save_load_roundtrip(tmp_path):
     sys_ = vf.builtin("mono_perturbed")
     path = tmp_path / "system.json"
     vf.save(sys_, path)
+    assert path.read_text() == vf.to_json(sys_)
     assert vf.load(path) == sys_
 
 
