@@ -22,7 +22,7 @@ import math
 from array import array
 from bisect import bisect
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from itertools import accumulate, chain, groupby, pairwise
 
 import numpy as np
@@ -217,12 +217,26 @@ def _inside(m, edge, d):
 
 def _displacement_scan(m, xi_max):
     """P(xi) - xi, the ends and fold points between which it is monotone,
-    and its values there."""
-    f = lambda x: eval_map(m, x) - x
+    and its values there, beta1 + A - xi as ``eval_map`` adds them."""
+    xs, terms = _row(m.lam, m.mu, m.theta1, m.theta2, m.orientation,
+                     m.beta2, xi_max)
+    return (lambda x: eval_map(m, x) - x, xs,
+            [m.beta1 + a - x for x, a in zip(xs, terms)])
+
+
+@lru_cache(maxsize=128)
+def _row(lam, mu, theta1, theta2, orientation, beta2, xi_max):
+    """The nodes of ``_displacement_scan`` and A = s*theta2*base**mu at
+    each (NaN off the domain): all of it but beta1, which neither depends
+    on.  Bounded, and large enough for every row of a sweep of 100 beta2
+    per beta1."""
+    m = ModelMap(lam, mu, theta1, theta2, orientation, 0.0, beta2)
     xs = _ends(m, xi_max)
     if xs:
         xs[1:1] = [x for x in fold_points(m, xi_max) if xs[0] < x < xs[-1]]
-    return f, xs, sample(f, xs)
+    st = m.sign * theta2
+    return tuple(xs), tuple(st * b ** mu if b >= 0 else math.nan
+                            for b in (_base(m, x) for x in xs))
 
 
 def fixed_points(m, xi_max=XI_MAX):
@@ -238,8 +252,9 @@ def fixed_points(m, xi_max=XI_MAX):
 
 def fixed_point_count(m, xi_max=XI_MAX, samples=None):
     """Number of fixed points in the searched domain: the sign changes, by
-    the rule of ``fixed_points``, over its monotone pieces.  ``samples`` is
-    ignored; it is kept only because ``perfbench/workloads.py`` passes it.
+    the rule of ``fixed_points``, over its monotone pieces, read from the
+    beta1-free row ``_row`` caches.  ``samples`` is ignored; it is kept
+    only because ``perfbench/workloads.py`` passes it.
     """
     return len(sign_changes(_displacement_scan(m, xi_max)[2]))
 

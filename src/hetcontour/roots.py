@@ -10,13 +10,13 @@ value at the root is returned with it.
 search uses.  Its rule: a grid node where the value is zero is a root, once;
 a cell whose end values have strictly opposite signs holds one; a NaN value
 (a point where the function failed) is neither, so it never brackets.
+``sign_changes`` is one plain pass: most scans are short (a model-map count
+reads at most four values), where building arrays costs more than the scan.
 """
 from __future__ import annotations
 
 import math
 import sys
-
-import numpy as np
 
 from .errors import BracketError, DomainError, HetContourError, NoConvergence
 
@@ -105,11 +105,14 @@ def sample(f, xs):
 def sign_changes(vals):
     """The zero nodes ``(i, i)`` and the cells ``(i, i + 1)`` whose values
     have strictly opposite signs, in grid order; NaN is neither."""
-    v = np.asarray(vals, float)
-    neg, pos = v < 0, v > 0
-    cells = (neg[:-1] & pos[1:]) | (pos[:-1] & neg[1:])
-    return sorted([(i, i) for i in np.flatnonzero(v == 0).tolist()]
-                  + [(i, i + 1) for i in np.flatnonzero(cells).tolist()])
+    out, prev = [], math.nan
+    for i, v in enumerate(vals):
+        if v == 0:
+            out.append((i, i))
+        elif prev < 0 < v or v < 0 < prev:
+            out.append((i - 1, i))
+        prev = v
+    return out
 
 
 def grid_roots(f, xs, vals, xtol):

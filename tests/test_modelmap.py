@@ -436,3 +436,122 @@ def test_model_map_is_pinned_bit_for_bit():
         ((-0.01, 0.25), (0.068, 0.25)), 5)
     assert [(k, _token(t), _token(b1), _token(b2))
             for k, t, (b1, b2) in series] == PINNED_SERIES
+
+
+# the cycles benchmark's five maps on a 16 x 16 grid offset as it offsets
+# its grids, and criterion 8's four maps on every fifth point of its grid
+WORKLOAD_MAPS = [(2.0, 3.0, MONO), (0.5, 3.0, MONO), (0.5, 0.5, MONO),
+                 (0.5, 0.5, NON_MONO), (2 / 3, 2.0, MONO)]
+CRITERION_8_MAPS = WORKLOAD_MAPS[:4]
+
+
+def _sweep_grids():
+    rng = np.random.default_rng(1)
+    base = np.linspace(-0.3, 0.3, 16)
+    half = 0.5 * (base[1] - base[0])
+    for lam, mu, ori in WORKLOAD_MAPS:
+        b1s = (base + rng.uniform(-half, half)).tolist()
+        b2s = (base + rng.uniform(-half, half)).tolist()
+        yield (lam, mu, ori.name, "workload"), mm.ModelMap(
+            lam, mu, orientation=ori), b1s, b2s
+    grid = np.linspace(-0.3, 0.3, 100)[::5].tolist()
+    for lam, mu, ori in CRITERION_8_MAPS:
+        yield (lam, mu, ori.name, "criterion 8"), mm.ModelMap(
+            lam, mu, orientation=ori), grid, grid
+
+
+def _sweep_digest(m, points):
+    """sha256 of the count and the fixed points at each (beta1, beta2) of
+    ``points``, taken in that order and hashed in sorted order."""
+    got = {(b1, b2): (mm.fixed_point_count(m.at(b1, b2), xi_max=5.0),
+                      [r.hex() for r in mm.fixed_points(m.at(b1, b2),
+                                                        xi_max=5.0)])
+           for b1, b2 in points}
+    return hashlib.sha256(repr([(b1.hex(), b2.hex(), *got[b1, b2])
+                                for b1, b2 in sorted(got)]).encode()
+                          ).hexdigest()
+
+
+# recorded before the counts read a cached row
+PINNED_SWEEPS = {
+    (2.0, 3.0, "MONODROMIC", "workload"):
+        "b9a4b3e92f99b067b6ca50588745ffd7c2c3ebbd7130e774ea553b8e8c1dffe7",
+    (0.5, 3.0, "MONODROMIC", "workload"):
+        "0bd30d2bb03ec9c0bd19f65d767eb6f4626fe6c8812608371b83672f90126224",
+    (0.5, 0.5, "MONODROMIC", "workload"):
+        "9fc70ebeebe7317e6d162a9cbe62baafc2b3e4e040a938ce26a0b1e65f1ae0c6",
+    (0.5, 0.5, "NON_MONODROMIC", "workload"):
+        "1ec3c221e5c2349359c8ec20eed8e4d957c47ad3bc4f2a93375ea3a13c313ba2",
+    (2 / 3, 2.0, "MONODROMIC", "workload"):
+        "83c43c2e091f954a4c5f408008449df471bc7cc5759e314bbe49c2d1b0815984",
+    (2.0, 3.0, "MONODROMIC", "criterion 8"):
+        "59649730186b73b9c670fc56e09dc462094b3e380e74bb4e4f327d79bcc2a44e",
+    (0.5, 3.0, "MONODROMIC", "criterion 8"):
+        "695f82f6c8b20bc556936559d83706ea97bbcbf345d27f8832f8757a3fb35ab4",
+    (0.5, 0.5, "MONODROMIC", "criterion 8"):
+        "0867b9b45fa18450ec69b5785662acdb9ffbb667875c41ea87c0839035008bf1",
+    (0.5, 0.5, "NON_MONODROMIC", "criterion 8"):
+        "59d75f1a3d43d0797492cbe685c9221cf0595bb5a863464b9ee80ac0305e93b9"}
+
+
+def test_fixed_point_sweeps_are_pinned_bit_for_bit():
+    # beta2 outer (the benchmark's order, one beta2 row at a time) and
+    # beta1 outer (criterion 8's, every beta2 in turn) give the same values
+    digests = {}
+    for key, m, b1s, b2s in _sweep_grids():
+        rows = _sweep_digest(m, [(b1, b2) for b2 in b2s for b1 in b1s])
+        cols = _sweep_digest(m, [(b1, b2) for b1 in b1s for b2 in b2s])
+        digests[key] = rows if rows == cols else (rows, cols)
+    assert digests == PINNED_SWEEPS
+
+
+def _row_values(m, xi_max):
+    """The count, the fixed points and the scan's nodes and values of m
+    (P(xi) - xi at its monotone pieces' ends), as tokens."""
+    _, xs, vals = mm._displacement_scan(m, xi_max)
+    return (mm.fixed_point_count(m, xi_max=xi_max),
+            [_token(x) for x in mm.fixed_points(m, xi_max=xi_max)],
+            [_token(v) for v in (*xs, *vals)])
+
+
+# the benchmark's fold map next to its double-fixed-point locus, where it
+# has two fixed points
+ROW = dict(lam=2 / 3, mu=2.0, theta1=1.0, theta2=1.0, orientation=MONO,
+           beta2=0.0635, xi_max=5.0)
+
+
+@pytest.mark.parametrize("first, change", [
+    ({}, {"lam": 0.6}), ({}, {"mu": 2.5}), ({}, {"theta1": 1.5}),
+    ({}, {"theta2": 0.5}), ({}, {"orientation": NON_MONO}),
+    ({}, {"xi_max": 2.0}), ({}, {"beta2": 0.06}),
+    ({"beta2": 0.0}, {"beta2": -0.0}), ({"beta2": -0.0}, {"beta2": 0.0}),
+    ({"orientation": NON_MONO, "beta2": 0.0}, {"beta2": -0.0}),
+    # the upper domain edge of the non-monodromic map at xi_max
+    ({"orientation": NON_MONO}, {"beta2": 5.0 ** (2 / 3)}),
+    ({}, {"beta2": math.nan})])
+def test_a_cached_row_serves_only_its_own_key(first, change):
+    def values(kw):
+        kw = dict(kw)
+        xi_max = kw.pop("xi_max")
+        return [_row_values(mm.ModelMap(**kw, beta1=b1), xi_max)
+                for b1 in (-0.1, 0.0, 0.0384, 0.1)]
+
+    first = {**ROW, **first}
+    values(first)       # the first row, cached
+    warm = values({**first, **change})
+    mm._row.cache_clear()
+    assert warm == values({**first, **change})
+
+
+def test_row_cache_stays_bounded_over_a_criterion_8_sweep():
+    mm._row.cache_clear()
+    grid = np.linspace(-0.3, 0.3, 100).tolist()
+    for lam, mu, ori in CRITERION_8_MAPS:
+        m = mm.ModelMap(lam, mu, orientation=ori)
+        for b1 in grid:
+            for b2 in grid:
+                mm.fixed_point_count(m.at(b1, b2), xi_max=5.0)
+    info = mm._row.cache_info()
+    assert info.currsize <= info.maxsize
+    # each map's 100 rows fit: every row is built once, not once per beta1
+    assert info.misses == 4 * 100

@@ -139,6 +139,29 @@ def test_sign_changes_in_grid_order():
     assert sign_changes([1.0, nan, -1.0, nan, 0.0]) == [(4, 4)]
 
 
+def _sign_changes_numpy(vals):
+    """The vectorised ``sign_changes`` of earlier versions, the reference."""
+    v = np.asarray(vals, float)
+    neg, pos = v < 0, v > 0
+    cells = (neg[:-1] & pos[1:]) | (pos[:-1] & neg[1:])
+    return sorted([(i, i) for i in np.flatnonzero(v == 0).tolist()]
+                  + [(i, i + 1) for i in np.flatnonzero(cells).tolist()])
+
+
+def test_sign_changes_matches_the_numpy_reference():
+    rng = np.random.default_rng(5)
+    special = np.array([math.nan, 0.0, -0.0, math.inf, -math.inf])
+    lengths = list(range(12)) + [2000] + rng.integers(12, 2000, 30).tolist()
+    for n in lengths:
+        for share in (0.0, 0.1, 0.5, 1.0):
+            v = rng.choice([-1.0, 1.0], n) * rng.exponential(size=n)
+            hit = rng.random(n) < share
+            v[hit] = rng.choice(special, int(hit.sum()))
+            want = _sign_changes_numpy(v)
+            assert sign_changes(v) == want, v
+            assert sign_changes(v.tolist()) == want, v
+
+
 def test_grid_roots_takes_a_zero_node_once_without_evaluations():
     h, xs = _recorded(lambda x: x - 0.5)
     grid = np.linspace(0.0, 1.0, 5)
